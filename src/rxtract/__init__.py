@@ -16,6 +16,6 @@ from .corpus import (  # noqa: F401
 )
 from .encoder import EncoderConfig, TrainConfig  # noqa: F401
 from .ner import NerModelBundle, predict_ner, train_ner  # noqa: F401
-from .context import ClassifierBundle, classify_context, classify_event, train_task  # noqa: F401
+from .context import ClassifierBundle, train_task  # noqa: F401
 from .pipeline import PipelineBundle, run_pipeline  # noqa: F401
 from .synth import GeneratorSpec, gen_corpus  # noqa: F401

@@ -21,7 +21,7 @@ from .corpus import corpus_stats, format_stats, load_corpus, normalize_newlines,
 from .encoder import EncoderConfig, TrainConfig, grad_check, init_model, toy_examples
 from .errors import RxtractError
 from .evaluation import MetricsReport, render_report, report_records
-from .preproc import build_vocab
+from .preproc import build_vocab, split_text
 
 
 class UsageError(Exception):
@@ -279,7 +279,8 @@ def cmd_evaluate(args) -> int:
             nb = bundle
         else:
             raise UsageError("ner evaluation needs an extraction or pipeline artifact")
-        preds = {d.doc_id: ner.predict_ner(nb, d.text) for d in docs}
+        spans = ner.predict_ner_batch(nb.model, nb.vocab, [split_text(d.text) for d in docs])
+        preds = dict(zip([d.doc_id for d in docs], spans))
         report = evaluation.ner_metrics(docs, preds, args.mode)
     elif args.task == "event":
         if args.gold_spans == "on":

@@ -8,6 +8,7 @@ of the CLS and marker representations.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -27,9 +28,10 @@ from .encoder import (
     TrainConfig,
     fit,
     init_model,
+    length_chunks,
     sequence_logits_batch,
 )
-from .errors import SpanRangeError
+from .errors import ConfigError, SpanRangeError
 from .preproc import (
     CLS_ID,
     E_MARK_ID,
@@ -40,9 +42,8 @@ from .preproc import (
     LabeledSequence,
     Sentence,
     Vocabulary,
-    split_sentences,
+    split_text,
     subword_encode,
-    tokenize,
 )
 
 CLASSIFY_MAX_LEN = 256
@@ -165,12 +166,38 @@ class ClassifierBundle:
     tasks: dict[str, TaskModel]
     vocab: Vocabulary
 
+    @property
+    def max_len(self) -> int:
+        """The one example length every classifier of the bundle reads."""
+        lengths = {tm.model.config.max_len for tm in self.tasks.values()}
+        if len(lengths) != 1:
+            raise ConfigError(f"classifiers disagree on max_len: {sorted(lengths)}")
+        return lengths.pop()
 
-def _sentence_for(sentences: Sequence[Sentence], span: CharSpan) -> Optional[Sentence]:
-    for sent in sentences:
-        if sent.span.start <= span.start < sent.span.end:
-            return sent
-    return None
+
+def mention_examples(
+    doc_id: str,
+    sentences: Sequence[Sentence],
+    spans: Sequence[CharSpan],
+    vocab: Vocabulary,
+    max_len: int = CLASSIFY_MAX_LEN,
+) -> list[Optional[LabeledSequence]]:
+    """The marker example of each mention, built in the sentence holding it.
+
+    A mention not contained in one sentence gets None and a warning: no
+    classifier can see it.
+    """
+    starts = [sent.span.start for sent in sentences]
+    out: list[Optional[LabeledSequence]] = []
+    for span in spans:
+        i = bisect_right(starts, span.start) - 1
+        if i >= 0 and sentences[i].span.contains(span):
+            out.append(build_classification_example(sentences[i], span, vocab, max_len, doc_id))
+        else:
+            warnings.warn(f"{doc_id}: mention {span} not contained in a sentence; "
+                          "skipped for classification")
+            out.append(None)
+    return out
 
 
 def collect_task_examples(
@@ -187,35 +214,55 @@ def collect_task_examples(
     examples: list[LabeledSequence] = []
     attr = None if task.name == "Event" else CONTEXT_DIMENSIONS[task.name][1]
     for doc in docs:
-        sentences = split_sentences(doc.text, tokenize(doc.text))
-        for m in doc.mentions:
-            if task.name != "Event" and m.event is not EventLabel.DISPOSITION:
-                continue
-            sent = _sentence_for(sentences, m.span)
-            if sent is None or not sent.span.contains(m.span):
-                warnings.warn(
-                    f"{doc.doc_id}: mention {m.span} not contained in a "
-                    "sentence; skipped for classification"
-                )
-                continue
-            seq = build_classification_example(sent, m.span, vocab, max_len, doc.doc_id)
-            if task.name == "Event":
-                seq.label = task.classes.index(m.event.value)
-            else:
-                seq.label = task.classes.index(getattr(m.context, attr).value)
-            examples.append(seq)
+        mentions = [
+            m for m in doc.mentions
+            if task.name == "Event" or m.event is EventLabel.DISPOSITION
+        ]
+        seqs = mention_examples(
+            doc.doc_id, split_text(doc.text), [m.span for m in mentions], vocab, max_len
+        )
+        for m, seq in zip(mentions, seqs):
+            if seq is not None:
+                gold = m.event if attr is None else getattr(m.context, attr)
+                seq.label = task.classes.index(gold.value)
+                examples.append(seq)
     return examples
 
 
 def classify_batch(
     model: EncoderModel, task: ClassificationTask, seqs: Sequence[LabeledSequence]
 ) -> list[int]:
-    """Argmax class ids; ties break toward the lowest class index."""
-    out: list[int] = []
-    for start in range(0, len(seqs), CLASSIFY_BATCH):
-        logits = sequence_logits_batch(model, seqs[start : start + CLASSIFY_BATCH], task.name)
-        out.extend(int(i) for i in np.argmax(logits, axis=-1))
+    """Argmax class ids in input order; ties break toward the lowest index."""
+    out = [0] * len(seqs)
+    for idx in length_chunks(seqs, CLASSIFY_BATCH):
+        logits = sequence_logits_batch(model, [seqs[i] for i in idx], task.name)
+        for i, best in zip(idx, np.argmax(logits, axis=-1)):
+            out[i] = int(best)
     return out
+
+
+def predict_events(
+    bundle: ClassifierBundle, examples: Sequence[LabeledSequence]
+) -> list[EventLabel]:
+    """The Event classifier over marker examples, in input order."""
+    ids = classify_batch(bundle.tasks["Event"].model, EVENT_TASK, examples)
+    return [EventLabel(EVENT_TASK.classes[i]) for i in ids]
+
+
+def predict_contexts(
+    bundle: ClassifierBundle, examples: Sequence[LabeledSequence]
+) -> list[ContextAttributes]:
+    """The five dimension classifiers, each run independently over every
+    example, assembled into one ContextAttributes per example."""
+    columns = {}
+    for task in DIMENSION_TASKS:
+        enum_cls, attr = CONTEXT_DIMENSIONS[task.name]
+        ids = classify_batch(bundle.tasks[task.name].model, task, examples)
+        columns[attr] = [enum_cls(task.classes[i]) for i in ids]
+    return [
+        ContextAttributes(**{attr: labels[k] for attr, labels in columns.items()})
+        for k in range(len(examples))
+    ]
 
 
 def _accuracy(model: EncoderModel, task: ClassificationTask,
@@ -294,30 +341,3 @@ def train_all_tasks(
         tasks[name] = train_task(corpus, task, enc_cfg, train_cfg, vocab, log=log)
     return ClassifierBundle(tasks=tasks, vocab=vocab)
 
-
-def classify_event(
-    bundle: ClassifierBundle, sent: Sentence, mention: CharSpan
-) -> EventLabel:
-    task = TASKS["Event"]
-    seq = build_classification_example(
-        sent, mention, bundle.vocab, bundle.tasks["Event"].model.config.max_len
-    )
-    idx = classify_batch(bundle.tasks["Event"].model, task, [seq])[0]
-    return EventLabel(task.classes[idx])
-
-
-def classify_context(
-    bundle: ClassifierBundle, sent: Sentence, mention: CharSpan
-) -> ContextAttributes:
-    """Run the five dimension classifiers independently and assemble the
-    resulting labels."""
-    kwargs = {}
-    for task in DIMENSION_TASKS:
-        tm = bundle.tasks[task.name]
-        seq = build_classification_example(
-            sent, mention, bundle.vocab, tm.model.config.max_len
-        )
-        idx = classify_batch(tm.model, task, [seq])[0]
-        enum_cls, attr = CONTEXT_DIMENSIONS[task.name]
-        kwargs[attr] = enum_cls(task.classes[idx])
-    return ContextAttributes(**kwargs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,10 +24,6 @@ from .preproc import (
     BioTag,
     LabeledSequence,
 )
-
-
-class SpanIndexError(IndexError):
-    """Marker position outside the hidden-state sequence."""
 
 LN_EPS = 1e-5
 ADAM_EPS = 1e-8
@@ -400,11 +396,15 @@ def _backward_batch(model, cache, d_hidden, grads):
 # public operations
 
 
-def forward(model: EncoderModel, seq: LabeledSequence) -> np.ndarray:
-    """Per-position hidden states for one sequence, inference mode."""
-    packed = pack_batch([seq], model)
-    hidden, _ = _forward_batch(model, packed.ids, packed.mask, train=False)
-    return hidden[0]
+def length_chunks(seqs: Sequence[LabeledSequence], size: int) -> Iterator[list[int]]:
+    """Indices of `seqs` in chunks of at most `size`, in order of real length.
+
+    Chunking like-length sequences together keeps the padding that
+    `pack_batch` cannot trim small. Ties keep input order.
+    """
+    order = sorted(range(len(seqs)), key=lambda i: seqs[i].real_length())
+    for start in range(0, len(order), size):
+        yield order[start : start + size]
 
 
 def forward_batch(
@@ -419,7 +419,8 @@ def forward_batch(
 def sequence_logits_batch(
     model: EncoderModel, seqs: Sequence[LabeledSequence], task: str
 ) -> np.ndarray:
-    """Classification logits for a batch of marker-bearing sequences."""
+    """Classification logits from concat(hidden[CLS], hidden[S], hidden[E])
+    for a batch of marker-bearing sequences."""
     if task not in model.task_classes:
         raise ConfigError(f"model has no head for task {task!r}")
     hidden, packed = forward_batch(model, seqs)
@@ -434,19 +435,6 @@ def sequence_logits_batch(
 def token_logits(model: EncoderModel, hidden: np.ndarray) -> np.ndarray:
     """Affine map from hidden states to per-position B/I/O logits."""
     return hidden @ model.params["token_head.w"] + model.params["token_head.b"]
-
-
-def sequence_logits(
-    model: EncoderModel, hidden: np.ndarray, s_pos: int, e_pos: int, task: str
-) -> np.ndarray:
-    """Classification logits from concat(hidden[CLS], hidden[s], hidden[e])."""
-    length = hidden.shape[0]
-    if not (0 <= s_pos < length and 0 <= e_pos < length):
-        raise SpanIndexError(f"marker positions ({s_pos}, {e_pos}) out of range {length}")
-    if task not in model.task_classes:
-        raise ConfigError(f"model has no head for task {task!r}")
-    feat = np.concatenate([hidden[0], hidden[s_pos], hidden[e_pos]])
-    return feat @ model.params[f"seq_head.{task}.w"] + model.params[f"seq_head.{task}.b"]
 
 
 def loss_and_grads(

@@ -17,6 +17,7 @@ from .encoder import (
     fit,
     forward_batch,
     init_model,
+    length_chunks,
     token_logits,
 )
 from .errors import DataError
@@ -26,13 +27,13 @@ from .preproc import (
     DEFAULT_VOCAB_SIZE,
     BioTag,
     LabeledSequence,
+    Sentence,
     Vocabulary,
     align_to_subtokens,
     build_vocab,
     decode_bio,
     spans_to_bio,
-    split_sentences,
-    tokenize,
+    split_text,
 )
 
 PREDICT_BATCH = 64
@@ -57,8 +58,7 @@ def build_ner_examples(
     as all-O examples."""
     examples: list[LabeledSequence] = []
     for doc in docs:
-        tokens = tokenize(doc.text)
-        for sent in split_sentences(doc.text, tokens):
+        for sent in split_text(doc.text):
             spans = []
             for m in doc.mentions:
                 if not m.span.overlaps(sent.span):
@@ -76,37 +76,34 @@ def build_ner_examples(
     return examples
 
 
-def _predict_doc_spans(
-    model: EncoderModel, vocab: Vocabulary, text: str, max_len: int
-) -> list[CharSpan]:
-    tokens = tokenize(text)
-    sentences = split_sentences(text, tokens)
-    if not sentences:
-        return []
+def predict_ner_batch(
+    model: EncoderModel, vocab: Vocabulary, sentences: Sequence[Sequence[Sentence]]
+) -> list[list[CharSpan]]:
+    """Predicted mention spans for each document's pre-split sentences.
+
+    The sentences of all documents share length-ordered batches; each
+    document's spans come back sorted and non-overlapping.
+    """
+    flat = [sent for doc in sentences for sent in doc]
     seqs = [
-        align_to_subtokens(s, [BioTag.O] * len(s.tokens), vocab, max_len)
-        for s in sentences
+        align_to_subtokens(s, [BioTag.O] * len(s.tokens), vocab, model.config.max_len)
+        for s in flat
     ]
-    spans: list[CharSpan] = []
-    for start in range(0, len(seqs), PREDICT_BATCH):
-        chunk = seqs[start : start + PREDICT_BATCH]
-        hidden, _ = forward_batch(model, chunk)
-        logits = token_logits(model, hidden)
-        best = np.argmax(logits, axis=-1)  # first index wins ties: B < I < O
-        for row, seq, sent in zip(
-            best, chunk, sentences[start : start + PREDICT_BATCH]
-        ):
+    found: list[list[CharSpan]] = [[] for _ in flat]
+    for idx in length_chunks(seqs, PREDICT_BATCH):
+        hidden, _ = forward_batch(model, [seqs[i] for i in idx])
+        best = np.argmax(token_logits(model, hidden), axis=-1)  # ties: B < I < O
+        for i, row in zip(idx, best):
             tags = [BioTag(int(t)) for t in row]
-            tags += [BioTag.O] * (len(seq) - len(tags))  # trimmed padding tail
-            spans.extend(decode_bio(seq, tags, sent))
-    return spans
+            tags += [BioTag.O] * (len(seqs[i]) - len(tags))  # trimmed padding tail
+            found[i] = decode_bio(seqs[i], tags, flat[i])
+    per_sentence = iter(found)
+    return [[span for _ in doc for span in next(per_sentence)] for doc in sentences]
 
 
 def predict_ner(bundle: NerModelBundle, text: str) -> list[CharSpan]:
     """Predicted mention spans, sorted and non-overlapping."""
-    return _predict_doc_spans(
-        bundle.model, bundle.vocab, text, bundle.model.config.max_len
-    )
+    return predict_ner_batch(bundle.model, bundle.vocab, [split_text(text)])[0]
 
 
 def train_ner(
@@ -127,11 +124,11 @@ def train_ner(
     model = init_model(enc_cfg)
     examples = build_ner_examples(corpus.train, vocab, enc_cfg.max_len)
 
+    dev_ids = [doc.doc_id for doc in corpus.dev]
+    dev_sentences = [split_text(doc.text) for doc in corpus.dev]
+
     def dev_f1(m: EncoderModel) -> float:
-        preds = {
-            doc.doc_id: _predict_doc_spans(m, vocab, doc.text, enc_cfg.max_len)
-            for doc in corpus.dev
-        }
+        preds = dict(zip(dev_ids, predict_ner_batch(m, vocab, dev_sentences)))
         return ner_metrics(corpus.dev, preds).micro.f1
 
     result = fit(model, examples, "token", train_cfg, dev_f1, log=log)

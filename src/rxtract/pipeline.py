@@ -1,5 +1,10 @@
 """End-to-end prediction: extraction, then event classification, then
-context classification for Disposition mentions."""
+context classification for Disposition mentions.
+
+Every entry point runs one staged path over all the documents it is given,
+so each stage batches across documents. The gold-span evaluators enter it
+at the marker-example stage, with gold spans.
+"""
 
 from __future__ import annotations
 
@@ -10,11 +15,11 @@ from typing import Sequence
 from .context import (
     ClassifierBundle,
     TASKS,
-    build_classification_example,
-    classify_batch,
+    mention_examples,
+    predict_contexts,
+    predict_events,
 )
 from .corpus import (
-    CONTEXT_DIMENSIONS,
     AnnotatedDocument,
     CharSpan,
     ContextAttributes,
@@ -24,8 +29,8 @@ from .corpus import (
 )
 from .errors import ConfigError
 from .evaluation import MentionKey
-from .ner import NerModelBundle, predict_ner
-from .preproc import split_sentences, tokenize
+from .ner import NerModelBundle, predict_ner_batch
+from .preproc import LabeledSequence, Sentence, split_text
 
 
 @dataclass
@@ -43,61 +48,54 @@ class PipelineBundle:
                 raise ConfigError(f"pipeline is missing the {name} classifier")
 
 
-def _classify_spans(
-    bundle: ClassifierBundle, sentences, spans: Sequence[CharSpan], task_name: str
-) -> list[int]:
-    tm = bundle.tasks[task_name]
-    seqs = []
-    for span in spans:
-        sent = next(
-            s for s in sentences if s.span.start <= span.start < s.span.end
-        )
-        seqs.append(
-            build_classification_example(sent, span, bundle.vocab, tm.model.config.max_len)
-        )
-    return classify_batch(tm.model, TASKS[task_name], seqs)
+def _examples(
+    bundle: ClassifierBundle,
+    docs: Sequence[AnnotatedDocument],
+    sentences: Sequence[Sequence[Sentence]],
+    spans: Sequence[Sequence[CharSpan]],
+) -> tuple[list[tuple[int, CharSpan]], list[LabeledSequence]]:
+    """Stage 3: the marker example of every mention a classifier can see,
+    with its (document index, span) key."""
+    max_len = bundle.max_len
+    keys, seqs = [], []
+    for d, (doc, sents, doc_spans) in enumerate(zip(docs, sentences, spans)):
+        built = mention_examples(doc.doc_id, sents, doc_spans, bundle.vocab, max_len)
+        for span, seq in zip(doc_spans, built):
+            if seq is not None:
+                keys.append((d, span))
+                seqs.append(seq)
+    return keys, seqs
+
+
+def _run_staged(
+    p: PipelineBundle, docs: Sequence[AnnotatedDocument]
+) -> list[AnnotatedDocument]:
+    docs = [AnnotatedDocument(d.doc_id, normalize_newlines(d.text)) for d in docs]
+    sentences = [split_text(d.text) for d in docs]
+    spans = predict_ner_batch(p.ner.model, p.ner.vocab, sentences)
+    keys, seqs = _examples(p.classifiers, docs, sentences, spans)
+    events = predict_events(p.classifiers, seqs)
+    disposition = [k for k, e in enumerate(events) if e is EventLabel.DISPOSITION]
+    contexts = predict_contexts(p.classifiers, [seqs[k] for k in disposition])
+    context_of = dict(zip(disposition, contexts))
+    for k, ((d, span), event) in enumerate(zip(keys, events)):
+        surface = docs[d].text[span.start : span.end]
+        docs[d].mentions.append(MedicationMention(span, surface, event, context_of.get(k)))
+    for doc in docs:
+        doc.validate()
+    return docs
 
 
 def run_pipeline(p: PipelineBundle, text: str, doc_id: str = "doc") -> AnnotatedDocument:
     """Predict mentions with events and, for Disposition, context attributes."""
-    text = normalize_newlines(text)
-    spans = predict_ner(p.ner, text)
-    if not spans:
-        return AnnotatedDocument(doc_id=doc_id, text=text, mentions=[])
+    return _run_staged(p, [AnnotatedDocument(doc_id, text)])[0]
 
-    sentences = split_sentences(text, tokenize(text))
-    event_ids = _classify_spans(p.classifiers, sentences, spans, "Event")
-    event_task = TASKS["Event"]
-    events = [EventLabel(event_task.classes[i]) for i in event_ids]
 
-    disp_spans = [s for s, e in zip(spans, events) if e is EventLabel.DISPOSITION]
-    dim_preds: dict[str, list[int]] = {}
-    for name in CONTEXT_DIMENSIONS:
-        if disp_spans:
-            dim_preds[name] = _classify_spans(p.classifiers, sentences, disp_spans, name)
-
-    mentions = []
-    disp_i = 0
-    for span, event in zip(spans, events):
-        context = None
-        if event is EventLabel.DISPOSITION:
-            kwargs = {}
-            for name, (enum_cls, attr) in CONTEXT_DIMENSIONS.items():
-                value = TASKS[name].classes[dim_preds[name][disp_i]]
-                kwargs[attr] = enum_cls(value)
-            context = ContextAttributes(**kwargs)
-            disp_i += 1
-        mentions.append(
-            MedicationMention(
-                span=span,
-                surface=text[span.start : span.end],
-                event=event,
-                context=context,
-            )
-        )
-    doc = AnnotatedDocument(doc_id=doc_id, text=text, mentions=mentions)
-    doc.validate()
-    return doc
+def run_pipeline_over(
+    p: PipelineBundle, docs: Sequence[AnnotatedDocument]
+) -> dict[str, list[MedicationMention]]:
+    """End-to-end predictions for a split, keyed by doc_id."""
+    return {d.doc_id: d.mentions for d in _run_staged(p, docs)}
 
 
 def mentions_to_jsonl(doc: AnnotatedDocument) -> str:
@@ -130,53 +128,33 @@ def mentions_to_jsonl(doc: AnnotatedDocument) -> str:
 def classify_gold_events(
     bundle: ClassifierBundle, docs: Sequence[AnnotatedDocument]
 ) -> dict[str, list[MedicationMention]]:
-    """Predicted events on gold spans, for NER-error-free event scoring."""
-    out: dict[str, list[MedicationMention]] = {}
-    task = TASKS["Event"]
-    for doc in docs:
-        sentences = split_sentences(doc.text, tokenize(doc.text))
-        spans = [m.span for m in doc.mentions]
-        mentions = []
-        if spans:
-            ids = _classify_spans(bundle, sentences, spans, "Event")
-            for span, idx in zip(spans, ids):
-                mentions.append(
-                    MedicationMention(
-                        span=span,
-                        surface=doc.text[span.start : span.end],
-                        event=EventLabel(task.classes[idx]),
-                    )
-                )
-        out[doc.doc_id] = mentions
+    """Predicted events on gold spans, for NER-error-free event scoring.
+
+    A gold mention outside any one sentence is skipped with a warning, so
+    it scores as missed.
+    """
+    spans = [[m.span for m in d.mentions] for d in docs]
+    keys, seqs = _examples(bundle, docs, [split_text(d.text) for d in docs], spans)
+    out: dict[str, list[MedicationMention]] = {d.doc_id: [] for d in docs}
+    for (d, span), event in zip(keys, predict_events(bundle, seqs)):
+        surface = docs[d].text[span.start : span.end]
+        out[docs[d].doc_id].append(MedicationMention(span, surface, event))
     return out
 
 
 def classify_gold_context(
     bundle: ClassifierBundle, docs: Sequence[AnnotatedDocument]
 ) -> dict[MentionKey, ContextAttributes]:
-    """Predicted context attributes on gold Disposition mentions."""
-    out: dict[MentionKey, ContextAttributes] = {}
-    for doc in docs:
-        sentences = split_sentences(doc.text, tokenize(doc.text))
-        spans = [
-            m.span for m in doc.mentions if m.event is EventLabel.DISPOSITION
-        ]
-        if not spans:
-            continue
-        per_dim = {
-            name: _classify_spans(bundle, sentences, spans, name)
-            for name in CONTEXT_DIMENSIONS
-        }
-        for i, span in enumerate(spans):
-            kwargs = {}
-            for name, (enum_cls, attr) in CONTEXT_DIMENSIONS.items():
-                kwargs[attr] = enum_cls(TASKS[name].classes[per_dim[name][i]])
-            out[(doc.doc_id, span.start, span.end)] = ContextAttributes(**kwargs)
-    return out
+    """Predicted context attributes on gold Disposition mentions.
 
-
-def run_pipeline_over(
-    p: PipelineBundle, docs: Sequence[AnnotatedDocument]
-) -> dict[str, list[MedicationMention]]:
-    """End-to-end predictions for a split, keyed by doc_id."""
-    return {d.doc_id: run_pipeline(p, d.text, d.doc_id).mentions for d in docs}
+    A gold mention outside any one sentence is skipped with a warning, so
+    it scores as wrong in every dimension.
+    """
+    spans = [
+        [m.span for m in d.mentions if m.event is EventLabel.DISPOSITION] for d in docs
+    ]
+    keys, seqs = _examples(bundle, docs, [split_text(d.text) for d in docs], spans)
+    return {
+        (docs[d].doc_id, span.start, span.end): context
+        for (d, span), context in zip(keys, predict_contexts(bundle, seqs))
+    }

@@ -97,6 +97,11 @@ def split_sentences(text: str, tokens: Sequence[Token]) -> list[Sentence]:
     return sentences
 
 
+def split_text(text: str) -> list[Sentence]:
+    """Tokenize a text once and group its tokens into sentences."""
+    return split_sentences(text, tokenize(text))
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Subword piece inventory; index in `pieces` is the piece id.

@@ -9,9 +9,10 @@ from rxtract.context import (
     ClassifierBundle,
     build_classification_example,
     classify_batch,
-    classify_context,
-    classify_event,
     collect_task_examples,
+    mention_examples,
+    predict_contexts,
+    predict_events,
     train_all_tasks,
     train_task,
 )
@@ -133,14 +134,19 @@ def _zero_head_bundle(texts):
     return ClassifierBundle(tasks=tasks, vocab=vocab)
 
 
+def _plavix_example(bundle):
+    text = "doctor started plavix today"
+    sent = _sentence(text)
+    return mention_examples("d", [sent], [sent.tokens[2].span], bundle.vocab,
+                            bundle.max_len)
+
+
 class TestTieBreaks:
     def test_zero_weight_heads_pick_first_classes(self):
-        text = "doctor started plavix today"
-        bundle = _zero_head_bundle([text])
-        sent = _sentence(text)
-        mention = sent.tokens[2].span
-        assert classify_event(bundle, sent, mention) is EventLabel.DISPOSITION
-        attrs = classify_context(bundle, sent, mention)
+        bundle = _zero_head_bundle(["doctor started plavix today"])
+        seqs = _plavix_example(bundle)
+        assert predict_events(bundle, seqs) == [EventLabel.DISPOSITION]
+        [attrs] = predict_contexts(bundle, seqs)
         assert attrs.action.value == "Start"
         assert attrs.negation.value == "Negated"
         assert attrs.temporality.value == "Past"
@@ -148,10 +154,8 @@ class TestTieBreaks:
         assert attrs.actor.value == "Physician"
 
     def test_label_closure(self):
-        text = "doctor started plavix today"
-        bundle = _zero_head_bundle([text])
-        sent = _sentence(text)
-        attrs = classify_context(bundle, sent, sent.tokens[2].span)
+        bundle = _zero_head_bundle(["doctor started plavix today"])
+        [attrs] = predict_contexts(bundle, _plavix_example(bundle))
         for task in DIMENSION_TASKS:
             field = task.name.lower()
             assert getattr(attrs, field).value in task.classes

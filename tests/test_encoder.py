@@ -10,15 +10,14 @@ from rxtract.encoder import (
     OptimizerState,
     TrainConfig,
     _forward_batch,
-    forward,
+    forward_batch,
     grad_check,
     init_model,
     loss_and_grads,
     optimizer_step,
     pack_batch,
     parameter_count,
-    sequence_logits,
-    SpanIndexError,
+    sequence_logits_batch,
     token_logits,
     toy_examples,
 )
@@ -29,6 +28,11 @@ TOY = EncoderConfig(
     layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=32,
     vocab_size=64, dropout_rate=0.0, seed=3, precision=64,
 )
+
+
+def _hidden(model, seq):
+    """Inference-mode hidden states of one sequence."""
+    return forward_batch(model, [seq])[0][0]
 
 
 def _softmax(v):
@@ -117,14 +121,14 @@ class TestForward:
     def test_inference_deterministic(self):
         model = init_model(TOY)
         seq = toy_examples("token", TOY.vocab_size, n=1, length=12, seed=1)[0]
-        assert np.array_equal(forward(model, seq), forward(model, seq))
+        assert np.array_equal(_hidden(model, seq), _hidden(model, seq))
 
     def test_sequence_too_long(self):
         model = init_model(TOY)
         ids = [2] + [7] * TOY.max_len + [3]
         seq = LabeledSequence(ids, [1] * len(ids), [-1] * len(ids))
         with pytest.raises(SequenceLengthError):
-            forward(model, seq)
+            forward_batch(model, [seq])
 
     def test_single_position_matches_scalar_recomputation(self):
         cfg = EncoderConfig(layers=1, hidden_dim=4, heads=2, ffn_dim=8,
@@ -133,7 +137,7 @@ class TestForward:
         model = init_model(cfg)
         tok = 9
         seq = LabeledSequence([tok], [1], [0])
-        got = forward(model, seq)[0]
+        got = _hidden(model, seq)[0]
         want = _scalar_one_layer(model, tok)
         assert np.allclose(got, want, atol=1e-9)
 
@@ -181,7 +185,7 @@ class TestHeads:
         model.params["token_head.w"][:] = 0.0
         model.params["token_head.b"][:] = 0.0
         seq = toy_examples("token", TOY.vocab_size, n=1, length=12, seed=2)[0]
-        logits = token_logits(model, forward(model, seq))
+        logits = token_logits(model, _hidden(model, seq))
         probs = np.apply_along_axis(_softmax, -1, logits)
         assert np.allclose(probs, 1.0 / 3.0, atol=1e-9)
 
@@ -202,15 +206,10 @@ class TestHeads:
         model = init_model(TOY, {"Event": 3})
         model.params["seq_head.Event.w"][:] = 0.0
         seq = toy_examples("sequence", TOY.vocab_size, n=1, length=12, seed=3)[0]
-        hidden = forward(model, seq)
-        s = seq.subtoken_ids.index(4)
-        e = seq.subtoken_ids.index(5)
-        logits = sequence_logits(model, hidden, s, e, "Event")
+        logits = sequence_logits_batch(model, [seq], "Event")[0]
         assert np.allclose(_softmax(logits), 1.0 / 3.0, atol=1e-9)
 
     def test_logits_do_not_depend_on_gold_labels(self):
-        from rxtract.encoder import sequence_logits_batch
-
         model = init_model(TOY, {"Event": 3})
         batch = toy_examples("sequence", TOY.vocab_size, n=4, length=12, seed=8)
         before = sequence_logits_batch(model, batch, "Event")
@@ -219,21 +218,14 @@ class TestHeads:
         after = sequence_logits_batch(model, batch, "Event")
         assert np.array_equal(before, after)
 
-    def test_marker_position_out_of_range(self):
-        model = init_model(TOY, {"Event": 3})
-        seq = toy_examples("sequence", TOY.vocab_size, n=1, length=12, seed=3)[0]
-        hidden = forward(model, seq)
-        with pytest.raises(SpanIndexError):
-            sequence_logits(model, hidden, 0, hidden.shape[0] + 5, "Event")
-
     def test_sequence_head_scalar_recomputation(self):
         cfg = EncoderConfig(layers=1, hidden_dim=4, heads=2, ffn_dim=8,
                             max_len=8, vocab_size=16, dropout_rate=0.0,
                             seed=5, precision=64)
         model = init_model(cfg, {"flag": 2})
         seq = LabeledSequence([2, 4, 9, 5, 3], [1] * 5, [-1, -1, 0, -1, -1])
-        hidden = forward(model, seq)
-        logits = sequence_logits(model, hidden, 1, 3, "flag")
+        hidden = _hidden(model, seq)
+        logits = sequence_logits_batch(model, [seq], "flag")[0]
         feat = list(hidden[0]) + list(hidden[1]) + list(hidden[3])
         w = model.params["seq_head.flag.w"].tolist()
         b = model.params["seq_head.flag.b"].tolist()

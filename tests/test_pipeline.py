@@ -1,15 +1,25 @@
 """End-to-end chaining and the JSON-lines prediction format."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from rxtract.context import TASKS, ClassifierBundle, TaskModel
-from rxtract.corpus import EventLabel
+from rxtract.corpus import (
+    AnnotatedDocument,
+    CharSpan,
+    ContextAttributes,
+    EventLabel,
+    MedicationMention,
+)
 from rxtract.encoder import EncoderConfig, TrainConfig, init_model
 from rxtract.ner import NerModelBundle, predict_ner
+from rxtract.errors import ConfigError
 from rxtract.pipeline import (
     PipelineBundle,
+    classify_gold_context,
+    classify_gold_events,
     mentions_to_jsonl,
     run_pipeline,
     run_pipeline_over,
@@ -122,8 +132,6 @@ class TestJsonl:
 
 class TestBundleValidation:
     def test_vocabulary_mismatch_detected(self):
-        from rxtract.errors import ConfigError
-
         a = _toy_pipeline(["alpha beta"])
         b = _toy_pipeline(["gamma delta epsilon zeta"])
         mixed = PipelineBundle(ner=a.ner, classifiers=b.classifiers)
@@ -135,3 +143,35 @@ class TestBundleValidation:
         p = _toy_pipeline([d.text for d in result.corpus.train])
         preds = run_pipeline_over(p, result.corpus.train)
         assert set(preds) == {d.doc_id for d in result.corpus.train}
+
+    def test_classifiers_disagreeing_on_max_len_rejected(self):
+        p = _toy_pipeline(["took plavix today"])
+        actor = p.classifiers.tasks["Actor"]
+        actor.model = init_model(replace(actor.model.config, max_len=32),
+                                 actor.model.task_classes)
+        with pytest.raises(ConfigError, match="max_len"):
+            run_pipeline(p, "took plavix today")
+
+
+class TestGoldSpans:
+    TEXT = "Stop. aspirin now and plavix today"
+
+    def _doc(self):
+        def mention(start, end):
+            return MedicationMention(CharSpan(start, end), self.TEXT[start:end],
+                                     EventLabel.DISPOSITION, ContextAttributes())
+
+        # (5, 13) starts on the space between the two sentences.
+        return AnnotatedDocument("d", self.TEXT, [mention(5, 13), mention(22, 28)])
+
+    def test_mention_outside_one_sentence_skipped_for_events(self):
+        p = _toy_pipeline([self.TEXT])
+        with pytest.warns(UserWarning, match="not contained in a sentence"):
+            preds = classify_gold_events(p.classifiers, [self._doc()])
+        assert [m.span for m in preds["d"]] == [CharSpan(22, 28)]
+
+    def test_mention_outside_one_sentence_skipped_for_context(self):
+        p = _toy_pipeline([self.TEXT])
+        with pytest.warns(UserWarning, match="not contained in a sentence"):
+            preds = classify_gold_context(p.classifiers, [self._doc()])
+        assert list(preds) == [("d", 22, 28)]
