@@ -11,8 +11,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -41,15 +42,25 @@ def _config_lines(prefix: str, cfg) -> list[str]:
     ]
 
 
+@contextmanager
+def _manifest_value(key: str) -> Iterator[None]:
+    """Report a missing or unparseable manifest value as corruption."""
+    try:
+        yield
+    except KeyError:
+        raise CorruptionError(f"manifest missing {key}") from None
+    except ValueError:
+        raise CorruptionError(f"manifest {key} is malformed") from None
+
+
 # Field types are flat ints and floats; resolve by the default values.
 def _parse_dataclass(cls, entries: dict[str, str], prefix: str):
     kwargs = {}
     probe = cls()
     for f in dataclasses.fields(cls):
-        raw = entries[f"{prefix}.{f.name}"]
-        kwargs[f.name] = type(getattr(probe, f.name))(
-            float(raw) if isinstance(getattr(probe, f.name), float) else raw
-        )
+        key = f"{prefix}.{f.name}"
+        with _manifest_value(key):
+            kwargs[f.name] = type(getattr(probe, f.name))(entries[key])
     return cls(**kwargs)
 
 
@@ -117,27 +128,29 @@ def _read_model_dir(path: Path) -> tuple[EncoderModel, Vocabulary, TrainConfig, 
     entries, ordered = _read_manifest(path)
     cfg = _parse_dataclass(EncoderConfig, entries, "config")
     train_cfg = _parse_dataclass(TrainConfig, entries, "train")
-    history = [float(x) for x in entries.get("history", "").split()] if entries.get("history") else []
+    with _manifest_value("history"):
+        history = [float(x) for x in entries.get("history", "").split()]
     task_classes = {}
-    if entries.get("task_classes"):
-        for item in entries["task_classes"].split():
+    with _manifest_value("task_classes"):
+        for item in entries.get("task_classes", "").split():
             name, count = item.rsplit(":", 1)
             task_classes[name] = int(count)
 
-    vocab_size = int(entries["vocab_size"])
+    with _manifest_value("vocab_size"):
+        vocab_size = int(entries["vocab_size"])
     pieces = []
     for i in range(NUM_SPECIALS, vocab_size):
         key = f"piece_{i}"
-        if key not in entries:
-            raise CorruptionError(f"manifest missing {key}")
-        pieces.append(json.loads(entries[key]))
+        with _manifest_value(key):
+            piece = json.loads(entries[key])
+            if not isinstance(piece, str):
+                raise ValueError(key)
+        pieces.append(piece)
     vocab = Vocabulary.from_pieces(pieces)
     if vocab.pieces[:NUM_SPECIALS] != SPECIAL_PIECES:
         raise CorruptionError("special pieces corrupted")
 
-    tensor_specs = [
-        value for key, value in ordered if key.startswith("tensor_")
-    ]
+    tensor_specs = [(key, value) for key, value in ordered if key.startswith("tensor_")]
     blob_path = path / BLOB
     if not blob_path.is_file():
         raise CorruptionError(f"no parameter blob at {blob_path}")
@@ -148,9 +161,12 @@ def _read_model_dir(path: Path) -> tuple[EncoderModel, Vocabulary, TrainConfig, 
     dtype = np.dtype("<f4" if cfg.precision == 32 else "<f8")
     params: dict[str, np.ndarray] = {}
     offset = 0
-    for spec in tensor_specs:
-        name, shape_str = spec.rsplit(" ", 1)
-        shape = tuple(int(d) for d in shape_str.split("x"))
+    for key, spec in tensor_specs:
+        with _manifest_value(key):
+            name, shape_str = spec.rsplit(" ", 1)
+            shape = tuple(int(d) for d in shape_str.split("x"))
+            if min(shape) < 0:
+                raise ValueError(shape)
         count = int(np.prod(shape))
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(blob):

@@ -138,11 +138,10 @@ def build_classification_example(
     ids.append(SEP_ID)
     word_index.append(NO_WORD)
 
-    mask = [1] * len(ids)
-    while len(ids) < max_len:
-        ids.append(PAD_ID)
-        mask.append(0)
-        word_index.append(NO_WORD)
+    pad = max_len - len(ids)
+    mask = [1] * len(ids) + [0] * pad
+    ids += [PAD_ID] * pad
+    word_index += [NO_WORD] * pad
 
     return LabeledSequence(
         subtoken_ids=ids,

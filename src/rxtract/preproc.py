@@ -3,7 +3,9 @@ BIO encoding/decoding, and word-to-subtoken tag alignment."""
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional, Sequence
@@ -46,24 +48,17 @@ class Sentence:
     tokens: tuple[Token, ...]
 
 
+# A maximal run of alphanumerics, or one other non-space character.
+# `[^\W_]` is exactly `str.isalnum()` and `\s` exactly `str.isspace()`.
+_TOKEN_RE = re.compile(r"[^\W_]+|\S")
+
+
 def tokenize(text: str) -> list[Token]:
     """Split text into maximal alphanumeric runs plus single-character symbols."""
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalnum():
-            j = i + 1
-            while j < n and text[j].isalnum():
-                j += 1
-        else:
-            j = i + 1
-        tokens.append(Token(text=text[i:j], span=CharSpan(i, j)))
-        i = j
-    return tokens
+    return [
+        Token(text=m.group(), span=CharSpan(m.start(), m.end()))
+        for m in _TOKEN_RE.finditer(text)
+    ]
 
 
 _TERMINATORS = {".", "!", "?"}
@@ -130,7 +125,12 @@ def build_vocab(texts: Sequence[str], target_size: int = DEFAULT_VOCAB_SIZE) -> 
 
     Starts from all single characters and repeatedly merges the most frequent
     adjacent piece pair within words (ties broken lexicographically) until
-    `target_size` pieces exist or no pair repeats.
+    `target_size` pieces exist or no adjacent pair is left.
+
+    Pair counts and a pair -> words index are kept up to date across merges,
+    so each merge re-segments only the words that may hold the merged pair. A
+    heap yields the best pair; an entry whose count has changed since it was
+    pushed is stale and skipped.
     """
     chars = sorted({ch for text in texts for ch in text})
     if target_size < len(chars) + NUM_SPECIALS:
@@ -141,42 +141,70 @@ def build_vocab(texts: Sequence[str], target_size: int = DEFAULT_VOCAB_SIZE) -> 
 
     word_counts = Counter()
     for text in texts:
-        word_counts.update(tok.text for tok in tokenize(text))
+        word_counts.update(_TOKEN_RE.findall(text))
 
     # Each distinct word is a list of current pieces; counts weight the pairs.
     segmented: dict[str, list[str]] = {w: list(w) for w in word_counts}
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    pair_words: defaultdict[tuple[str, str], set[str]] = defaultdict(set)
+    for word, segs in segmented.items():
+        for pair in zip(segs, segs[1:]):
+            pair_counts[pair] += word_counts[word]
+            pair_words[pair].add(word)
+    heap = [(-c, pair) for pair, c in pair_counts.items()]
+    heapq.heapify(heap)
+
     pieces: list[str] = list(chars)
     piece_set = set(pieces)
 
     while len(pieces) + NUM_SPECIALS < target_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for word, segs in segmented.items():
-            count = word_counts[word]
-            for a, b in zip(segs, segs[1:]):
-                pair_counts[(a, b)] += count
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        best_count = max(pair_counts.values())
-        best = min(p for p, c in pair_counts.items() if c == best_count)
+        best = heapq.heappop(heap)[1]
         merged = best[0] + best[1]
         if merged not in piece_set:
             pieces.append(merged)
             piece_set.add(merged)
-        # Re-segmenting always removes at least one adjacency, so the loop
-        # terminates even when the merged string was already a piece.
-        for word, segs in segmented.items():
-            out = []
-            i = 0
-            while i < len(segs):
-                if i + 1 < len(segs) and segs[i] == best[0] and segs[i + 1] == best[1]:
-                    out.append(merged)
-                    i += 2
+        # Re-segmenting removes every adjacency of `best`, so its count drops
+        # to zero and the loop terminates even when `merged` was already a
+        # piece. The index may also list words that no longer hold `best`;
+        # re-segmenting those changes nothing.
+        delta: Counter[tuple[str, str]] = Counter()
+        for word in pair_words.pop(best):
+            count = word_counts[word]
+            old = segmented[word]
+            new = segmented[word] = _merge_pair(old, best, merged)
+            for pair in zip(old, old[1:]):
+                delta[pair] -= count
+            for pair in zip(new, new[1:]):
+                delta[pair] += count
+                pair_words[pair].add(word)
+        for pair, d in delta.items():
+            if d:
+                c = pair_counts[pair] + d
+                if c:
+                    pair_counts[pair] = c
+                    heapq.heappush(heap, (-c, pair))
                 else:
-                    out.append(segs[i])
-                    i += 1
-            segmented[word] = out
+                    del pair_counts[pair]
 
     return Vocabulary.from_pieces(pieces)
+
+
+def _merge_pair(segs: list[str], pair: tuple[str, str], merged: str) -> list[str]:
+    """Replace each left-to-right, non-overlapping occurrence of `pair`."""
+    out = []
+    i = 0
+    while i < len(segs):
+        if i + 1 < len(segs) and segs[i] == pair[0] and segs[i + 1] == pair[1]:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(segs[i])
+            i += 1
+    return out
 
 
 def subword_encode(word: str, vocab: Vocabulary) -> list[int]:
@@ -290,11 +318,11 @@ def align_to_subtokens(
     word_index.append(NO_WORD)
     tags.append(BioTag.O)
 
-    while len(ids) < max_len:
-        ids.append(PAD_ID)
-        mask.append(0)
-        word_index.append(NO_WORD)
-        tags.append(BioTag.O)
+    pad = max_len - len(ids)
+    ids += [PAD_ID] * pad
+    mask += [0] * pad
+    word_index += [NO_WORD] * pad
+    tags += [BioTag.O] * pad
 
     return LabeledSequence(
         subtoken_ids=ids,

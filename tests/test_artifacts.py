@@ -1,5 +1,7 @@
 """Model persistence: manifest+blob round trips, corruption, versioning."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,41 @@ class TestClassifierArtifact:
         for k in tm.model.params:
             assert np.array_equal(loaded.tasks["Event"].model.params[k], tm.model.params[k])
         assert loaded.tasks["Event"].model.task_classes == {"Event": 3}
+
+
+@pytest.fixture(scope="module")
+def event_bundle(tiny_setup):
+    result, vocab = tiny_setup
+    tm = train_task(result.corpus, TASKS["Event"], ENC, TC, vocab)
+    return ClassifierBundle(tasks={"Event": tm}, vocab=vocab)
+
+
+def _edit_manifest(path, pattern, replacement):
+    manifest = path / MANIFEST
+    text = manifest.read_text(encoding="utf-8")
+    edited, n = re.subn(pattern, replacement, text, count=1, flags=re.M)
+    assert n == 1, pattern
+    manifest.write_text(edited, encoding="utf-8")
+
+
+class TestMalformedManifest:
+    """Every parse failure in a saved classifier's manifest is corruption."""
+
+    @pytest.mark.parametrize(
+        "pattern, replacement",
+        [
+            (r"^(tensor_0=\S+) \d+x(\d+)$", r"\1 zzx\2"),
+            (r"^config\.layers=.*$", "config.layers=abc"),
+            (r"^vocab_size=.*$", "vocab_size=x"),
+            (r"^config\.layers=.*\n", ""),
+        ],
+        ids=["tensor_shape", "config_value", "vocab_size", "missing_config_key"],
+    )
+    def test_parse_failure_is_corruption(self, tmp_path, event_bundle, pattern, replacement):
+        save_artifact(event_bundle, tmp_path / "ev")
+        _edit_manifest(tmp_path / "ev", pattern, replacement)
+        with pytest.raises(CorruptionError):
+            load_artifact(tmp_path / "ev")
 
 
 class TestPipelineArtifact:

@@ -1,6 +1,8 @@
 """Command-line integration: exit codes, golden flows, artifact handling."""
 
 import json
+import re
+import shutil
 
 import pytest
 
@@ -55,6 +57,24 @@ class TestExitCodes:
         code = run_command(["evaluate", "--task", "context", "--data", str(data_dir),
                             "--model", str(ner_model_dir), "--gold-spans", "off"])
         assert code == 2
+
+    def test_malformed_artifact_is_clean_error(self, tmp_path, ner_model_dir, capsys):
+        model = tmp_path / "ner"
+        shutil.copytree(ner_model_dir, model)
+        manifest = model / "manifest.txt"
+        manifest.write_text(
+            re.sub(r"^(tensor_0=\S+) \S+$", r"\1 zzx16",
+                   manifest.read_text(encoding="utf-8"), count=1, flags=re.M),
+            encoding="utf-8",
+        )
+        note = tmp_path / "note.txt"
+        note.write_text("started kelinib 10mg today.", encoding="utf-8")
+        code = run_command(["predict", "--model", str(model), "--in", str(note),
+                            "--out", str(tmp_path / "spans.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "tensor_0" in err
+        assert "Traceback" not in err
 
 
 class TestGoldenFlow:

@@ -10,6 +10,8 @@ from rxtract.encoder import (
     OptimizerState,
     TrainConfig,
     _forward_batch,
+    _gelu,
+    _gelu_grad,
     forward_batch,
     grad_check,
     init_model,
@@ -177,6 +179,24 @@ def _scalar_one_layer(model, tok):
     g = [gelu(val) for val in a]
     f = add(vec_mat(g, p["layer0.ffn.w2"]), p["layer0.ffn.b2"])
     return layer_norm(add(y, f), p["layer0.ln2.gain"], p["layer0.ln2.bias"])
+
+
+class TestGelu:
+    GRID = np.linspace(-12.0, 12.0, 4001)
+
+    def test_float32_matches_float64_formula(self):
+        x32 = self.GRID.astype(np.float32)
+        g32, t32 = _gelu(x32)
+        g64, _ = _gelu(x32.astype(np.float64))
+        assert g32.dtype == np.float32 and t32.dtype == np.float32
+        assert np.abs(g32 - g64).max() < 1e-6
+
+    def test_grad_matches_central_difference(self):
+        x = self.GRID
+        step = 1e-5
+        _, t = _gelu(x)
+        numeric = (_gelu(x + step)[0] - _gelu(x - step)[0]) / (2.0 * step)
+        assert np.abs(_gelu_grad(x, t) - numeric).max() < 1e-8
 
 
 class TestHeads:

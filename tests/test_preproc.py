@@ -1,5 +1,7 @@
 """Tokenization, sentence splitting, subword vocabulary, BIO alignment."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from rxtract.errors import CapacityError, ConflictError
 from rxtract.preproc import (
     CLS_ID,
     NO_WORD,
+    NUM_SPECIALS,
     PAD_ID,
     SEP_ID,
     UNK_ID,
@@ -55,6 +58,38 @@ class TestTokenize:
         toks = tokenize("x1 (y-2) z.3")
         for a, b in zip(toks, toks[1:]):
             assert a.span.end <= b.span.start
+
+
+def _reference_tokenize(text):
+    """Character loop over `str.isalnum`/`str.isspace`: an oracle for the
+    regular expression in `tokenize`."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i + 1
+        if text[i].isalnum():
+            while j < n and text[j].isalnum():
+                j += 1
+        out.append((text[i:j], i, j))
+        i = j
+    return out
+
+
+class TestTokenizeMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=40),
+        # underscore, superscript digit, combining accent, no-break and
+        # line-separator spaces, fraction, CJK: where \w and isalnum
+        # could part ways
+        st.text(alphabet="a1_\u00b2\u0301\u00a0\u2028\u00bd\u4e2d .-", max_size=40),
+    ))
+    def test_same_tokens_as_character_loop(self, text):
+        got = [(t.text, t.span.start, t.span.end) for t in tokenize(text)]
+        assert got == _reference_tokenize(text)
 
 
 class TestSplitSentences:
@@ -115,6 +150,67 @@ class TestBuildVocab:
         assert v.pieces[PAD_ID] == "[PAD]"
         assert v.pieces[CLS_ID] == "[CLS]"
         assert len(set(v.pieces)) == len(v.pieces)
+
+
+def _reference_build_vocab(texts, target_size):
+    """The plain merge loop: recount every pair and re-segment every word
+    on every merge. An oracle for the incremental `build_vocab`."""
+    chars = sorted({ch for text in texts for ch in text})
+    if target_size < len(chars) + NUM_SPECIALS:
+        raise CapacityError("too small")
+
+    word_counts = Counter()
+    for text in texts:
+        word_counts.update(tok.text for tok in tokenize(text))
+
+    segmented = {w: list(w) for w in word_counts}
+    pieces = list(chars)
+    piece_set = set(pieces)
+
+    while len(pieces) + NUM_SPECIALS < target_size:
+        pair_counts = Counter()
+        for word, segs in segmented.items():
+            count = word_counts[word]
+            for a, b in zip(segs, segs[1:]):
+                pair_counts[(a, b)] += count
+        if not pair_counts:
+            break
+        best_count = max(pair_counts.values())
+        best = min(p for p, c in pair_counts.items() if c == best_count)
+        merged = best[0] + best[1]
+        if merged not in piece_set:
+            pieces.append(merged)
+            piece_set.add(merged)
+        for word, segs in segmented.items():
+            out = []
+            i = 0
+            while i < len(segs):
+                if i + 1 < len(segs) and segs[i] == best[0] and segs[i + 1] == best[1]:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(segs[i])
+                    i += 1
+            segmented[word] = out
+
+    return Vocabulary.from_pieces(pieces)
+
+
+class TestBuildVocabMatchesReference:
+    # A tiny alphabet makes ties and pairs shared across words common.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="abc d.", max_size=24), max_size=6),
+        st.integers(min_value=NUM_SPECIALS, max_value=NUM_SPECIALS + 40),
+    )
+    def test_same_pieces_as_reference_loop(self, texts, target_size):
+        try:
+            expected = _reference_build_vocab(texts, target_size)
+        except CapacityError:
+            with pytest.raises(CapacityError):
+                build_vocab(texts, target_size)
+            return
+        assert build_vocab(texts, target_size).pieces == expected.pieces
 
 
 class TestSubwordEncode:
