@@ -18,8 +18,8 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .context import ClassifierBundle, TaskModel
-from .encoder import EncoderConfig, EncoderModel, TrainConfig
-from .errors import CompatibilityError, CorruptionError
+from .encoder import EncoderConfig, EncoderModel, TrainConfig, param_shapes
+from .errors import CompatibilityError, ConfigError, CorruptionError
 from .ner import NerModelBundle
 from .pipeline import PipelineBundle
 from .preproc import NUM_SPECIALS, SPECIAL_PIECES, Vocabulary
@@ -149,8 +149,32 @@ def _read_model_dir(path: Path) -> tuple[EncoderModel, Vocabulary, TrainConfig, 
     vocab = Vocabulary.from_pieces(pieces)
     if vocab.pieces[:NUM_SPECIALS] != SPECIAL_PIECES:
         raise CorruptionError("special pieces corrupted")
+    if cfg.vocab_size != len(vocab):
+        raise CorruptionError(
+            f"config.vocab_size {cfg.vocab_size} disagrees with the {len(vocab)}-piece vocabulary"
+        )
 
-    tensor_specs = [(key, value) for key, value in ordered if key.startswith("tensor_")]
+    tensors: list[tuple[str, tuple[int, ...]]] = []
+    for key, spec in ordered:
+        if key.startswith("tensor_"):
+            with _manifest_value(key):
+                name, shape_str = spec.rsplit(" ", 1)
+                shape = tuple(int(d) for d in shape_str.split("x"))
+                if min(shape) < 0:
+                    raise ValueError(shape)
+            tensors.append((name, shape))
+    try:
+        expected = param_shapes(cfg, task_classes)
+    except ConfigError as exc:
+        raise CorruptionError(f"manifest config is invalid: {exc}") from None
+    declared = dict(tensors)
+    for name in sorted(expected.keys() | declared.keys()):
+        want, got = expected.get(name, "no tensor"), declared.get(name, "no tensor")
+        if want != got:
+            raise CorruptionError(
+                f"tensor {name}: manifest declares {got}, config implies {want}"
+            )
+
     blob_path = path / BLOB
     if not blob_path.is_file():
         raise CorruptionError(f"no parameter blob at {blob_path}")
@@ -161,12 +185,7 @@ def _read_model_dir(path: Path) -> tuple[EncoderModel, Vocabulary, TrainConfig, 
     dtype = np.dtype("<f4" if cfg.precision == 32 else "<f8")
     params: dict[str, np.ndarray] = {}
     offset = 0
-    for key, spec in tensor_specs:
-        with _manifest_value(key):
-            name, shape_str = spec.rsplit(" ", 1)
-            shape = tuple(int(d) for d in shape_str.split("x"))
-            if min(shape) < 0:
-                raise ValueError(shape)
+    for name, shape in tensors:
         count = int(np.prod(shape))
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(blob):

@@ -36,7 +36,6 @@ from .preproc import (
     CLS_ID,
     E_MARK_ID,
     NO_WORD,
-    PAD_ID,
     S_MARK_ID,
     SEP_ID,
     LabeledSequence,
@@ -74,7 +73,7 @@ def build_classification_example(
     max_len: int = CLASSIFY_MAX_LEN,
     doc_id: str = "",
 ) -> LabeledSequence:
-    """Marker-bracketed sequence for one mention, padded to exactly max_len.
+    """Marker-bracketed sequence for one mention, at most max_len long.
 
     When the sentence is too long, whole words farthest from the mention are
     dropped (a window centered on the mention); the specials and every
@@ -138,14 +137,9 @@ def build_classification_example(
     ids.append(SEP_ID)
     word_index.append(NO_WORD)
 
-    pad = max_len - len(ids)
-    mask = [1] * len(ids) + [0] * pad
-    ids += [PAD_ID] * pad
-    word_index += [NO_WORD] * pad
-
     return LabeledSequence(
         subtoken_ids=ids,
-        attention_mask=mask,
+        attention_mask=[1] * len(ids),
         word_index=word_index,
         origin=(doc_id, sent.span),
     )

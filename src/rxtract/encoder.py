@@ -102,6 +102,43 @@ class TrainConfig:
             raise ConfigError("clip_norm must be positive")
 
 
+def _param_layout(cfg: EncoderConfig, n_classes: Mapping[str, int]):
+    """Name, shape and initial fill of every parameter, in creation order."""
+    h, f = cfg.hidden_dim, cfg.ffn_dim
+    layout = [("tok_emb", (cfg.vocab_size, h), "uniform"),
+              ("pos_emb", (cfg.max_len, h), "uniform")]
+    for i in range(cfg.layers):
+        p = f"layer{i}"
+        layout += [(f"{p}.attn.{name}", (h, h), "uniform") for name in ("wq", "wk", "wv", "wo")]
+        layout += [(f"{p}.attn.{name}", (h,), "zeros") for name in ("bq", "bk", "bv", "bo")]
+        layout += [
+            (f"{p}.ln1.gain", (h,), "ones"),
+            (f"{p}.ln1.bias", (h,), "zeros"),
+            (f"{p}.ffn.w1", (h, f), "uniform"),
+            (f"{p}.ffn.b1", (f,), "zeros"),
+            (f"{p}.ffn.w2", (f, h), "uniform"),
+            (f"{p}.ffn.b2", (h,), "zeros"),
+            (f"{p}.ln2.gain", (h,), "ones"),
+            (f"{p}.ln2.bias", (h,), "zeros"),
+        ]
+    layout += [("token_head.w", (h, N_BIO), "uniform"), ("token_head.b", (N_BIO,), "zeros")]
+    for task in sorted(n_classes):
+        n = n_classes[task]
+        if n < 1:
+            raise ConfigError(f"task {task!r} needs at least one class")
+        layout += [(f"seq_head.{task}.w", (3 * h, n), "uniform"),
+                   (f"seq_head.{task}.b", (n,), "zeros")]
+    return layout
+
+
+def param_shapes(
+    cfg: EncoderConfig, n_classes: Mapping[str, int] | None = None
+) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter `init_model(cfg, n_classes)` creates."""
+    cfg.validate()
+    return {name: shape for name, shape, _ in _param_layout(cfg, dict(n_classes or {}))}
+
+
 def init_model(cfg: EncoderConfig, n_classes: Mapping[str, int] | None = None) -> EncoderModel:
     """Build a model with seeded uniform(-0.02, 0.02) weights, zero biases,
     and unit layer-norm gains."""
@@ -109,37 +146,12 @@ def init_model(cfg: EncoderConfig, n_classes: Mapping[str, int] | None = None) -
     n_classes = dict(n_classes or {})
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.dtype
-    h, f = cfg.hidden_dim, cfg.ffn_dim
-
-    def uniform(*shape):
-        return rng.uniform(-0.02, 0.02, size=shape).astype(dt)
-
-    params: dict[str, np.ndarray] = {}
-    params["tok_emb"] = uniform(cfg.vocab_size, h)
-    params["pos_emb"] = uniform(cfg.max_len, h)
-    for i in range(cfg.layers):
-        p = f"layer{i}"
-        for name in ("wq", "wk", "wv", "wo"):
-            params[f"{p}.attn.{name}"] = uniform(h, h)
-        for name in ("bq", "bk", "bv", "bo"):
-            params[f"{p}.attn.{name}"] = np.zeros(h, dtype=dt)
-        params[f"{p}.ln1.gain"] = np.ones(h, dtype=dt)
-        params[f"{p}.ln1.bias"] = np.zeros(h, dtype=dt)
-        params[f"{p}.ffn.w1"] = uniform(h, f)
-        params[f"{p}.ffn.b1"] = np.zeros(f, dtype=dt)
-        params[f"{p}.ffn.w2"] = uniform(f, h)
-        params[f"{p}.ffn.b2"] = np.zeros(h, dtype=dt)
-        params[f"{p}.ln2.gain"] = np.ones(h, dtype=dt)
-        params[f"{p}.ln2.bias"] = np.zeros(h, dtype=dt)
-    params["token_head.w"] = uniform(h, N_BIO)
-    params["token_head.b"] = np.zeros(N_BIO, dtype=dt)
-    for task in sorted(n_classes):
-        n = n_classes[task]
-        if n < 1:
-            raise ConfigError(f"task {task!r} needs at least one class")
-        params[f"seq_head.{task}.w"] = uniform(3 * h, n)
-        params[f"seq_head.{task}.b"] = np.zeros(n, dtype=dt)
-
+    fills = {
+        "uniform": lambda shape: rng.uniform(-0.02, 0.02, size=shape).astype(dt),
+        "zeros": lambda shape: np.zeros(shape, dtype=dt),
+        "ones": lambda shape: np.ones(shape, dtype=dt),
+    }
+    params = {name: fills[fill](shape) for name, shape, fill in _param_layout(cfg, n_classes)}
     return EncoderModel(config=cfg, params=params, task_classes=n_classes)
 
 
@@ -216,40 +228,34 @@ class Packed:
 
 
 def pack_batch(seqs: Sequence[LabeledSequence], model: EncoderModel) -> Packed:
-    """Stack sequences into arrays, trimming the shared padding tail.
+    """Stack sequences into arrays as wide as the longest one.
 
-    Padding positions are masked out of attention and excluded from every
-    loss, so trimming them changes no real-position value.
+    This is the one place that writes padding. Padding positions are
+    masked out of attention and excluded from every loss, so a row's real
+    positions come out the same whatever it is packed with.
     """
     if not seqs:
         raise DataError("empty batch")
-    max_len = model.config.max_len
     dt = model.config.dtype
-    real = [s.real_length() for s in seqs]
-    for s, r in zip(seqs, real):
-        if len(s) > max_len and s.attention_mask[max_len:].count(1) > 0:
-            raise SequenceLengthError(
-                f"sequence of real length {r} exceeds max_len {max_len}"
-            )
-    trim = max(1, max(real))
+    width = max(1, max(len(s) for s in seqs))
 
     b = len(seqs)
-    ids = np.zeros((b, trim), dtype=np.int64)
-    mask = np.zeros((b, trim), dtype=dt)
-    loss_mask = np.zeros((b, trim), dtype=bool)
-    tags = np.full((b, trim), int(BioTag.O), dtype=np.int64)
+    ids = np.zeros((b, width), dtype=np.int64)
+    mask = np.zeros((b, width), dtype=dt)
+    loss_mask = np.zeros((b, width), dtype=bool)
+    tags = np.full((b, width), int(BioTag.O), dtype=np.int64)
     labels = np.zeros(b, dtype=np.int64)
     s_pos = np.zeros(b, dtype=np.int64)
     e_pos = np.zeros(b, dtype=np.int64)
 
     for i, s in enumerate(seqs):
-        row = s.subtoken_ids[:trim]
+        row = s.subtoken_ids
         n = len(row)
         ids[i, :n] = row
-        mask[i, :n] = s.attention_mask[:trim]
-        loss_mask[i, :n] = [w != NO_WORD for w in s.word_index[:trim]]
+        mask[i, :n] = s.attention_mask
+        loss_mask[i, :n] = [w != NO_WORD for w in s.word_index]
         if s.tags is not None:
-            tags[i, :n] = [int(t) for t in s.tags[:trim]]
+            tags[i, :n] = [int(t) for t in s.tags]
         if s.label is not None:
             labels[i] = s.label
         s_pos[i] = row.index(S_MARK_ID) if S_MARK_ID in row else 0
@@ -401,12 +407,12 @@ def _backward_batch(model, cache, d_hidden, grads):
 
 
 def length_chunks(seqs: Sequence[LabeledSequence], size: int) -> Iterator[list[int]]:
-    """Indices of `seqs` in chunks of at most `size`, in order of real length.
+    """Indices of `seqs` in chunks of at most `size`, in order of length.
 
-    Chunking like-length sequences together keeps the padding that
-    `pack_batch` cannot trim small. Ties keep input order.
+    Chunking like-length sequences together keeps the padding `pack_batch`
+    adds small. Ties keep input order.
     """
-    order = sorted(range(len(seqs)), key=lambda i: seqs[i].real_length())
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
     for start in range(0, len(order), size):
         yield order[start : start + size]
 
@@ -651,12 +657,13 @@ def toy_examples(
     n_classes: int = 3,
     seed: int = 0,
 ) -> list[LabeledSequence]:
-    """Small synthetic sequences for gradient verification.
+    """Small synthetic sequences for gradient verification, each 6 to
+    `length` positions long.
 
     Token mode carries random BIO tags on the word positions; sequence mode
     carries marker tokens and a class label.
     """
-    from .preproc import CLS_ID, PAD_ID, SEP_ID
+    from .preproc import CLS_ID, SEP_ID
 
     if length < 8:
         raise ConfigError("toy sequences need length >= 8")
@@ -670,25 +677,24 @@ def toy_examples(
             s_at = int(rng.integers(0, body + 1))
             e_at = int(rng.integers(s_at, body + 1))
             inner = inner[:s_at] + [S_MARK_ID] + inner[s_at:e_at] + [E_MARK_ID] + inner[e_at:]
-        ids = [CLS_ID] + inner + [SEP_ID] + [PAD_ID] * (length - real)
-        mask = [1] * real + [0] * (length - real)
+        ids = [CLS_ID] + inner + [SEP_ID]
         word_index = [
             (p - 1) if 0 < p < real - 1 and ids[p] >= 6 else NO_WORD
-            for p in range(length)
+            for p in range(real)
         ]
         tags = None
         label = None
         if mode == "token":
             tags = [
-                BioTag(int(rng.integers(0, N_BIO))) if word_index[p] != NO_WORD else BioTag.O
-                for p in range(length)
+                BioTag(int(rng.integers(0, N_BIO))) if w != NO_WORD else BioTag.O
+                for w in word_index
             ]
         else:
             label = int(rng.integers(0, n_classes))
         out.append(
             LabeledSequence(
                 subtoken_ids=ids,
-                attention_mask=mask,
+                attention_mask=[1] * real,
                 word_index=word_index,
                 tags=tags,
                 label=label,

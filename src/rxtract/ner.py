@@ -94,8 +94,7 @@ def predict_ner_batch(
         hidden, _ = forward_batch(model, [seqs[i] for i in idx])
         best = np.argmax(token_logits(model, hidden), axis=-1)  # ties: B < I < O
         for i, row in zip(idx, best):
-            tags = [BioTag(int(t)) for t in row]
-            tags += [BioTag.O] * (len(seqs[i]) - len(tags))  # trimmed padding tail
+            tags = [BioTag(int(t)) for t in row[: len(seqs[i])]]
             found[i] = decode_bio(seqs[i], tags, flat[i])
     per_sentence = iter(found)
     return [[span for _ in doc for span in next(per_sentence)] for doc in sentences]

@@ -254,10 +254,11 @@ def spans_to_bio(sent: Sentence, mentions: Sequence[CharSpan]) -> list[BioTag]:
 class LabeledSequence:
     """A model-ready subtoken sequence with alignment bookkeeping.
 
-    All per-position lists share one length (max_len after padding).
+    All per-position lists share one length: the sequence's real
+    positions, never padded (`pack_batch` pads a batch to its longest row).
     `word_index` maps each piece to its owning token index in the source
-    sentence, or NO_WORD for specials and padding. `tags` is set in token
-    mode, `label` in classification mode.
+    sentence, or NO_WORD for specials. `tags` is set in token mode, `label`
+    in classification mode.
     """
 
     subtoken_ids: list[int]
@@ -270,9 +271,6 @@ class LabeledSequence:
     def __len__(self) -> int:
         return len(self.subtoken_ids)
 
-    def real_length(self) -> int:
-        return sum(self.attention_mask)
-
 
 def align_to_subtokens(
     sent: Sentence,
@@ -281,7 +279,7 @@ def align_to_subtokens(
     max_len: int = DEFAULT_MAX_LEN,
     doc_id: str = "",
 ) -> LabeledSequence:
-    """Project word-level BIO tags onto subword pieces as [CLS] ... [SEP] + PAD.
+    """Project word-level BIO tags onto subword pieces as [CLS] ... [SEP].
 
     A B-tagged word contributes B on its first piece and I on the rest; an
     I word contributes I throughout; O words stay O. If the sequence would
@@ -301,32 +299,23 @@ def align_to_subtokens(
         keep -= 1
 
     ids = [CLS_ID]
-    mask = [1]
     word_index = [NO_WORD]
     tags = [BioTag.O]
     for w in range(keep):
         for j, pid in enumerate(piece_lists[w]):
             ids.append(pid)
-            mask.append(1)
             word_index.append(w)
             if word_tags[w] is BioTag.B:
                 tags.append(BioTag.B if j == 0 else BioTag.I)
             else:
                 tags.append(word_tags[w])
     ids.append(SEP_ID)
-    mask.append(1)
     word_index.append(NO_WORD)
     tags.append(BioTag.O)
 
-    pad = max_len - len(ids)
-    ids += [PAD_ID] * pad
-    mask += [0] * pad
-    word_index += [NO_WORD] * pad
-    tags += [BioTag.O] * pad
-
     return LabeledSequence(
         subtoken_ids=ids,
-        attention_mask=mask,
+        attention_mask=[1] * len(ids),
         word_index=word_index,
         tags=tags,
         origin=(doc_id, sent.span),

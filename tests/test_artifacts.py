@@ -117,7 +117,8 @@ def _edit_manifest(path, pattern, replacement):
 
 
 class TestMalformedManifest:
-    """Every parse failure in a saved classifier's manifest is corruption."""
+    """Every parse failure in a saved classifier's manifest, and every config
+    that disagrees with its tensors or vocabulary, is corruption."""
 
     @pytest.mark.parametrize(
         "pattern, replacement",
@@ -126,8 +127,14 @@ class TestMalformedManifest:
             (r"^config\.layers=.*$", "config.layers=abc"),
             (r"^vocab_size=.*$", "vocab_size=x"),
             (r"^config\.layers=.*\n", ""),
+            (r"^config\.heads=.*$", "config.heads=3"),
+            (r"^config\.hidden_dim=.*$", "config.hidden_dim=32"),
+            (r"^config\.max_len=.*$", "config.max_len=4"),
+            (r"^config\.vocab_size=.*$", "config.vocab_size=7"),
         ],
-        ids=["tensor_shape", "config_value", "vocab_size", "missing_config_key"],
+        ids=["tensor_shape", "config_value", "vocab_size", "missing_config_key",
+             "heads_not_dividing_hidden", "hidden_dim_vs_tensors", "max_len_below_floor",
+             "config_vocab_size_vs_vocab"],
     )
     def test_parse_failure_is_corruption(self, tmp_path, event_bundle, pattern, replacement):
         save_artifact(event_bundle, tmp_path / "ev")

@@ -59,22 +59,38 @@ class TestExitCodes:
         assert code == 2
 
     def test_malformed_artifact_is_clean_error(self, tmp_path, ner_model_dir, capsys):
-        model = tmp_path / "ner"
-        shutil.copytree(ner_model_dir, model)
-        manifest = model / "manifest.txt"
-        manifest.write_text(
-            re.sub(r"^(tensor_0=\S+) \S+$", r"\1 zzx16",
-                   manifest.read_text(encoding="utf-8"), count=1, flags=re.M),
-            encoding="utf-8",
-        )
-        note = tmp_path / "note.txt"
-        note.write_text("started kelinib 10mg today.", encoding="utf-8")
-        code = run_command(["predict", "--model", str(model), "--in", str(note),
-                            "--out", str(tmp_path / "spans.jsonl")])
-        err = capsys.readouterr().err
+        code, err = _predict_with_edited_manifest(
+            tmp_path, ner_model_dir, capsys, r"^(tensor_0=\S+) \S+$", r"\1 zzx16")
         assert code == 1
         assert err.startswith("error: ") and "tensor_0" in err
         assert "Traceback" not in err
+
+    def test_config_disagreeing_with_tensors_is_clean_error(self, tmp_path, ner_model_dir,
+                                                            capsys):
+        code, err = _predict_with_edited_manifest(
+            tmp_path, ner_model_dir, capsys, r"^config\.heads=.*$", "config.heads=3")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "heads" in err and "Traceback" not in err
+
+
+def _predict_with_edited_manifest(tmp_path, model_dir, capsys, pattern, replacement):
+    """Run `predict` on a copy of the model with one manifest line edited;
+    returns the exit code and what went to stderr."""
+    model = tmp_path / "ner"
+    shutil.copytree(model_dir, model)
+    manifest = model / "manifest.txt"
+    manifest.write_text(
+        re.sub(pattern, replacement, manifest.read_text(encoding="utf-8"),
+               count=1, flags=re.M),
+        encoding="utf-8",
+    )
+    note = tmp_path / "note.txt"
+    note.write_text("started kelinib 10mg today.", encoding="utf-8")
+    capsys.readouterr()
+    code = run_command(["predict", "--model", str(model), "--in", str(note),
+                        "--out", str(tmp_path / "spans.jsonl")])
+    return code, capsys.readouterr().err
 
 
 class TestGoldenFlow:

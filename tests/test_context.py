@@ -55,7 +55,10 @@ class TestBuildExample:
         assert ids[s + 1 : e] == subword_encode("plavix", vocab)
         assert ids.count(S_MARK_ID) == 1 and ids.count(E_MARK_ID) == 1
         assert ids[0] == CLS_ID
-        assert len(seq) == 64
+        pieces = sum(len(subword_encode(t.text, vocab)) for t in sent.tokens)
+        assert len(seq) == 4 + pieces <= 64  # [CLS] [S] [E] [SEP] + every word
+        assert PAD_ID not in ids
+        assert seq.attention_mask == [1] * len(seq)
 
     def test_mention_spanning_whole_sentence(self):
         text = "insulin glargine"
@@ -86,7 +89,11 @@ class TestBuildExample:
         sent = _sentence(text)
         vocab = build_vocab([text], 64)
         seq = build_classification_example(sent, sent.tokens[0].span, vocab, max_len=40)
-        assert len(seq.subtoken_ids) == len(seq.attention_mask) == 40
+        pieces = sum(len(subword_encode(t.text, vocab)) for t in sent.tokens)
+        assert len(seq.subtoken_ids) == len(seq.attention_mask) == len(seq.word_index)
+        assert len(seq) == 4 + pieces <= 40  # real positions only, never padded
+        assert PAD_ID not in seq.subtoken_ids
+        assert seq.attention_mask == [1] * len(seq)
 
     def test_mention_outside_sentence_rejected(self):
         text = "first part. second part."

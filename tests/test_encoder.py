@@ -24,7 +24,7 @@ from rxtract.encoder import (
     toy_examples,
 )
 from rxtract.errors import ConfigError, NumericError, SequenceLengthError
-from rxtract.preproc import BioTag, LabeledSequence
+from rxtract.preproc import PAD_ID, BioTag, LabeledSequence
 
 TOY = EncoderConfig(
     layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=32,
@@ -142,6 +142,40 @@ class TestForward:
         got = _hidden(model, seq)[0]
         want = _scalar_one_layer(model, tok)
         assert np.allclose(got, want, atol=1e-9)
+
+
+class TestPackBatch:
+    """`pack_batch` is the one place that writes padding."""
+
+    def _mixed(self):
+        batch = toy_examples("token", TOY.vocab_size, n=6, length=20, seed=9)
+        assert len({len(s) for s in batch}) > 2
+        return batch
+
+    def test_short_rows_get_a_padding_tail(self):
+        batch = self._mixed()
+        packed = pack_batch(batch, init_model(TOY))
+        width = max(len(s) for s in batch)
+        assert packed.ids.shape == (len(batch), width)
+        for i, s in enumerate(batch):
+            n = len(s)
+            assert packed.ids[i, :n].tolist() == s.subtoken_ids
+            assert packed.mask[i, :n].tolist() == [1.0] * n
+            assert packed.tags[i, :n].tolist() == [int(t) for t in s.tags]
+            assert np.all(packed.ids[i, n:] == PAD_ID)
+            assert np.all(packed.mask[i, n:] == 0)
+            assert not packed.loss_mask[i, n:].any()
+            assert np.all(packed.tags[i, n:] == int(BioTag.O))
+
+    def test_real_positions_match_packing_alone(self):
+        model = init_model(TOY)
+        batch = self._mixed()
+        hidden, _ = forward_batch(model, batch)
+        assert hidden.dtype == np.float64
+        for i, s in enumerate(batch):
+            alone = _hidden(model, s)
+            assert alone.shape[0] == len(s)
+            assert np.abs(hidden[i, : len(s)] - alone).max() <= 1e-12
 
 
 def _ids_mask(model, seq):

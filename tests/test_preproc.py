@@ -284,14 +284,13 @@ class TestAlignToSubtokens:
         v = build_vocab(["ab cd"], 64)
         sent = _sentence("ab cd")
         seq = align_to_subtokens(sent, [BioTag.O, BioTag.O], v, max_len=16)
-        assert len(seq) == 16
-        assert seq.subtoken_ids[0] == CLS_ID
-        real = seq.real_length()
-        assert seq.subtoken_ids[real - 1] == SEP_ID
-        assert all(i == PAD_ID for i in seq.subtoken_ids[real:])
-        assert seq.attention_mask[:real] == [1] * real
-        assert seq.attention_mask[real:] == [0] * (16 - real)
-        assert seq.word_index[0] == NO_WORD and seq.word_index[real - 1] == NO_WORD
+        pieces = sum(len(subword_encode(t.text, v)) for t in sent.tokens)
+        assert len(seq) == 2 + pieces <= 16  # [CLS] + both words + [SEP], unpadded
+        assert PAD_ID not in seq.subtoken_ids
+        assert seq.attention_mask == [1] * len(seq)
+        assert len(seq.word_index) == len(seq.tags) == len(seq)
+        assert seq.subtoken_ids[0] == CLS_ID and seq.subtoken_ids[-1] == SEP_ID
+        assert seq.word_index[0] == NO_WORD and seq.word_index[-1] == NO_WORD
 
     def test_truncation_drops_whole_trailing_words(self):
         v = Vocabulary.from_pieces(tuple("abcdefgh"))
