@@ -124,8 +124,10 @@ def _read_manifest(path: Path) -> tuple[dict[str, str], list[tuple[str, str]]]:
     return entries, ordered
 
 
-def _read_model_dir(path: Path) -> tuple[EncoderModel, Vocabulary, TrainConfig, list[float], dict[str, str]]:
-    entries, ordered = _read_manifest(path)
+def _read_model_dir(
+    path: Path, entries: dict[str, str], ordered: list[tuple[str, str]]
+) -> tuple[EncoderModel, Vocabulary, TrainConfig, list[float]]:
+    """The model in `path`, given its parsed manifest."""
     cfg = _parse_dataclass(EncoderConfig, entries, "config")
     train_cfg = _parse_dataclass(TrainConfig, entries, "train")
     with _manifest_value("history"):
@@ -200,7 +202,7 @@ def _read_model_dir(path: Path) -> tuple[EncoderModel, Vocabulary, TrainConfig, 
         raise CorruptionError("parameter blob longer than manifest declares")
 
     model = EncoderModel(config=cfg, params=params, task_classes=task_classes)
-    return model, vocab, train_cfg, history, entries
+    return model, vocab, train_cfg, history
 
 
 def save_artifact(bundle: AnyBundle, path: str | Path) -> None:
@@ -258,18 +260,18 @@ def save_artifact(bundle: AnyBundle, path: str | Path) -> None:
 def load_artifact(path: str | Path) -> AnyBundle:
     """Load any artifact; the manifest's kind field selects the bundle type."""
     path = Path(path)
-    entries, _ = _read_manifest(path)
+    entries, ordered = _read_manifest(path)
     kind = entries.get("kind")
 
     if kind == "ner":
-        model, vocab, train_cfg, history, _ = _read_model_dir(path)
+        model, vocab, train_cfg, history = _read_model_dir(path, entries, ordered)
         return NerModelBundle(model=model, vocab=vocab, train_config=train_cfg,
                               history=history)
     if kind == "classifier":
-        model, vocab, train_cfg, history, meta = _read_model_dir(path)
-        task = meta.get("task")
+        task = entries.get("task")
         if not task:
             raise CorruptionError("classifier artifact lacks a task name")
+        model, vocab, train_cfg, history = _read_model_dir(path, entries, ordered)
         return ClassifierBundle(
             tasks={task: TaskModel(model=model, train_config=train_cfg, history=history)},
             vocab=vocab,

@@ -21,7 +21,7 @@ from .corpus import corpus_stats, format_stats, load_corpus, normalize_newlines,
 from .encoder import EncoderConfig, TrainConfig, grad_check, init_model, toy_examples
 from .errors import RxtractError
 from .evaluation import MetricsReport, render_report, report_records
-from .preproc import build_vocab, split_text
+from .preproc import DEFAULT_VOCAB_SIZE, build_vocab, split_text
 
 
 class UsageError(Exception):
@@ -37,9 +37,11 @@ TASK_NAMES = {
     "actor": "Actor",
 }
 
-_ENC_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(EncoderConfig)}
+# vocab_size is not a setting: training takes it from the built vocabulary.
+_ENC_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(EncoderConfig)
+               if f.name != "vocab_size"}
 _TRAIN_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-CONFIG_KEYS = set(_ENC_FIELDS) | set(_TRAIN_FIELDS) | {"vocab_target_size"}
+CONFIG_KEYS = {**_ENC_FIELDS, **_TRAIN_FIELDS, "vocab_target_size": int}  # key -> type
 
 
 def _log(msg: str) -> None:
@@ -69,32 +71,28 @@ def _resolve_configs(args) -> tuple[EncoderConfig, TrainConfig, int]:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = str(flag)
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = str(args.seed)
 
-    def build(cls, fields):
-        kwargs = {}
-        for name, typ in fields.items():
-            if name in values:
-                kwargs[name] = typ(float(values[name])) if typ is not str else values[name]
-        return cls(**kwargs)
+    parsed = {}
+    for key, raw in values.items():
+        typ = CONFIG_KEYS[key]
+        try:
+            parsed[key] = typ(raw)
+        except ValueError:
+            raise UsageError(f"config key {key!r}: expected {typ.__name__}, got {raw!r}") from None
 
-    enc = build(EncoderConfig, _ENC_FIELDS)
-    train = build(TrainConfig, _TRAIN_FIELDS)
-    vocab_target = int(float(values.get("vocab_target_size", 4096)))
+    enc = EncoderConfig(**{k: v for k, v in parsed.items() if k in _ENC_FIELDS})
+    train = TrainConfig(**{k: v for k, v in parsed.items() if k in _TRAIN_FIELDS})
     enc.validate()
     train.validate()
-    return enc, train, vocab_target
+    return enc, train, parsed.get("vocab_target_size", DEFAULT_VOCAB_SIZE)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags win")
     p.add_argument("--seed", type=int, help="seed for init, shuffling, dropout")
-    for name, typ in {**_ENC_FIELDS, **_TRAIN_FIELDS}.items():
-        if name == "seed":
-            continue
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name)
-    p.add_argument("--vocab-target-size", type=int, dest="vocab_target_size")
+    for name, typ in CONFIG_KEYS.items():
+        if name != "seed":
+            p.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,42 +227,44 @@ def _classifier_with(bundle, names: Sequence[str]) -> context.ClassifierBundle:
     return bundle
 
 
-def cmd_predict(args) -> int:
-    bundle = artifacts.load_artifact(args.model)
+def _read_note(args) -> tuple[str, str]:
+    """The note named by --in, newline-normalized, and its document id."""
     text = normalize_newlines(Path(args.infile).read_text(encoding="utf-8"))
-    doc_id = args.doc_id or Path(args.infile).stem
-    out = Path(args.out)
-    if isinstance(bundle, ner.NerModelBundle):
-        spans = ner.predict_ner(bundle, text)
-        lines = [
-            json.dumps(
-                {"doc_id": doc_id, "start": s.start, "end": s.end,
-                 "surface": text[s.start : s.end]}
-            )
-            for s in spans
-        ]
-        out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-        _log(f"{len(spans)} spans -> {out}")
-        return 0
-    if isinstance(bundle, pipeline.PipelineBundle):
-        doc = pipeline.run_pipeline(bundle, text, doc_id)
-        out.write_text(pipeline.mentions_to_jsonl(doc), encoding="utf-8")
-        _log(f"{len(doc.mentions)} mentions -> {out}")
-        return 0
-    raise UsageError(
-        "predict accepts extraction or pipeline artifacts; evaluate classifier "
-        "artifacts with `evaluate --gold-spans on`"
-    )
+    return text, args.doc_id or Path(args.infile).stem
 
 
-def cmd_pipeline(args) -> int:
-    bundle = _as_pipeline(artifacts.load_artifact(args.model))
-    text = normalize_newlines(Path(args.infile).read_text(encoding="utf-8"))
-    doc_id = args.doc_id or Path(args.infile).stem
-    doc = pipeline.run_pipeline(bundle, text, doc_id)
+def _pipeline_note(bundle: pipeline.PipelineBundle, args) -> int:
+    doc = pipeline.run_pipeline(bundle, *_read_note(args))
     Path(args.out).write_text(pipeline.mentions_to_jsonl(doc), encoding="utf-8")
     _log(f"{len(doc.mentions)} mentions -> {args.out}")
     return 0
+
+
+def cmd_predict(args) -> int:
+    bundle = artifacts.load_artifact(args.model)
+    if isinstance(bundle, pipeline.PipelineBundle):
+        return _pipeline_note(bundle, args)
+    if not isinstance(bundle, ner.NerModelBundle):
+        raise UsageError(
+            "predict accepts extraction or pipeline artifacts; evaluate classifier "
+            "artifacts with `evaluate --gold-spans on`"
+        )
+    text, doc_id = _read_note(args)
+    spans = ner.predict_ner(bundle, text)
+    lines = [
+        json.dumps(
+            {"doc_id": doc_id, "start": s.start, "end": s.end,
+             "surface": text[s.start : s.end]}
+        )
+        for s in spans
+    ]
+    Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    _log(f"{len(spans)} spans -> {args.out}")
+    return 0
+
+
+def cmd_pipeline(args) -> int:
+    return _pipeline_note(_as_pipeline(artifacts.load_artifact(args.model)), args)
 
 
 def cmd_evaluate(args) -> int:
@@ -316,12 +316,12 @@ def cmd_gradcheck(args) -> int:
         vocab_size=64, dropout_rate=0.0, seed=args.seed, precision=64,
     )
     ok = True
-    for mode, task in (("token", None), ("sequence", "Event")):
+    for kind, task in (("token", None), ("sequence", "Event")):
         model = init_model(cfg, {"Event": 3} if task else {})
-        batch = toy_examples(mode, cfg.vocab_size, n=4, length=16, seed=args.seed)
-        report = grad_check(model, batch, mode, task=task, seed=args.seed)
+        batch = toy_examples(kind, cfg.vocab_size, n=4, length=16, seed=args.seed)
+        report = grad_check(model, batch, task=task, seed=args.seed)
         _log(
-            f"{mode}: max relative error {report.max_rel_error:.3e} over "
+            f"{kind}: max relative error {report.max_rel_error:.3e} over "
             f"{report.n_checked} parameters (worst: {report.worst_param})"
         )
         ok = ok and report.max_rel_error < 1e-4

@@ -12,8 +12,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .corpus import (
     CONTEXT_DIMENSIONS,
     AnnotatedDocument,
@@ -28,8 +26,7 @@ from .encoder import (
     TrainConfig,
     fit,
     init_model,
-    length_chunks,
-    sequence_logits_batch,
+    predict_batch,
 )
 from .errors import ConfigError, SpanRangeError
 from .preproc import (
@@ -46,7 +43,6 @@ from .preproc import (
 )
 
 CLASSIFY_MAX_LEN = 256
-CLASSIFY_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -226,12 +222,7 @@ def classify_batch(
     model: EncoderModel, task: ClassificationTask, seqs: Sequence[LabeledSequence]
 ) -> list[int]:
     """Argmax class ids in input order; ties break toward the lowest index."""
-    out = [0] * len(seqs)
-    for idx in length_chunks(seqs, CLASSIFY_BATCH):
-        logits = sequence_logits_batch(model, [seqs[i] for i in idx], task.name)
-        for i, best in zip(idx, np.argmax(logits, axis=-1)):
-            out[i] = int(best)
-    return out
+    return predict_batch(model, seqs, task.name)
 
 
 def predict_events(
@@ -270,9 +261,9 @@ def _accuracy(model: EncoderModel, task: ClassificationTask,
 def train_task(
     corpus: Corpus,
     task: ClassificationTask,
-    enc_cfg: EncoderConfig = EncoderConfig(),
-    train_cfg: TrainConfig = TrainConfig(),
-    vocab: Optional[Vocabulary] = None,
+    enc_cfg: EncoderConfig,
+    train_cfg: TrainConfig,
+    vocab: Vocabulary,
     log: Optional[Callable[[str], None]] = None,
 ) -> TaskModel:
     """Fine-tune one classifier, keeping the best dev-accuracy epoch.
@@ -280,10 +271,6 @@ def train_task(
     With fewer than two observed classes in training data a constant
     classifier is produced (with a warning) instead of training.
     """
-    if vocab is None:
-        from .preproc import build_vocab
-
-        vocab = build_vocab([d.text for d in corpus.train])
     enc_cfg = replace(enc_cfg, vocab_size=len(vocab))
     train_examples = collect_task_examples(corpus.train, task, vocab, enc_cfg.max_len)
     dev_examples = collect_task_examples(corpus.dev, task, vocab, enc_cfg.max_len)
@@ -307,7 +294,6 @@ def train_task(
     result = fit(
         model,
         train_examples,
-        "sequence",
         train_cfg,
         lambda m: _accuracy(m, task, dev_examples),
         task=task.name,
@@ -318,15 +304,11 @@ def train_task(
 
 def train_all_tasks(
     corpus: Corpus,
-    enc_cfg: EncoderConfig = EncoderConfig(),
-    train_cfg: TrainConfig = TrainConfig(),
-    vocab: Optional[Vocabulary] = None,
+    enc_cfg: EncoderConfig,
+    train_cfg: TrainConfig,
+    vocab: Vocabulary,
     log: Optional[Callable[[str], None]] = None,
 ) -> ClassifierBundle:
-    if vocab is None:
-        from .preproc import build_vocab
-
-        vocab = build_vocab([d.text for d in corpus.train])
     tasks = {}
     for name, task in TASKS.items():
         if log:

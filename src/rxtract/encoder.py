@@ -29,6 +29,7 @@ LN_EPS = 1e-5
 ADAM_EPS = 1e-8
 NEG_INF = -1e9
 N_BIO = 3
+INFERENCE_BATCH = 64  # sequences per inference chunk
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
@@ -220,8 +221,8 @@ class Packed:
     ids: np.ndarray          # (B, L) int64
     mask: np.ndarray         # (B, L) model dtype, 1 real / 0 pad
     loss_mask: np.ndarray    # (B, L) bool, real non-special positions
-    tags: np.ndarray         # (B, L) int64 (token mode)
-    labels: np.ndarray       # (B,) int64 (sequence mode)
+    tags: np.ndarray         # (B, L) int64, token-head targets
+    labels: np.ndarray       # (B,) int64, sequence-head targets
     s_pos: np.ndarray        # (B,) int64
     e_pos: np.ndarray        # (B,) int64
     origins: list
@@ -426,113 +427,107 @@ def forward_batch(
     return hidden, packed
 
 
-def sequence_logits_batch(
-    model: EncoderModel, seqs: Sequence[LabeledSequence], task: str
-) -> np.ndarray:
-    """Classification logits from concat(hidden[CLS], hidden[S], hidden[E])
-    for a batch of marker-bearing sequences."""
-    if task not in model.task_classes:
-        raise ConfigError(f"model has no head for task {task!r}")
-    hidden, packed = forward_batch(model, seqs)
-    rows = np.arange(hidden.shape[0])
-    feat = np.concatenate(
-        [hidden[:, 0, :], hidden[rows, packed.s_pos], hidden[rows, packed.e_pos]],
-        axis=1,
-    )
-    return feat @ model.params[f"seq_head.{task}.w"] + model.params[f"seq_head.{task}.b"]
+def _head_name(task):
+    return "token_head" if task is None else f"seq_head.{task}"
 
 
-def token_logits(model: EncoderModel, hidden: np.ndarray) -> np.ndarray:
-    """Affine map from hidden states to per-position B/I/O logits."""
-    return hidden @ model.params["token_head.w"] + model.params["token_head.b"]
+def _head(model, hidden, packed, task):
+    """Logits of the head `task` picks, and the features they read.
+
+    With no task, the token head maps every position's hidden state to
+    B/I/O logits. With a task, that task's sequence head reads
+    concat(hidden[CLS], hidden[S], hidden[E]) of each row.
+    """
+    if task is None:
+        feat = hidden
+    else:
+        if task not in model.task_classes:
+            raise ConfigError(f"model has no head for task {task!r}")
+        rows = np.arange(hidden.shape[0])
+        feat = np.concatenate(
+            [hidden[:, 0, :], hidden[rows, packed.s_pos], hidden[rows, packed.e_pos]],
+            axis=1,
+        )
+    name = _head_name(task)
+    return feat @ model.params[f"{name}.w"] + model.params[f"{name}.b"], feat
+
+
+def predict_batch(
+    model: EncoderModel, seqs: Sequence[LabeledSequence], task: Optional[str] = None
+) -> list:
+    """Argmax predictions in input order, in length-ordered chunks.
+
+    With a task, one class id per sequence; with none, one B/I/O id per
+    real position. Ties break toward the lowest id.
+    """
+    out: list = [None] * len(seqs)
+    for idx in length_chunks(seqs, INFERENCE_BATCH):
+        hidden, packed = forward_batch(model, [seqs[i] for i in idx])
+        best = np.argmax(_head(model, hidden, packed, task)[0], axis=-1)
+        for i, row in zip(idx, best):
+            out[i] = int(row) if task is not None else row[: len(seqs[i])].tolist()
+    return out
 
 
 def loss_and_grads(
     model: EncoderModel,
     batch: Sequence[LabeledSequence],
-    mode: str,
     task: Optional[str] = None,
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy and gradients for every parameter.
 
-    Token mode averages over real non-special positions; sequence mode
-    averages over examples. Deterministic whenever dropout is off.
+    With no task, the token head's loss averages over real non-special
+    positions; with a task, its sequence head's loss averages over
+    examples. Deterministic whenever dropout is off.
     """
-    if mode not in ("token", "sequence"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    packed = pack_batch(batch, model)
-    loss, grads, _ = _loss_grads_packed(model, packed, mode, task, train, rng,
-                                        want_grads=True)
-    return loss, grads
+    return _loss_grads_packed(model, pack_batch(batch, model), task, train, rng,
+                              want_grads=True)
 
 
-def _loss_grads_packed(model, packed, mode, task, train, rng, want_grads):
+def _loss_grads_packed(model, packed, task, train, rng, want_grads):
     cfg = model.config
     hidden, cache = _forward_batch(model, packed.ids, packed.mask, train=train, rng=rng)
-    b = hidden.shape[0]
-
-    grads = None
-    if want_grads:
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-
-    if mode == "token":
-        logits = hidden @ model.params["token_head.w"] + model.params["token_head.b"]
-        logp = _log_softmax(logits)
+    logits, feat = _head(model, hidden, packed, task)
+    logp = _log_softmax(logits)
+    target = packed.tags if task is None else packed.labels
+    picked = np.take_along_axis(logp, target[..., None], axis=-1)[..., 0]
+    if task is None:
         m = packed.loss_mask
         n = int(m.sum())
         if n == 0:
-            raise DataError("token-mode batch has no scoreable positions")
-        picked = np.take_along_axis(logp, packed.tags[..., None], axis=-1)[..., 0]
+            raise DataError("token-head batch has no scoreable positions")
         per_example = -(picked * m).sum(axis=1)
-        if not np.all(np.isfinite(per_example)):
-            bad = int(np.flatnonzero(~np.isfinite(per_example))[0])
-            raise NumericError("non-finite loss", origin=packed.origins[bad])
-        loss = float(per_example.sum() / n)
-        if not want_grads:
-            return loss, None, hidden
-        dlogits = np.exp(logp)
-        bsz, length = packed.tags.shape
-        bi = np.repeat(np.arange(bsz), length)
-        li = np.tile(np.arange(length), bsz)
-        dlogits[bi, li, packed.tags.ravel()] -= 1.0
-        dlogits *= m[..., None].astype(cfg.dtype) / cfg.dtype.type(n)
-        grads["token_head.w"] += hidden.reshape(-1, cfg.hidden_dim).T @ dlogits.reshape(-1, N_BIO)
-        grads["token_head.b"] += dlogits.sum(axis=(0, 1))
-        d_hidden = dlogits @ model.params["token_head.w"].T
     else:
-        if task is None or task not in model.task_classes:
-            raise ConfigError(f"sequence mode needs a known task, got {task!r}")
-        h = cfg.hidden_dim
-        rows = np.arange(b)
-        feat = np.concatenate(
-            [hidden[:, 0, :], hidden[rows, packed.s_pos], hidden[rows, packed.e_pos]],
-            axis=1,
-        )
-        w = model.params[f"seq_head.{task}.w"]
-        logits = feat @ w + model.params[f"seq_head.{task}.b"]
-        logp = _log_softmax(logits)
-        per_example = -logp[rows, packed.labels]
-        if not np.all(np.isfinite(per_example)):
-            bad = int(np.flatnonzero(~np.isfinite(per_example))[0])
-            raise NumericError("non-finite loss", origin=packed.origins[bad])
-        loss = float(per_example.mean())
-        if not want_grads:
-            return loss, None, hidden
-        dlogits = np.exp(logp)
-        dlogits[rows, packed.labels] -= 1.0
-        dlogits = (dlogits / b).astype(cfg.dtype)
-        grads[f"seq_head.{task}.w"] += feat.T @ dlogits
-        grads[f"seq_head.{task}.b"] += dlogits.sum(axis=0)
-        dfeat = dlogits @ w.T
-        d_hidden = np.zeros_like(hidden)
-        d_hidden[:, 0, :] += dfeat[:, :h]
-        np.add.at(d_hidden, (rows, packed.s_pos), dfeat[:, h : 2 * h])
-        np.add.at(d_hidden, (rows, packed.e_pos), dfeat[:, 2 * h :])
+        n = len(target)
+        per_example = -picked
+    if not np.all(np.isfinite(per_example)):
+        bad = int(np.flatnonzero(~np.isfinite(per_example))[0])
+        raise NumericError("non-finite loss", origin=packed.origins[bad])
+    loss = float(per_example.sum() / n)
+    if not want_grads:
+        return loss, None
 
+    dlogits = np.exp(logp) - (np.arange(logits.shape[-1]) == target[..., None])
+    if task is None:
+        dlogits *= m[..., None].astype(cfg.dtype) / cfg.dtype.type(n)
+    else:
+        dlogits /= n
+    name = _head_name(task)
+    w = model.params[f"{name}.w"]
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+    grads[f"{name}.w"] += feat.reshape(-1, w.shape[0]).T @ dlogits.reshape(-1, w.shape[1])
+    grads[f"{name}.b"] += dlogits.sum(axis=tuple(range(dlogits.ndim - 1)))
+    d_feat = dlogits @ w.T
+    if task is None:
+        d_hidden = d_feat
+    else:  # scatter back to the CLS, [S] and [E] positions `_head` read
+        d_hidden = np.zeros_like(hidden)
+        for pos, part in zip((0, packed.s_pos, packed.e_pos), np.split(d_feat, 3, axis=1)):
+            np.add.at(d_hidden, (np.arange(n), pos), part)
     _backward_batch(model, cache, d_hidden, grads)
-    return loss, grads, hidden
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +596,6 @@ class GradCheckReport:
 def grad_check(
     model: EncoderModel,
     batch: Sequence[LabeledSequence],
-    mode: str,
     task: Optional[str] = None,
     n_samples: int = 200,
     step: float = 1e-5,
@@ -615,8 +609,7 @@ def grad_check(
     if model.config.precision != 64:
         raise ConfigError("grad_check requires a 64-bit model")
     packed = pack_batch(batch, model)
-    _, analytic, _ = _loss_grads_packed(model, packed, mode, task, False, None,
-                                        want_grads=True)
+    _, analytic = _loss_grads_packed(model, packed, task, False, None, want_grads=True)
 
     names = sorted(model.params)
     sizes = np.array([model.params[n].size for n in names])
@@ -636,9 +629,9 @@ def grad_check(
         idx = np.unravel_index(offset, param.shape)
         orig = param[idx]
         param[idx] = orig + step
-        up, _, _ = _loss_grads_packed(model, packed, mode, task, False, None, False)
+        up, _ = _loss_grads_packed(model, packed, task, False, None, False)
         param[idx] = orig - step
-        down, _, _ = _loss_grads_packed(model, packed, mode, task, False, None, False)
+        down, _ = _loss_grads_packed(model, packed, task, False, None, False)
         param[idx] = orig
         numeric = (up - down) / (2.0 * step)
         a = float(analytic[name][idx])
@@ -650,7 +643,7 @@ def grad_check(
 
 
 def toy_examples(
-    mode: str,
+    kind: str,
     vocab_size: int,
     n: int = 4,
     length: int = 12,
@@ -660,8 +653,9 @@ def toy_examples(
     """Small synthetic sequences for gradient verification, each 6 to
     `length` positions long.
 
-    Token mode carries random BIO tags on the word positions; sequence mode
-    carries marker tokens and a class label.
+    `kind` "token" gives random BIO tags on the word positions, for the
+    token head; "sequence" gives marker tokens and a class label, for a
+    sequence head.
     """
     from .preproc import CLS_ID, SEP_ID
 
@@ -671,9 +665,9 @@ def toy_examples(
     out = []
     for i in range(n):
         real = int(rng.integers(6, length + 1))
-        body = real - 2 if mode == "token" else real - 4
+        body = real - 2 if kind == "token" else real - 4
         inner = [int(t) for t in rng.integers(6, vocab_size, size=body)]
-        if mode == "sequence":
+        if kind == "sequence":
             s_at = int(rng.integers(0, body + 1))
             e_at = int(rng.integers(s_at, body + 1))
             inner = inner[:s_at] + [S_MARK_ID] + inner[s_at:e_at] + [E_MARK_ID] + inner[e_at:]
@@ -684,7 +678,7 @@ def toy_examples(
         ]
         tags = None
         label = None
-        if mode == "token":
+        if kind == "token":
             tags = [
                 BioTag(int(rng.integers(0, N_BIO))) if w != NO_WORD else BioTag.O
                 for w in word_index
@@ -718,7 +712,6 @@ class FitResult:
 def fit(
     model: EncoderModel,
     examples: Sequence[LabeledSequence],
-    mode: str,
     tc: TrainConfig,
     eval_fn: Callable[[EncoderModel], float],
     task: Optional[str] = None,
@@ -728,7 +721,8 @@ def fit(
 
     After each epoch `eval_fn` scores the model (higher is better); the
     best-scoring parameters are restored at the end. Stops when the score
-    has not improved for `patience` consecutive epochs.
+    has not improved for `patience` consecutive epochs. `task` picks the
+    head trained, as in `loss_and_grads`.
     """
     tc.validate()
     if not examples:
@@ -747,7 +741,7 @@ def fit(
         n_batches = 0
         for start in range(0, len(order), tc.batch_size):
             batch = [examples[i] for i in order[start : start + tc.batch_size]]
-            loss, grads = loss_and_grads(model, batch, mode, task=task,
+            loss, grads = loss_and_grads(model, batch, task,
                                          train=model.config.dropout_rate > 0, rng=rng)
             optimizer_step(state, model, grads, tc)
             epoch_loss += loss

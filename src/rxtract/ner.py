@@ -7,37 +7,28 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .corpus import AnnotatedDocument, CharSpan, Corpus
 from .encoder import (
     EncoderConfig,
     EncoderModel,
     TrainConfig,
     fit,
-    forward_batch,
     init_model,
-    length_chunks,
-    token_logits,
+    predict_batch,
 )
 from .errors import DataError
 from .evaluation import ner_metrics
 from .preproc import (
     DEFAULT_MAX_LEN,
-    DEFAULT_VOCAB_SIZE,
     BioTag,
     LabeledSequence,
     Sentence,
     Vocabulary,
     align_to_subtokens,
-    build_vocab,
     decode_bio,
     spans_to_bio,
     split_text,
 )
-
-PREDICT_BATCH = 64
-
 
 @dataclass
 class NerModelBundle:
@@ -89,14 +80,11 @@ def predict_ner_batch(
         align_to_subtokens(s, [BioTag.O] * len(s.tokens), vocab, model.config.max_len)
         for s in flat
     ]
-    found: list[list[CharSpan]] = [[] for _ in flat]
-    for idx in length_chunks(seqs, PREDICT_BATCH):
-        hidden, _ = forward_batch(model, [seqs[i] for i in idx])
-        best = np.argmax(token_logits(model, hidden), axis=-1)  # ties: B < I < O
-        for i, row in zip(idx, best):
-            tags = [BioTag(int(t)) for t in row[: len(seqs[i])]]
-            found[i] = decode_bio(seqs[i], tags, flat[i])
-    per_sentence = iter(found)
+    tag_ids = predict_batch(model, seqs)  # ties: B < I < O
+    per_sentence = (
+        decode_bio(seq, [BioTag(t) for t in ids], sent)
+        for seq, ids, sent in zip(seqs, tag_ids, flat)
+    )
     return [[span for _ in doc for span in next(per_sentence)] for doc in sentences]
 
 
@@ -107,18 +95,15 @@ def predict_ner(bundle: NerModelBundle, text: str) -> list[CharSpan]:
 
 def train_ner(
     corpus: Corpus,
-    enc_cfg: EncoderConfig = EncoderConfig(),
-    train_cfg: TrainConfig = TrainConfig(),
-    vocab_target_size: int = DEFAULT_VOCAB_SIZE,
-    vocab: Optional[Vocabulary] = None,
+    enc_cfg: EncoderConfig,
+    train_cfg: TrainConfig,
+    vocab: Vocabulary,
     log: Optional[Callable[[str], None]] = None,
 ) -> NerModelBundle:
     """Fine-tune on the train split, keeping the epoch with the best strict
     micro-F1 on the dev split."""
     if not corpus.train or not corpus.dev:
         raise DataError("train and dev splits must be non-empty")
-    if vocab is None:
-        vocab = build_vocab([d.text for d in corpus.train], vocab_target_size)
     enc_cfg = replace(enc_cfg, vocab_size=len(vocab))
     model = init_model(enc_cfg)
     examples = build_ner_examples(corpus.train, vocab, enc_cfg.max_len)
@@ -130,7 +115,7 @@ def train_ner(
         preds = dict(zip(dev_ids, predict_ner_batch(m, vocab, dev_sentences)))
         return ner_metrics(corpus.dev, preds).micro.f1
 
-    result = fit(model, examples, "token", train_cfg, dev_f1, log=log)
+    result = fit(model, examples, train_cfg, dev_f1, log=log)
     return NerModelBundle(
         model=model, vocab=vocab, train_config=train_cfg, history=result.history
     )

@@ -257,8 +257,8 @@ class LabeledSequence:
     All per-position lists share one length: the sequence's real
     positions, never padded (`pack_batch` pads a batch to its longest row).
     `word_index` maps each piece to its owning token index in the source
-    sentence, or NO_WORD for specials. `tags` is set in token mode, `label`
-    in classification mode.
+    sentence, or NO_WORD for specials. `tags` is set for the token head,
+    `label` for a sequence head.
     """
 
     subtoken_ids: list[int]

@@ -316,7 +316,7 @@ def test_criterion_5_gradient_correctness():
     for mode, task in (("token", None), ("sequence", "Event")):
         model = init_model(cfg, {"Event": 3} if task else {})
         batch = toy_examples(mode, cfg.vocab_size, n=4, length=20, seed=7)
-        report = grad_check(model, batch, mode, task=task, n_samples=200, seed=13)
+        report = grad_check(model, batch, task=task, n_samples=200, seed=13)
         worst = max(worst, report.max_rel_error)
         checked += report.n_checked
     elapsed = time.monotonic() - start

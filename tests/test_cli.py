@@ -53,6 +53,26 @@ class TestExitCodes:
                             "--out", str(tmp_path / "m"), "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "1.7"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, data_dir, capsys, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"layers={value}\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_command(["train", "--task", "ner", "--data", str(data_dir),
+                            "--out", str(tmp_path / "m"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "layers" in err and "Traceback" not in err
+        assert not (tmp_path / "m").exists()
+
+    def test_vocab_size_flag_is_usage_error(self, tmp_path, data_dir):
+        code = run_command(["train", "--task", "ner", "--data", str(data_dir),
+                            "--out", str(tmp_path / "m"), *FAST_FLAGS,
+                            "--vocab-size", "5"])
+        assert code == 2
+        assert not (tmp_path / "m").exists()
+
     def test_context_eval_rejects_predicted_spans(self, data_dir, ner_model_dir):
         code = run_command(["evaluate", "--task", "context", "--data", str(data_dir),
                             "--model", str(ner_model_dir), "--gold-spans", "off"])

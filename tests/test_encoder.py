@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from rxtract.encoder import (
+    INFERENCE_BATCH,
     EncoderConfig,
     OptimizerState,
     TrainConfig,
     _forward_batch,
     _gelu,
     _gelu_grad,
+    _head,
     forward_batch,
     grad_check,
     init_model,
@@ -19,8 +21,7 @@ from rxtract.encoder import (
     optimizer_step,
     pack_batch,
     parameter_count,
-    sequence_logits_batch,
-    token_logits,
+    predict_batch,
     toy_examples,
 )
 from rxtract.errors import ConfigError, NumericError, SequenceLengthError
@@ -35,6 +36,11 @@ TOY = EncoderConfig(
 def _hidden(model, seq):
     """Inference-mode hidden states of one sequence."""
     return forward_batch(model, [seq])[0][0]
+
+
+def _logits(model, seqs, task=None):
+    """Inference-mode logits of the head `task` picks, for a batch."""
+    return _head(model, *forward_batch(model, seqs), task)[0]
 
 
 def _softmax(v):
@@ -239,7 +245,7 @@ class TestHeads:
         model.params["token_head.w"][:] = 0.0
         model.params["token_head.b"][:] = 0.0
         seq = toy_examples("token", TOY.vocab_size, n=1, length=12, seed=2)[0]
-        logits = token_logits(model, _hidden(model, seq))
+        logits = _logits(model, [seq])[0]
         probs = np.apply_along_axis(_softmax, -1, logits)
         assert np.allclose(probs, 1.0 / 3.0, atol=1e-9)
 
@@ -260,16 +266,16 @@ class TestHeads:
         model = init_model(TOY, {"Event": 3})
         model.params["seq_head.Event.w"][:] = 0.0
         seq = toy_examples("sequence", TOY.vocab_size, n=1, length=12, seed=3)[0]
-        logits = sequence_logits_batch(model, [seq], "Event")[0]
+        logits = _logits(model, [seq], "Event")[0]
         assert np.allclose(_softmax(logits), 1.0 / 3.0, atol=1e-9)
 
     def test_logits_do_not_depend_on_gold_labels(self):
         model = init_model(TOY, {"Event": 3})
         batch = toy_examples("sequence", TOY.vocab_size, n=4, length=12, seed=8)
-        before = sequence_logits_batch(model, batch, "Event")
+        before = _logits(model, batch, "Event")
         for seq in batch:
             seq.label = (seq.label + 1) % 3
-        after = sequence_logits_batch(model, batch, "Event")
+        after = _logits(model, batch, "Event")
         assert np.array_equal(before, after)
 
     def test_sequence_head_scalar_recomputation(self):
@@ -279,7 +285,7 @@ class TestHeads:
         model = init_model(cfg, {"flag": 2})
         seq = LabeledSequence([2, 4, 9, 5, 3], [1] * 5, [-1, -1, 0, -1, -1])
         hidden = _hidden(model, seq)
-        logits = sequence_logits_batch(model, [seq], "flag")[0]
+        logits = _logits(model, [seq], "flag")[0]
         feat = list(hidden[0]) + list(hidden[1]) + list(hidden[3])
         w = model.params["seq_head.flag.w"].tolist()
         b = model.params["seq_head.flag.b"].tolist()
@@ -287,6 +293,28 @@ class TestHeads:
             sum(feat[i] * w[i][j] for i in range(len(feat))) + b[j] for j in range(2)
         ]
         assert np.allclose(logits, want, atol=1e-10)
+
+
+class TestPredictBatch:
+    @pytest.mark.parametrize("kind,task", [("token", None), ("sequence", "Event")])
+    def test_row_by_row_argmax_in_input_order(self, kind, task):
+        model = init_model(TOY, {"Event": 3})
+        batch = toy_examples(kind, TOY.vocab_size, n=INFERENCE_BATCH + 6, length=16, seed=12)
+        lengths = [len(s) for s in batch]
+        assert len(set(lengths)) > 2 and lengths != sorted(lengths)
+        want = []
+        for seq in batch:
+            best = np.argmax(_logits(model, [seq], task)[0], axis=-1)
+            want.append(int(best) if task else best.tolist())
+        assert predict_batch(model, batch, task) == want
+
+    def test_unknown_task_is_config_error(self):
+        model = init_model(TOY, {"Event": 3})
+        batch = toy_examples("sequence", TOY.vocab_size, n=2, length=12, seed=13)
+        with pytest.raises(ConfigError):
+            predict_batch(model, batch, "Nope")
+        with pytest.raises(ConfigError):
+            loss_and_grads(model, batch, task="Nope")
 
 
 class TestLoss:
@@ -297,7 +325,7 @@ class TestLoss:
         batch = toy_examples("token", TOY.vocab_size, n=2, length=12, seed=4)
         for seq in batch:
             seq.tags = [BioTag.O] * len(seq)
-        loss, _ = loss_and_grads(model, batch, "token")
+        loss, _ = loss_and_grads(model, batch)
         assert loss < 1e-8
 
     def test_uniform_predictions_log3(self):
@@ -305,20 +333,20 @@ class TestLoss:
         model.params["token_head.w"][:] = 0.0
         model.params["token_head.b"][:] = 0.0
         batch = toy_examples("token", TOY.vocab_size, n=2, length=12, seed=5)
-        loss, _ = loss_and_grads(model, batch, "token")
+        loss, _ = loss_and_grads(model, batch)
         assert abs(loss - math.log(3)) < 1e-6
 
     def test_batch_order_invariance(self):
         model = init_model(TOY, {"Event": 3})
         batch = toy_examples("token", TOY.vocab_size, n=5, length=14, seed=6)
-        a, _ = loss_and_grads(model, batch, "token")
-        b, _ = loss_and_grads(model, list(reversed(batch)), "token")
+        a, _ = loss_and_grads(model, batch)
+        b, _ = loss_and_grads(model, list(reversed(batch)))
         assert abs(a - b) < 1e-9
 
     def test_gradients_cover_every_parameter(self):
         model = init_model(TOY, {"Event": 3})
         batch = toy_examples("sequence", TOY.vocab_size, n=3, length=12, seed=7)
-        _, grads = loss_and_grads(model, batch, "sequence", task="Event")
+        _, grads = loss_and_grads(model, batch, task="Event")
         assert grads.keys() == model.params.keys()
         for k, g in grads.items():
             assert g.shape == model.params[k].shape
@@ -328,7 +356,7 @@ class TestLoss:
         model.params["tok_emb"][:] = np.nan
         batch = toy_examples("token", TOY.vocab_size, n=2, length=12, seed=8)
         with pytest.raises(NumericError) as exc:
-            loss_and_grads(model, batch, "token")
+            loss_and_grads(model, batch)
         assert exc.value.origin == batch[0].origin
 
 
@@ -369,14 +397,14 @@ class TestGradCheck:
     def test_token_mode(self):
         model = init_model(TOY)
         batch = toy_examples("token", TOY.vocab_size, n=4, length=16, seed=1)
-        report = grad_check(model, batch, "token", n_samples=220, seed=9)
+        report = grad_check(model, batch, n_samples=220, seed=9)
         assert report.n_checked >= 200
         assert report.max_rel_error < 1e-4
 
     def test_sequence_mode(self):
         model = init_model(TOY, {"Event": 3})
         batch = toy_examples("sequence", TOY.vocab_size, n=4, length=16, seed=2)
-        report = grad_check(model, batch, "sequence", task="Event", n_samples=220, seed=10)
+        report = grad_check(model, batch, task="Event", n_samples=220, seed=10)
         assert report.max_rel_error < 1e-4
 
     def test_zero_analytic_and_numeric_counts_as_pass(self):
@@ -386,7 +414,7 @@ class TestGradCheck:
         # the Event head never feeds the token loss: exact zero on both routes
         model = init_model(cfg, {"Event": 3})
         batch = toy_examples("token", cfg.vocab_size, n=2, length=10, seed=3)
-        report = grad_check(model, batch, "token",
+        report = grad_check(model, batch,
                             n_samples=parameter_count(model), seed=11)
         assert report.n_checked == parameter_count(model)
         assert report.max_rel_error < 1e-4
@@ -396,7 +424,7 @@ class TestGradCheck:
                                          ffn_dim=16, vocab_size=32, precision=32))
         batch = toy_examples("token", 32, n=2, length=10, seed=4)
         with pytest.raises(ConfigError):
-            grad_check(model, batch, "token")
+            grad_check(model, batch)
 
 
 class TestTrainingSignal:
@@ -408,9 +436,9 @@ class TestTrainingSignal:
         batch = toy_examples("token", cfg.vocab_size, n=10, length=16, seed=5)
         tc = TrainConfig(learning_rate=1e-2, clip_norm=1.0)
         state = OptimizerState.for_model(model)
-        initial, _ = loss_and_grads(model, batch, "token")
+        initial, _ = loss_and_grads(model, batch)
         for _ in range(50):
-            _, grads = loss_and_grads(model, batch, "token")
+            _, grads = loss_and_grads(model, batch)
             optimizer_step(state, model, grads, tc)
-        final, _ = loss_and_grads(model, batch, "token")
+        final, _ = loss_and_grads(model, batch)
         assert final <= 0.1 * initial

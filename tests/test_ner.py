@@ -16,6 +16,10 @@ SMALL_ENC = EncoderConfig(
 )
 
 
+def _train_vocab(corpus):
+    return build_vocab([d.text for d in corpus.train])
+
+
 def _two_sentence_doc():
     text = "Start plavix today. Vitals look fine."
     return AnnotatedDocument(
@@ -91,13 +95,14 @@ class TestTraining:
         from rxtract.corpus import Corpus
 
         with pytest.raises(DataError):
-            train_ner(Corpus(), SMALL_ENC, TrainConfig(max_epochs=1))
+            train_ner(Corpus(), SMALL_ENC, TrainConfig(max_epochs=1), build_vocab(["a"]))
 
     def test_identical_seeds_identical_parameters(self):
         result = gen_corpus(GeneratorSpec(seed=5, n_train=8, n_dev=2, n_test=2))
         tc = TrainConfig(learning_rate=1e-3, max_epochs=2, patience=2, seed=1)
-        a = train_ner(result.corpus, SMALL_ENC, tc)
-        b = train_ner(result.corpus, SMALL_ENC, tc)
+        vocab = _train_vocab(result.corpus)
+        a = train_ner(result.corpus, SMALL_ENC, tc, vocab)
+        b = train_ner(result.corpus, SMALL_ENC, tc, vocab)
         for k in a.model.params:
             assert np.array_equal(a.model.params[k], b.model.params[k])
 
@@ -108,7 +113,7 @@ class TestTraining:
             build_vocab(["a"], SMALL_ENC.vocab_size),
         )
         # dev metric frozen at zero: never improves after the first epoch
-        res = fit(model, examples, "token",
+        res = fit(model, examples,
                   TrainConfig(max_epochs=10, patience=1, seed=0), lambda m: 0.0)
         assert len(res.history) == 2
         assert res.best_epoch == 1
@@ -116,7 +121,7 @@ class TestTraining:
     def test_memorization_recovers_training_span(self):
         result = gen_corpus(GeneratorSpec(seed=9, n_train=12, n_dev=3, n_test=3))
         tc = TrainConfig(learning_rate=1e-3, max_epochs=6, patience=6, seed=0)
-        bundle = train_ner(result.corpus, SMALL_ENC, tc)
+        bundle = train_ner(result.corpus, SMALL_ENC, tc, _train_vocab(result.corpus))
         doc = next(d for d in result.corpus.train if d.mentions)
         spans = predict_ner(bundle, doc.text)
         assert doc.mentions[0].span in spans
@@ -124,6 +129,6 @@ class TestTraining:
     def test_history_records_dev_scores(self):
         result = gen_corpus(GeneratorSpec(seed=5, n_train=8, n_dev=2, n_test=2))
         tc = TrainConfig(learning_rate=1e-3, max_epochs=2, patience=2, seed=1)
-        bundle = train_ner(result.corpus, SMALL_ENC, tc)
+        bundle = train_ner(result.corpus, SMALL_ENC, tc, _train_vocab(result.corpus))
         assert len(bundle.history) == 2
         assert all(0.0 <= h <= 1.0 for h in bundle.history)
