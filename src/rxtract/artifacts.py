@@ -2,8 +2,9 @@
 
 An artifact is a directory holding `manifest.txt` (key=value lines: format
 version, configs, tensor name/shape index, checksum) and `params.bin` (the
-tensors' IEEE-754 bytes concatenated in manifest order). Composite bundles
-(pipeline, classifier sets) are directories of such artifacts.
+tensors' IEEE-754 bytes concatenated in manifest order); its `kind` is `ner`
+or `classifier` (one task). A `pipeline` artifact is a directory of those,
+one per component, plus a manifest naming them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .context import ClassifierBundle, TaskModel
+from .corpus import read_utf8
 from .encoder import EncoderConfig, EncoderModel, TrainConfig, param_shapes
 from .errors import CompatibilityError, ConfigError, CorruptionError
 from .ner import NerModelBundle
@@ -108,7 +110,7 @@ def _read_manifest(path: Path) -> tuple[dict[str, str], list[tuple[str, str]]]:
         raise CorruptionError(f"no manifest at {manifest_path}")
     entries: dict[str, str] = {}
     ordered: list[tuple[str, str]] = []
-    for line in manifest_path.read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(manifest_path, CorruptionError).splitlines():
         if not line.strip():
             continue
         if "=" not in line:
@@ -206,34 +208,19 @@ def _read_model_dir(
 
 
 def save_artifact(bundle: AnyBundle, path: str | Path) -> None:
-    """Persist a bundle; the layout depends on the bundle type."""
+    """Persist a bundle: an extraction model or a one-task classifier as a
+    model directory, a pipeline as a directory of those."""
     path = Path(path)
     if isinstance(bundle, NerModelBundle):
         _write_model_dir(
             path, "ner", bundle.model, bundle.vocab, bundle.train_config, bundle.history
         )
-    elif isinstance(bundle, ClassifierBundle):
-        if len(bundle.tasks) == 1:
-            name, tm = next(iter(bundle.tasks.items()))
-            _write_model_dir(
-                path, "classifier", tm.model, bundle.vocab, tm.train_config,
-                tm.history, task=name,
-            )
-        else:
-            path.mkdir(parents=True, exist_ok=True)
-            names = sorted(bundle.tasks)
-            lines = [
-                f"format_version={FORMAT_VERSION}",
-                "kind=classifier_set",
-                "components=" + " ".join(names),
-            ]
-            (path / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
-            for name in names:
-                tm = bundle.tasks[name]
-                _write_model_dir(
-                    path / f"task_{name}", "classifier", tm.model, bundle.vocab,
-                    tm.train_config, tm.history, task=name,
-                )
+    elif isinstance(bundle, ClassifierBundle) and len(bundle.tasks) == 1:
+        name, tm = next(iter(bundle.tasks.items()))
+        _write_model_dir(
+            path, "classifier", tm.model, bundle.vocab, tm.train_config,
+            tm.history, task=name,
+        )
     elif isinstance(bundle, PipelineBundle):
         path.mkdir(parents=True, exist_ok=True)
         names = sorted(bundle.classifiers.tasks)
@@ -243,16 +230,10 @@ def save_artifact(bundle: AnyBundle, path: str | Path) -> None:
             "components=ner " + " ".join(names),
         ]
         (path / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _write_model_dir(
-            path / "ner", "ner", bundle.ner.model, bundle.ner.vocab,
-            bundle.ner.train_config, bundle.ner.history,
-        )
+        save_artifact(bundle.ner, path / "ner")
         for name in names:
-            tm = bundle.classifiers.tasks[name]
-            _write_model_dir(
-                path / f"task_{name}", "classifier", tm.model,
-                bundle.classifiers.vocab, tm.train_config, tm.history, task=name,
-            )
+            one = ClassifierBundle({name: bundle.classifiers.tasks[name]}, bundle.classifiers.vocab)
+            save_artifact(one, path / f"task_{name}")
     else:
         raise TypeError(f"cannot save bundle of type {type(bundle).__name__}")
 
@@ -276,7 +257,7 @@ def load_artifact(path: str | Path) -> AnyBundle:
             tasks={task: TaskModel(model=model, train_config=train_cfg, history=history)},
             vocab=vocab,
         )
-    if kind in ("classifier_set", "pipeline"):
+    if kind == "pipeline":
         names = entries.get("components", "").split()
         tasks: dict[str, TaskModel] = {}
         vocab = None
@@ -296,8 +277,6 @@ def load_artifact(path: str | Path) -> AnyBundle:
                 vocab = sub.vocab
             elif vocab.pieces != sub.vocab.pieces:
                 raise CorruptionError("pipeline components disagree on vocabulary")
-        if kind == "classifier_set":
-            return ClassifierBundle(tasks=tasks, vocab=vocab)
         if ner_bundle is None or vocab is None:
             raise CorruptionError("pipeline artifact missing components")
         if ner_bundle.vocab.pieces != vocab.pieces:

@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import artifacts, context, evaluation, ner, pipeline, synth
-from .corpus import corpus_stats, format_stats, load_corpus, normalize_newlines, write_corpus_dir
+from .corpus import (corpus_stats, format_stats, load_corpus, normalize_newlines, read_utf8,
+                     write_corpus_dir)
 from .encoder import EncoderConfig, TrainConfig, grad_check, init_model, toy_examples
 from .errors import RxtractError
 from .evaluation import MetricsReport, render_report, report_records
@@ -28,14 +29,7 @@ class UsageError(Exception):
     """Command-line misuse detected after argument parsing."""
 
 
-TASK_NAMES = {
-    "event": "Event",
-    "action": "Action",
-    "negation": "Negation",
-    "temporality": "Temporality",
-    "certainty": "Certainty",
-    "actor": "Actor",
-}
+TASK_NAMES = {name.lower(): name for name in context.TASKS}
 
 # vocab_size is not a setting: training takes it from the built vocabulary.
 _ENC_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(EncoderConfig)
@@ -50,7 +44,7 @@ def _log(msg: str) -> None:
 
 def load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(Path(path), UsageError).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -229,7 +223,7 @@ def _classifier_with(bundle, names: Sequence[str]) -> context.ClassifierBundle:
 
 def _read_note(args) -> tuple[str, str]:
     """The note named by --in, newline-normalized, and its document id."""
-    text = normalize_newlines(Path(args.infile).read_text(encoding="utf-8"))
+    text = normalize_newlines(read_utf8(Path(args.infile)))
     return text, args.doc_id or Path(args.infile).stem
 
 
@@ -292,9 +286,7 @@ def cmd_evaluate(args) -> int:
     elif args.task == "context":
         if args.gold_spans != "on":
             raise UsageError("context evaluation is defined on gold spans only")
-        cb = _classifier_with(
-            bundle, ["Action", "Negation", "Temporality", "Certainty", "Actor"]
-        )
+        cb = _classifier_with(bundle, [t.name for t in context.DIMENSION_TASKS])
         gold = evaluation.gold_context_table(docs)
         pred = pipeline.classify_gold_context(cb, docs)
         report = evaluation.context_metrics(gold, pred)

@@ -31,6 +31,7 @@ from .encoder import (
 from .errors import ConfigError, SpanRangeError
 from .preproc import (
     CLS_ID,
+    DEFAULT_MAX_LEN,
     E_MARK_ID,
     NO_WORD,
     S_MARK_ID,
@@ -41,8 +42,6 @@ from .preproc import (
     split_text,
     subword_encode,
 )
-
-CLASSIFY_MAX_LEN = 256
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def build_classification_example(
     sent: Sentence,
     mention: CharSpan,
     vocab: Vocabulary,
-    max_len: int = CLASSIFY_MAX_LEN,
+    max_len: int = DEFAULT_MAX_LEN,
     doc_id: str = "",
 ) -> LabeledSequence:
     """Marker-bracketed sequence for one mention, at most max_len long.
@@ -169,7 +168,7 @@ def mention_examples(
     sentences: Sequence[Sentence],
     spans: Sequence[CharSpan],
     vocab: Vocabulary,
-    max_len: int = CLASSIFY_MAX_LEN,
+    max_len: int = DEFAULT_MAX_LEN,
 ) -> list[Optional[LabeledSequence]]:
     """The marker example of each mention, built in the sentence holding it.
 
@@ -193,7 +192,7 @@ def collect_task_examples(
     docs: Sequence[AnnotatedDocument],
     task: ClassificationTask,
     vocab: Vocabulary,
-    max_len: int = CLASSIFY_MAX_LEN,
+    max_len: int = DEFAULT_MAX_LEN,
 ) -> list[LabeledSequence]:
     """Labeled examples for one task.
 

@@ -19,6 +19,7 @@ from typing import Iterator, Optional
 
 from .errors import (
     ConflictError,
+    DataError,
     DuplicateDocIdError,
     IntegrityError,
     MissingPairError,
@@ -341,6 +342,14 @@ def write_standoff(doc: AnnotatedDocument) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def read_utf8(path: Path, error: type[Exception] = DataError) -> str:
+    """The text of a UTF-8 file; other bytes raise `error`, naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+
+
 def load_corpus(root: str | Path) -> Corpus:
     """Load train/dev/test splits of paired .txt/.ann files from a directory."""
     root = Path(root)
@@ -363,8 +372,8 @@ def load_corpus(root: str | Path) -> Corpus:
             if doc_id in seen:
                 raise DuplicateDocIdError(f"duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
-            text = txt_path.read_text(encoding="utf-8")
-            ann = ann_path.read_text(encoding="utf-8")
+            text = read_utf8(txt_path)
+            ann = read_utf8(ann_path)
             docs.append(parse_standoff(text, ann, doc_id=doc_id))
     return corpus
 

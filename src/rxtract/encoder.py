@@ -93,6 +93,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if not (math.isfinite(self.learning_rate) and math.isfinite(self.clip_norm)):
+            raise ConfigError("learning_rate and clip_norm must be finite")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("learning_rate, batch_size, max_epochs must be positive")
         if self.patience < 1:

@@ -58,7 +58,7 @@ class NumericError(RxtractError):
 
 
 class DataError(RxtractError):
-    """Training data that cannot be used (empty split, no examples)."""
+    """Input data that cannot be used (not UTF-8, empty split, no examples)."""
 
 
 class CorruptionError(RxtractError):

@@ -20,6 +20,7 @@ from .context import (
     predict_events,
 )
 from .corpus import (
+    CONTEXT_DIMENSIONS,
     AnnotatedDocument,
     CharSpan,
     ContextAttributes,
@@ -111,11 +112,7 @@ def mentions_to_jsonl(doc: AnnotatedDocument) -> str:
         }
         if m.context is not None:
             record.update(
-                action=m.context.action.value,
-                negation=m.context.negation.value,
-                temporality=m.context.temporality.value,
-                certainty=m.context.certainty.value,
-                actor=m.context.actor.value,
+                (attr, getattr(m.context, attr).value) for _, attr in CONTEXT_DIMENSIONS.values()
             )
         lines.append(json.dumps(record))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -10,7 +10,7 @@ at a configurable rate to blur the signal.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import (
@@ -25,36 +25,42 @@ from .corpus import (
 )
 from .errors import ConfigError
 
-# Default class-distribution targets (training-split proportions of the
-# challenge corpus this generator stands in for).
+# Class-distribution targets (training-split proportions of the challenge
+# corpus this generator stands in for).
 EVENT_TARGETS = {
     "NoDisposition": 0.728,
     "Disposition": 0.195,
     "Undetermined": 0.077,
 }
-ACTION_TARGETS = {
-    "Start": 0.402, "Stop": 0.241, "Increase": 0.091, "Decrease": 0.038,
-    "UniqueDose": 0.202, "OtherChange": 0.001, "Unknown": 0.025,
+# The same per context dimension, keyed as CONTEXT_DIMENSIONS.
+DIMENSION_TARGETS: dict[str, dict[str, float]] = {
+    "Action": {
+        "Start": 0.402, "Stop": 0.241, "Increase": 0.091, "Decrease": 0.038,
+        "UniqueDose": 0.202, "OtherChange": 0.001, "Unknown": 0.025,
+    },
+    "Negation": {"Negated": 0.023, "NotNegated": 0.977},
+    "Temporality": {"Past": 0.527, "Present": 0.350, "Future": 0.103, "Unknown": 0.021},
+    "Certainty": {"Certain": 0.833, "Hypothetical": 0.095, "Conditional": 0.071, "Unknown": 0.001},
+    "Actor": {"Physician": 0.905, "Patient": 0.075, "Unknown": 0.020},
 }
-NEGATION_TARGETS = {"Negated": 0.023, "NotNegated": 0.977}
-TEMPORALITY_TARGETS = {"Past": 0.527, "Present": 0.350, "Future": 0.103, "Unknown": 0.021}
-CERTAINTY_TARGETS = {"Certain": 0.833, "Hypothetical": 0.095, "Conditional": 0.071, "Unknown": 0.001}
-ACTOR_TARGETS = {"Physician": 0.905, "Patient": 0.075, "Unknown": 0.020}
 
-ACTION_CUES = {
-    "Start": "started", "Stop": "stopped", "Increase": "increased",
-    "Decrease": "decreased", "UniqueDose": "bolused", "OtherChange": "retimed",
-    "Unknown": "adjusted",
+# The cue word that signals each class of each context dimension.
+CUES: dict[str, dict[str, str]] = {
+    "Action": {
+        "Start": "started", "Stop": "stopped", "Increase": "increased",
+        "Decrease": "decreased", "UniqueDose": "bolused", "OtherChange": "retimed",
+        "Unknown": "adjusted",
+    },
+    "Negation": {"Negated": "never", "NotNegated": "duly"},
+    "Temporality": {
+        "Past": "yesterday", "Present": "today", "Future": "tomorrow", "Unknown": "someday",
+    },
+    "Certainty": {
+        "Certain": "definitely", "Hypothetical": "hypothetically",
+        "Conditional": "conditionally", "Unknown": "possibly",
+    },
+    "Actor": {"Physician": "clinician", "Patient": "patient", "Unknown": "caregiver"},
 }
-NEGATION_CUES = {"Negated": "never", "NotNegated": "duly"}
-TEMPORALITY_CUES = {
-    "Past": "yesterday", "Present": "today", "Future": "tomorrow", "Unknown": "someday",
-}
-CERTAINTY_CUES = {
-    "Certain": "definitely", "Hypothetical": "hypothetically",
-    "Conditional": "conditionally", "Unknown": "possibly",
-}
-ACTOR_CUES = {"Physician": "clinician", "Patient": "patient", "Unknown": "caregiver"}
 
 FILLER_SENTENCES = (
     "vitals remained stable overnight.",
@@ -75,6 +81,7 @@ _NAME_SUFFIXES = (
     "utide", "axine",
 )
 _MODIFIERS = ("depot", "xr", "forte")
+MAX_LEXICON_SIZE = len(_NAME_PREFIXES) * len(_NAME_SUFFIXES)
 
 # Dose-form words reserved for dev/test mentions (never in training data),
 # so extraction faces genuinely novel mention boundaries.
@@ -111,12 +118,6 @@ class GeneratorSpec:
     noise_rate: float = 0.1
     # fraction of dev/test mentions wearing a dose-form word unseen in training
     novel_form_rate: float = 0.0
-    event_targets: dict[str, float] = field(default_factory=lambda: dict(EVENT_TARGETS))
-    action_targets: dict[str, float] = field(default_factory=lambda: dict(ACTION_TARGETS))
-    negation_targets: dict[str, float] = field(default_factory=lambda: dict(NEGATION_TARGETS))
-    temporality_targets: dict[str, float] = field(default_factory=lambda: dict(TEMPORALITY_TARGETS))
-    certainty_targets: dict[str, float] = field(default_factory=lambda: dict(CERTAINTY_TARGETS))
-    actor_targets: dict[str, float] = field(default_factory=lambda: dict(ACTOR_TARGETS))
 
     def validate(self) -> None:
         if self.difficulty not in ("separable", "noisy"):
@@ -125,34 +126,17 @@ class GeneratorSpec:
             raise ConfigError("split sizes must be non-negative")
         if not (0 < self.mention_prob <= 1):
             raise ConfigError("mention_prob must lie in (0, 1]")
+        if not (0.0 <= self.noise_rate <= 1.0):
+            raise ConfigError("noise_rate must lie in [0, 1]")
         if not (0.0 <= self.novel_form_rate <= 1.0):
             raise ConfigError("novel_form_rate must lie in [0, 1]")
         if not (1 <= self.min_sentences <= self.max_sentences):
             raise ConfigError("bad sentence count range")
-        for name, targets in self._target_tables().items():
-            total = sum(targets.values())
-            if total <= 0 or any(v < 0 for v in targets.values()):
-                raise ConfigError(f"bad distribution targets for {name}")
+        if not (1 <= self.lexicon_size <= MAX_LEXICON_SIZE):
+            raise ConfigError(f"lexicon_size must lie in [1, {MAX_LEXICON_SIZE}]")
         lexicon = set(default_lexicon(self.lexicon_size))
-        cues = set(self._all_cues())
-        if lexicon & cues:
+        if any(lexicon & set(table.values()) for table in CUES.values()):
             raise ConfigError("drug lexicon overlaps cue phrases")
-
-    def _target_tables(self) -> dict[str, dict[str, float]]:
-        return {
-            "Event": self.event_targets,
-            "Action": self.action_targets,
-            "Negation": self.negation_targets,
-            "Temporality": self.temporality_targets,
-            "Certainty": self.certainty_targets,
-            "Actor": self.actor_targets,
-        }
-
-    def _all_cues(self) -> list[str]:
-        out = []
-        for table in (ACTION_CUES, NEGATION_CUES, TEMPORALITY_CUES, CERTAINTY_CUES, ACTOR_CUES):
-            out.extend(table.values())
-        return out
 
 
 @dataclass(frozen=True)
@@ -186,10 +170,12 @@ def _quota_labels(targets: dict[str, float], total: int, rng: random.Random) -> 
     return labels
 
 
-def _maybe_noisy(cue: str, table: dict[str, str], spec: GeneratorSpec, rng: random.Random) -> str:
+def _cue(dim: str, attrs: ContextAttributes, spec: GeneratorSpec, rng: random.Random) -> str:
+    """The cue word of attrs' class in dim, or at noise_rate in noisy mode a random one."""
+    table = CUES[dim]
     if spec.difficulty == "noisy" and rng.random() < spec.noise_rate:
         return rng.choice(sorted(table.values()))
-    return cue
+    return table[getattr(attrs, CONTEXT_DIMENSIONS[dim][1]).value]
 
 
 def _render_sentence(
@@ -207,11 +193,11 @@ def _render_sentence(
 
     if display is EventLabel.DISPOSITION:
         attrs = context if context is not None else ContextAttributes()
-        actor = _maybe_noisy(ACTOR_CUES[attrs.actor.value], ACTOR_CUES, spec, rng)
-        neg = _maybe_noisy(NEGATION_CUES[attrs.negation.value], NEGATION_CUES, spec, rng)
-        action = _maybe_noisy(ACTION_CUES[attrs.action.value], ACTION_CUES, spec, rng)
-        temp = _maybe_noisy(TEMPORALITY_CUES[attrs.temporality.value], TEMPORALITY_CUES, spec, rng)
-        cert = _maybe_noisy(CERTAINTY_CUES[attrs.certainty.value], CERTAINTY_CUES, spec, rng)
+        # Cues are drawn in sentence order, which fixes the rng stream.
+        actor, neg, action, temp, cert = (
+            _cue(dim, attrs, spec, rng)
+            for dim in ("Actor", "Negation", "Action", "Temporality", "Certainty")
+        )
         prefix = f"{actor} {neg} {action} "
         sentence = f"{prefix}{drug} {dose} {temp} {cert}."
     elif display is EventLabel.NO_DISPOSITION:
@@ -255,14 +241,10 @@ def gen_corpus(spec: GeneratorSpec) -> SynthResult:
             plans.append(has_mention)
             total_mentions += sum(has_mention)
 
-        events = [EventLabel(v) for v in _quota_labels(spec.event_targets, total_mentions, rng)]
+        events = [EventLabel(v) for v in _quota_labels(EVENT_TARGETS, total_mentions, rng)]
         n_disp = sum(1 for e in events if e is EventLabel.DISPOSITION)
         dim_labels = {
-            "Action": _quota_labels(spec.action_targets, n_disp, rng),
-            "Negation": _quota_labels(spec.negation_targets, n_disp, rng),
-            "Temporality": _quota_labels(spec.temporality_targets, n_disp, rng),
-            "Certainty": _quota_labels(spec.certainty_targets, n_disp, rng),
-            "Actor": _quota_labels(spec.actor_targets, n_disp, rng),
+            dim: _quota_labels(DIMENSION_TARGETS[dim], n_disp, rng) for dim in CONTEXT_DIMENSIONS
         }
 
         split_events = {e.value: 0 for e in EventLabel}

@@ -100,6 +100,12 @@ class TestClassifierArtifact:
             assert np.array_equal(loaded.tasks["Event"].model.params[k], tm.model.params[k])
         assert loaded.tasks["Event"].model.task_classes == {"Event": 3}
 
+    def test_multi_task_bundle_is_refused(self, tmp_path, tiny):
+        _, pipeline = tiny
+        with pytest.raises(TypeError):
+            save_artifact(pipeline.classifiers, tmp_path / "set")
+        assert not (tmp_path / "set").exists()
+
 
 @pytest.fixture(scope="module")
 def event_bundle(tiny_setup):

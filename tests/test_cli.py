@@ -113,6 +113,80 @@ def _predict_with_edited_manifest(tmp_path, model_dir, capsys, pattern, replacem
     return code, capsys.readouterr().err
 
 
+def _run(capsys, argv):
+    """Exit code and stderr of one command."""
+    capsys.readouterr()
+    code = run_command(argv)
+    return code, capsys.readouterr().err
+
+
+def _one_line(err, prefix, path):
+    return err.startswith(prefix) and err.count("\n") == 1 and str(path) in err
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is one clean error line naming the file."""
+
+    def test_note_is_data_error(self, tmp_path, ner_model_dir, capsys):
+        note = tmp_path / "note.txt"
+        note.write_bytes(b"started kelinib 10mg today.\xff")
+        code, err = _run(capsys, ["predict", "--model", str(ner_model_dir),
+                                  "--in", str(note), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert _one_line(err, "error: ", note) and "UTF-8" in err
+
+    def test_corpus_file_is_data_error(self, tmp_path, data_dir, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(data_dir, corpus)
+        txt = sorted((corpus / "dev").glob("*.txt"))[0]
+        txt.write_bytes(txt.read_bytes() + b"\xff")
+        code, err = _run(capsys, ["stats", "--data", str(corpus)])
+        assert code == 1
+        assert _one_line(err, "error: ", txt) and "UTF-8" in err
+
+    def test_config_file_is_usage_error(self, tmp_path, data_dir, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"layers=1\n# caf\xe9\n")
+        code, err = _run(capsys, ["train", "--task", "ner", "--data", str(data_dir),
+                                  "--out", str(tmp_path / "m"), "--config", str(cfg)])
+        assert code == 2
+        assert _one_line(err, "usage error: ", cfg) and "UTF-8" in err
+        assert not (tmp_path / "m").exists()
+
+    def test_manifest_is_corruption(self, tmp_path, ner_model_dir, capsys):
+        model = tmp_path / "ner"
+        shutil.copytree(ner_model_dir, model)
+        manifest = model / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes() + b"\xff")
+        note = tmp_path / "note.txt"
+        note.write_text("started kelinib 10mg today.", encoding="utf-8")
+        code, err = _run(capsys, ["predict", "--model", str(model), "--in", str(note),
+                                  "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert _one_line(err, "error: ", manifest) and "UTF-8" in err
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("line", ["learning_rate=nan", "clip_norm=inf"])
+    def test_non_finite_value_is_clean_error(self, tmp_path, data_dir, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, err = _run(capsys, ["train", "--task", "ner", "--data", str(data_dir),
+                                  "--out", str(tmp_path / "m"), "--config", str(cfg)])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert line.split("=")[0] in err and "finite" in err
+        assert not (tmp_path / "m").exists()
+
+    def test_synth_lexicon_size_outside_name_pool_is_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        code, err = _run(capsys, ["synth", "--out", str(out), "--lexicon-size", "0"])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lexicon_size" in err
+        assert not out.exists()
+
+
 class TestGoldenFlow:
     def test_synth_train_evaluate(self, tmp_path, data_dir, ner_model_dir, capsys):
         records = tmp_path / "metrics.jsonl"

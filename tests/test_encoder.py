@@ -317,6 +317,14 @@ class TestPredictBatch:
             loss_and_grads(model, batch, task="Nope")
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(**{field: value}).validate()
+
+
 class TestLoss:
     def test_confident_correct_predictions_near_zero_loss(self):
         model = init_model(TOY)

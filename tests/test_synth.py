@@ -1,22 +1,40 @@
 """Synthetic corpus generator: determinism, ledger fidelity, distributions."""
 
+import hashlib
+
 import pytest
 
-from rxtract.corpus import EventLabel, corpus_stats, load_corpus, write_corpus_dir
+from rxtract.corpus import (
+    CONTEXT_DIMENSIONS,
+    EventLabel,
+    corpus_stats,
+    load_corpus,
+    write_corpus_dir,
+    write_standoff,
+)
 from rxtract.errors import ConfigError
 from rxtract.preproc import spans_to_bio, split_sentences, tokenize
 from rxtract.synth import (
-    ACTION_CUES,
-    ACTOR_CUES,
-    CERTAINTY_CUES,
-    NEGATION_CUES,
-    TEMPORALITY_CUES,
+    CUES,
+    DIMENSION_TARGETS,
+    EVENT_TARGETS,
+    MAX_LEXICON_SIZE,
     GeneratorSpec,
     default_lexicon,
     gen_corpus,
 )
 
 SMALL = GeneratorSpec(seed=7, n_train=40, n_dev=10, n_test=10)
+NOISY = GeneratorSpec(seed=11, n_train=40, n_dev=10, n_test=10, difficulty="noisy",
+                      noise_rate=0.3, novel_form_rate=0.05)
+
+# sha256 of every document's id, text and standoff, recorded before the
+# dimension tables were keyed by name. A change to the generator's output or
+# to its random stream moves them; one that does so on purpose must say why.
+CORPUS_DIGESTS = {
+    "separable": "e0bc5e329ab59931ebf93e07f689caab3b878af1b31748eb7393c084a52e6c07",
+    "noisy": "5959011ec7bc2b0c522644acb9858bf3c6041225a34cf8272670bd292b48e081",
+}
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +56,31 @@ class TestDeterminism:
         assert [d.text for d in other.corpus.train] != [
             d.text for d in small_result.corpus.train
         ]
+
+
+@pytest.mark.parametrize("name, spec", [("separable", SMALL), ("noisy", NOISY)])
+def test_corpus_locked(name, spec):
+    lines = [
+        f"{doc.doc_id}\n{doc.text}\n{write_standoff(doc)}"
+        for _, docs in gen_corpus(spec).corpus.splits() for doc in docs
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CORPUS_DIGESTS[name]
+
+
+class TestTables:
+    def test_tables_match_dimension_schema(self):
+        assert list(DIMENSION_TARGETS) == list(CONTEXT_DIMENSIONS)
+        assert list(CUES) == list(CONTEXT_DIMENSIONS)
+        assert set(EVENT_TARGETS) == {e.value for e in EventLabel}
+        assert all(share > 0 for share in EVENT_TARGETS.values())
+        for dim, (enum_cls, _) in CONTEXT_DIMENSIONS.items():
+            values = {v.value for v in enum_cls}
+            assert set(DIMENSION_TARGETS[dim]) == values, dim
+            assert set(CUES[dim]) == values, dim
+            assert all(share > 0 for share in DIMENSION_TARGETS[dim].values()), dim
+        cues = [cue for table in CUES.values() for cue in table.values()]
+        assert len(set(cues)) == len(cues)
 
 
 class TestLedger:
@@ -76,13 +119,6 @@ class TestDistributions:
 
 class TestSeparability:
     def test_disposition_sentences_carry_their_cue_words(self, small_result):
-        cue_tables = {
-            "action": ACTION_CUES,
-            "negation": NEGATION_CUES,
-            "temporality": TEMPORALITY_CUES,
-            "certainty": CERTAINTY_CUES,
-            "actor": ACTOR_CUES,
-        }
         checked = 0
         for _, docs in small_result.corpus.splits():
             for doc in docs:
@@ -95,16 +131,15 @@ class TestSeparability:
                         if s.span.start <= m.span.start < s.span.end
                     )
                     words = {t.text for t in sent.tokens}
-                    for attr, table in cue_tables.items():
-                        cue = table[getattr(m.context, attr).value]
+                    for dim, (_, attr) in CONTEXT_DIMENSIONS.items():
+                        cue = CUES[dim][getattr(m.context, attr).value]
                         assert cue in words
                     checked += 1
         assert checked > 10
 
     def test_lexicon_disjoint_from_cues(self):
         cues = set()
-        for table in (ACTION_CUES, NEGATION_CUES, TEMPORALITY_CUES,
-                      CERTAINTY_CUES, ACTOR_CUES):
+        for table in CUES.values():
             cues.update(table.values())
         assert not (set(default_lexicon(200)) & cues)
 
@@ -124,6 +159,22 @@ class TestNoisyMode:
     def test_bad_difficulty_rejected(self):
         with pytest.raises(ConfigError):
             gen_corpus(GeneratorSpec(difficulty="hard"))
+
+    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
+    def test_noise_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ConfigError, match="noise_rate"):
+            GeneratorSpec(difficulty="noisy", noise_rate=rate).validate()
+
+
+class TestLexiconSize:
+    @pytest.mark.parametrize("size", [0, -3, MAX_LEXICON_SIZE + 1, 500])
+    def test_size_outside_name_pool_rejected(self, size):
+        with pytest.raises(ConfigError, match="lexicon_size"):
+            GeneratorSpec(lexicon_size=size).validate()
+
+    def test_full_name_pool_accepted(self):
+        GeneratorSpec(lexicon_size=MAX_LEXICON_SIZE).validate()
+        assert len(set(default_lexicon(MAX_LEXICON_SIZE))) == MAX_LEXICON_SIZE == 200
 
 
 class TestDiskLayout:
