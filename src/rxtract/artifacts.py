@@ -2,7 +2,8 @@
 
 An artifact is a directory holding `manifest.txt` (key=value lines: format
 version, configs, tensor name/shape index, checksum) and `params.bin` (the
-tensors' IEEE-754 bytes concatenated in manifest order); its `kind` is `ner`
+tensors' IEEE-754 bytes concatenated in manifest order, which is the
+model's one parameter buffer in wire dtype); its `kind` is `ner`
 or `classifier` (one task). A `pipeline` artifact is a directory of those,
 one per component, plus a manifest naming them.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -20,7 +22,7 @@ import numpy as np
 
 from .context import ClassifierBundle, TaskModel
 from .corpus import read_utf8
-from .encoder import EncoderConfig, EncoderModel, TrainConfig, param_shapes
+from .encoder import EncoderConfig, EncoderModel, FlatParams, TrainConfig, param_shapes
 from .errors import CompatibilityError, ConfigError, CorruptionError
 from .ner import NerModelBundle
 from .pipeline import PipelineBundle
@@ -92,12 +94,9 @@ def _write_model_dir(
             lines.append(f"piece_{i}={json.dumps(piece)}")
 
     wire_dtype = np.dtype("<f4" if model.config.precision == 32 else "<f8")
-    blob_parts = []
-    for idx, (name, tensor) in enumerate(model.params.items()):
-        shape = "x".join(str(d) for d in tensor.shape)
-        lines.append(f"tensor_{idx}={name} {shape}")
-        blob_parts.append(np.ascontiguousarray(tensor, dtype=wire_dtype).tobytes())
-    blob = b"".join(blob_parts)
+    for idx, (name, shape) in enumerate(model.params.layout):
+        lines.append(f"tensor_{idx}={name} {'x'.join(str(d) for d in shape)}")
+    blob = model.params.flat.astype(wire_dtype, copy=False).tobytes()
     lines.append(f"checksum={hashlib.sha256(blob).hexdigest()}")
 
     (path / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -178,6 +177,8 @@ def _read_model_dir(
             raise CorruptionError(
                 f"tensor {name}: manifest declares {got}, config implies {want}"
             )
+    if tensors != list(expected.items()):
+        raise CorruptionError("manifest lists the tensors out of order or twice")
 
     blob_path = path / BLOB
     if not blob_path.is_file():
@@ -187,21 +188,13 @@ def _read_model_dir(
         raise CorruptionError("parameter blob failed its checksum")
 
     dtype = np.dtype("<f4" if cfg.precision == 32 else "<f8")
-    params: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in tensors:
-        count = int(np.prod(shape))
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(blob):
-            raise CorruptionError("parameter blob shorter than manifest declares")
-        params[name] = (
-            np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-            .reshape(shape)
-            .astype(cfg.dtype, copy=True)
-        )
-        offset += nbytes
-    if offset != len(blob):
+    nbytes = sum(math.prod(shape) for _, shape in tensors) * dtype.itemsize
+    if len(blob) < nbytes:
+        raise CorruptionError("parameter blob shorter than manifest declares")
+    if len(blob) > nbytes:
         raise CorruptionError("parameter blob longer than manifest declares")
+    flat = np.frombuffer(blob, dtype=dtype).astype(cfg.dtype)
+    params = FlatParams(flat, tensors)
 
     model = EncoderModel(config=cfg, params=params, task_classes=task_classes)
     return model, vocab, train_cfg, history

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import artifacts, context, evaluation, ner, pipeline, synth
-from .corpus import (corpus_stats, format_stats, load_corpus, normalize_newlines, read_utf8,
-                     write_corpus_dir)
+from .corpus import (SPLIT_NAMES, corpus_stats, format_stats, load_corpus, normalize_newlines,
+                     read_utf8, write_corpus_dir)
 from .encoder import EncoderConfig, TrainConfig, grad_check, init_model, toy_examples
 from .errors import RxtractError
 from .evaluation import MetricsReport, render_report, report_records
@@ -30,6 +30,7 @@ class UsageError(Exception):
 
 
 TASK_NAMES = {name.lower(): name for name in context.TASKS}
+LEDGER = "ledger.jsonl"  # synth's record of every generated mention
 
 # vocab_size is not a setting: training takes it from the built vocabulary.
 _ENC_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(EncoderConfig)
@@ -151,6 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
+    out = Path(args.out)
+    # Writing over an earlier corpus would leave its documents beside the new ledger.
+    held = [name for name in (*SPLIT_NAMES, LEDGER) if (out / name).exists()]
+    if held:
+        raise UsageError(f"--out {out} already holds {', '.join(held)}; "
+                         "choose a new or empty directory")
     spec = synth.GeneratorSpec(
         seed=args.seed,
         n_train=args.train,
@@ -161,9 +168,8 @@ def cmd_synth(args) -> int:
         noise_rate=args.noise_rate,
     )
     result = synth.gen_corpus(spec)
-    out = Path(args.out)
     write_corpus_dir(result.corpus, out)
-    with (out / "ledger.jsonl").open("w", encoding="utf-8") as fh:
+    with (out / LEDGER).open("w", encoding="utf-8") as fh:
         for entry in result.ledger:
             record = {
                 "doc_id": entry.doc_id,

@@ -89,7 +89,10 @@ NOVEL_MODIFIERS = ("retard", "sr", "hfa")
 
 
 def default_lexicon(size: int) -> tuple[str, ...]:
-    """Fictional drug names; roughly a third get a second word."""
+    """The first `size` fictional drug names; roughly a third get a second
+    word. `size` must lie in [1, MAX_LEXICON_SIZE]."""
+    if not (1 <= size <= MAX_LEXICON_SIZE):
+        raise ConfigError(f"lexicon_size must lie in [1, {MAX_LEXICON_SIZE}], got {size}")
     names = []
     i = 0
     for suf in _NAME_SUFFIXES:
@@ -132,9 +135,7 @@ class GeneratorSpec:
             raise ConfigError("novel_form_rate must lie in [0, 1]")
         if not (1 <= self.min_sentences <= self.max_sentences):
             raise ConfigError("bad sentence count range")
-        if not (1 <= self.lexicon_size <= MAX_LEXICON_SIZE):
-            raise ConfigError(f"lexicon_size must lie in [1, {MAX_LEXICON_SIZE}]")
-        lexicon = set(default_lexicon(self.lexicon_size))
+        lexicon = set(default_lexicon(self.lexicon_size))  # checks lexicon_size
         if any(lexicon & set(table.values()) for table in CUES.values()):
             raise ConfigError("drug lexicon overlaps cue phrases")
 

@@ -137,10 +137,11 @@ class TestMalformedManifest:
             (r"^config\.hidden_dim=.*$", "config.hidden_dim=32"),
             (r"^config\.max_len=.*$", "config.max_len=4"),
             (r"^config\.vocab_size=.*$", "config.vocab_size=7"),
+            (r"^tensor_0=(.*)\ntensor_1=(.*)$", r"tensor_0=\2\ntensor_1=\1"),
         ],
         ids=["tensor_shape", "config_value", "vocab_size", "missing_config_key",
              "heads_not_dividing_hidden", "hidden_dim_vs_tensors", "max_len_below_floor",
-             "config_vocab_size_vs_vocab"],
+             "config_vocab_size_vs_vocab", "tensors_reordered"],
     )
     def test_parse_failure_is_corruption(self, tmp_path, event_bundle, pattern, replacement):
         save_artifact(event_bundle, tmp_path / "ev")

@@ -187,6 +187,26 @@ class TestConfigValues:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("held", ["train", "ledger.jsonl"])
+    def test_synth_into_earlier_output_is_usage_error(self, tmp_path, capsys, held):
+        out = tmp_path / "c"
+        assert run_command(["synth", "--seed", "1", "--out", str(out),
+                            "--train", "4", "--dev", "1", "--test", "1"]) == 0
+        keep = out / held
+        if keep.is_dir():
+            (out / "ledger.jsonl").unlink()
+        else:
+            for split in ("train", "dev", "test"):
+                shutil.rmtree(out / split)
+        before = sorted(p.relative_to(out) for p in out.rglob("*"))
+        code, err = _run(capsys, ["synth", "--seed", "2", "--out", str(out),
+                                  "--train", "2", "--dev", "1", "--test", "1"])
+        assert code == 2
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert held in err
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+
+
 class TestGoldenFlow:
     def test_synth_train_evaluate(self, tmp_path, data_dir, ner_model_dir, capsys):
         records = tmp_path / "metrics.jsonl"

@@ -1,31 +1,38 @@
 """Encoder forward/backward, heads, loss, optimizer, and gradient checks."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rxtract.artifacts import load_artifact, save_artifact
 from rxtract.encoder import (
     INFERENCE_BATCH,
     EncoderConfig,
+    FlatParams,
     OptimizerState,
     TrainConfig,
     _forward_batch,
     _gelu,
     _gelu_grad,
     _head,
+    fit,
     forward_batch,
     grad_check,
     init_model,
     loss_and_grads,
     optimizer_step,
     pack_batch,
+    param_shapes,
     parameter_count,
     predict_batch,
     toy_examples,
 )
 from rxtract.errors import ConfigError, NumericError, SequenceLengthError
-from rxtract.preproc import PAD_ID, BioTag, LabeledSequence
+from rxtract.ner import NerModelBundle
+from rxtract.preproc import PAD_ID, BioTag, LabeledSequence, build_vocab
 
 TOY = EncoderConfig(
     layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=32,
@@ -372,7 +379,7 @@ class TestOptimizer:
     def test_zero_gradients_leave_parameters_unchanged(self):
         model = init_model(TOY)
         before = model.copy_params()
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        grads = model.params.zeros_like()
         optimizer_step(OptimizerState.for_model(model), model, grads, TrainConfig())
         for k in before:
             assert np.array_equal(before[k], model.params[k])
@@ -380,7 +387,7 @@ class TestOptimizer:
     def test_first_step_is_signed_learning_rate(self):
         model = init_model(TOY)
         tc = TrainConfig(learning_rate=0.01, clip_norm=100.0)
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+        grads = model.params.zeros_like()
         grads["token_head.b"][0] = 0.5
         before = float(model.params["token_head.b"][0])
         optimizer_step(OptimizerState.for_model(model), model, grads, tc)
@@ -392,13 +399,101 @@ class TestOptimizer:
         tc = TrainConfig(learning_rate=0.05, clip_norm=1.0)
         model_a = init_model(TOY)
         model_b = init_model(TOY)
-        grads_a = {k: np.zeros_like(v) for k, v in model_a.params.items()}
+        grads_a = model_a.params.zeros_like()
         grads_a["token_head.b"][2] = 10.0  # global norm 10, clip 1
-        grads_b = {k: g.copy() / 10.0 for k, g in grads_a.items()}
+        grads_b = grads_a.copy()
+        grads_b.flat /= 10.0
         optimizer_step(OptimizerState.for_model(model_a), model_a, grads_a, tc)
         optimizer_step(OptimizerState.for_model(model_b), model_b, grads_b, tc)
         for k in model_a.params:
             assert np.array_equal(model_a.params[k], model_b.params[k])
+
+
+def _assert_one_buffer(model):
+    """Every parameter is a view of one contiguous buffer, in layout order."""
+    flat = model.params.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous and flat.dtype == model.config.dtype
+    shapes = param_shapes(model.config, model.task_classes)
+    assert list(model.params) == list(shapes)
+    start = flat.__array_interface__["data"][0]
+    offset = 0
+    for name, shape in shapes.items():
+        view = model.params[name]
+        assert view.shape == shape
+        assert view.__array_interface__["data"][0] == start + offset * flat.itemsize
+        offset += view.size
+    assert offset == flat.size
+
+
+class TestFlatLayout:
+    def test_init_model(self):
+        _assert_one_buffer(init_model(TOY, {"Event": 3, "Actor": 5}))
+
+    def test_load_artifact(self, tmp_path):
+        vocab = build_vocab(["patient started velamab 5mg daily"], 64)
+        model = init_model(replace(TOY, vocab_size=len(vocab), precision=32))
+        save_artifact(NerModelBundle(model, vocab, TrainConfig(), []), tmp_path / "m")
+        loaded = load_artifact(tmp_path / "m").model
+        _assert_one_buffer(loaded)
+        assert np.array_equal(loaded.params.flat, model.params.flat)
+
+    def test_fit(self):
+        model = init_model(TOY, {"Event": 3})
+        examples = toy_examples("sequence", TOY.vocab_size, n=6, length=12, seed=3)
+        scores = iter([0.5, 0.1])  # restores the first epoch's parameters
+        fit(model, examples, TrainConfig(max_epochs=2, patience=2), lambda m: next(scores),
+            task="Event")
+        _assert_one_buffer(model)
+
+    def test_copy_params_is_independent(self):
+        model = init_model(TOY)
+        copy = model.copy_params()
+        assert not np.shares_memory(copy.flat, model.params.flat)
+        copy["tok_emb"][0, 0] = 5.0
+        model.params["token_head.b"][0] = 7.0
+        assert model.params["tok_emb"][0, 0] != 5.0
+        assert copy["token_head.b"][0] == 0.0
+
+    def test_key_cannot_be_rebound(self):
+        model = init_model(TOY)
+        with pytest.raises(TypeError):
+            model.params["token_head.b"] = np.ones(3)
+        model.params["token_head.b"] += 1.0  # in place, through the view
+        assert model.params.flat[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "make_grads",
+        [
+            lambda p: {k: np.ones_like(v) for k, v in p.items()},
+            lambda p: FlatParams(np.ones_like(p.flat), tuple(reversed(p.layout))),
+            lambda p: init_model(TOY, {"Event": 3, "Actor": 3}).params,
+        ],
+        ids=["dict", "reordered", "other_model"],
+    )
+    def test_gradients_in_another_layout_are_refused(self, make_grads):
+        model = init_model(TOY, {"Event": 3})
+        grads = make_grads(model.params)
+        before = model.params.flat.copy()
+        state = OptimizerState.for_model(model)
+        with pytest.raises(ConfigError, match="laid out"):
+            optimizer_step(state, model, grads, TrainConfig())
+        assert np.array_equal(model.params.flat, before)
+        assert state.step == 0 and not state.m.flat.any()
+
+
+class TestFitLog:
+    @pytest.mark.parametrize("clip_norm, clipped", [(1e-6, 3), (1e6, 0)])
+    def test_epoch_line_reports_gradient_norm_and_clipping(self, clip_norm, clipped):
+        model = init_model(TOY)
+        examples = toy_examples("token", TOY.vocab_size, n=6, length=12, seed=3)
+        lines = []
+        tc = TrainConfig(batch_size=2, max_epochs=1, clip_norm=clip_norm)
+        fit(model, examples, tc, lambda m: 0.0, log=lines.append)
+        (line,) = lines
+        match = re.fullmatch(r"epoch 1: loss \S+ dev 0\.0000 grad_norm_max (\S+) clipped (\d+)/3",
+                             line)
+        assert match, line
+        assert float(match[1]) > 0 and int(match[2]) == clipped
 
 
 class TestGradCheck:

@@ -171,6 +171,8 @@ class TestLexiconSize:
     def test_size_outside_name_pool_rejected(self, size):
         with pytest.raises(ConfigError, match="lexicon_size"):
             GeneratorSpec(lexicon_size=size).validate()
+        with pytest.raises(ConfigError, match="lexicon_size"):
+            default_lexicon(size)
 
     def test_full_name_pool_accepted(self):
         GeneratorSpec(lexicon_size=MAX_LEXICON_SIZE).validate()
