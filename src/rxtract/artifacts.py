@@ -1,11 +1,15 @@
 """Model persistence: a text manifest plus one little-endian binary blob.
 
 An artifact is a directory holding `manifest.txt` (key=value lines: format
-version, configs, tensor name/shape index, checksum) and `params.bin` (the
-tensors' IEEE-754 bytes concatenated in manifest order, which is the
-model's one parameter buffer in wire dtype); its `kind` is `ner`
+version, configs, vocabulary, tensor name/shape index, checksum) and
+`params.bin` (the tensors' IEEE-754 bytes concatenated in manifest order,
+which is the model's one parameter buffer in wire dtype); its `kind` is `ner`
 or `classifier` (one task). A `pipeline` artifact is a directory of those,
 one per component, plus a manifest naming them.
+
+The vocabulary size is recorded once, as `vocab_size`; the tensor shapes
+are checked against it. Keys the reader does not use are ignored, so a
+manifest that still carries a `config.vocab_size` line loads unchanged.
 """
 
 from __future__ import annotations
@@ -152,10 +156,6 @@ def _read_model_dir(
     vocab = Vocabulary.from_pieces(pieces)
     if vocab.pieces[:NUM_SPECIALS] != SPECIAL_PIECES:
         raise CorruptionError("special pieces corrupted")
-    if cfg.vocab_size != len(vocab):
-        raise CorruptionError(
-            f"config.vocab_size {cfg.vocab_size} disagrees with the {len(vocab)}-piece vocabulary"
-        )
 
     tensors: list[tuple[str, tuple[int, ...]]] = []
     for key, spec in ordered:
@@ -167,7 +167,7 @@ def _read_model_dir(
                     raise ValueError(shape)
             tensors.append((name, shape))
     try:
-        expected = param_shapes(cfg, task_classes)
+        expected = param_shapes(cfg, len(vocab), task_classes)
     except ConfigError as exc:
         raise CorruptionError(f"manifest config is invalid: {exc}") from None
     declared = dict(tensors)

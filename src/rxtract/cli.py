@@ -32,9 +32,7 @@ class UsageError(Exception):
 TASK_NAMES = {name.lower(): name for name in context.TASKS}
 LEDGER = "ledger.jsonl"  # synth's record of every generated mention
 
-# vocab_size is not a setting: training takes it from the built vocabulary.
-_ENC_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(EncoderConfig)
-               if f.name != "vocab_size"}
+_ENC_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(EncoderConfig)}
 _TRAIN_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
 CONFIG_KEYS = {**_ENC_FIELDS, **_TRAIN_FIELDS, "vocab_target_size": int}  # key -> type
 
@@ -311,12 +309,13 @@ def cmd_evaluate(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = EncoderConfig(
         layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=32,
-        vocab_size=64, dropout_rate=0.0, seed=args.seed, precision=64,
+        dropout_rate=0.0, seed=args.seed, precision=64,
     )
+    vocab_size = 64
     ok = True
     for kind, task in (("token", None), ("sequence", "Event")):
-        model = init_model(cfg, {"Event": 3} if task else {})
-        batch = toy_examples(kind, cfg.vocab_size, n=4, length=16, seed=args.seed)
+        model = init_model(cfg, vocab_size, {"Event": 3} if task else {})
+        batch = toy_examples(kind, vocab_size, n=4, length=16, seed=args.seed)
         report = grad_check(model, batch, task=task, seed=args.seed)
         _log(
             f"{kind}: max relative error {report.max_rel_error:.3e} over "

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 from .corpus import (
     CONTEXT_DIMENSIONS,
@@ -28,7 +28,7 @@ from .encoder import (
     init_model,
     predict_batch,
 )
-from .errors import ConfigError, SpanRangeError
+from .errors import ConfigError, DataError, SpanRangeError
 from .preproc import (
     CLS_ID,
     DEFAULT_MAX_LEN,
@@ -72,7 +72,10 @@ def build_classification_example(
 
     When the sentence is too long, whole words farthest from the mention are
     dropped (a window centered on the mention); the specials and every
-    mention piece are always kept.
+    mention piece are always kept. The window grows one word at a time on
+    the side whose next word is nearer the mention, the left side on a tie.
+    A side stops at the first word that does not fit in what is left of
+    the budget; the other side keeps growing.
     """
     if not sent.span.contains(mention):
         raise SpanRangeError(f"mention {mention} outside sentence {sent.span}")
@@ -97,22 +100,15 @@ def build_classification_example(
         budget = 0
 
     lo, hi = a, b
-    while True:
-        can_left = lo > 0
-        can_right = hi < len(tokens) - 1
-        if not can_left and not can_right:
-            break
-        if can_left and (not can_right or a - (lo - 1) <= (hi + 1) - b):
-            side, w = "left", lo - 1
-        else:
-            side, w = "right", hi + 1
-        if len(pieces[w]) > budget:
-            break
+    first, last = 0, len(tokens) - 1  # the farthest words each side may still take
+    while lo > first or hi < last:
+        left = lo > first and (hi == last or a - (lo - 1) <= (hi + 1) - b)
+        w = lo - 1 if left else hi + 1
+        if len(pieces[w]) > budget:  # the budget only shrinks: this side is done
+            first, last = (lo, last) if left else (first, hi)
+            continue
         budget -= len(pieces[w])
-        if side == "left":
-            lo = w
-        else:
-            hi = w
+        lo, hi = (w, hi) if left else (lo, w)
 
     ids = [CLS_ID]
     word_index = [NO_WORD]
@@ -164,28 +160,35 @@ class ClassifierBundle:
 
 
 def mention_examples(
-    doc_id: str,
-    sentences: Sequence[Sentence],
-    spans: Sequence[CharSpan],
+    docs: Sequence[AnnotatedDocument],
+    sentences: Iterable[Sequence[Sentence]],
+    spans: Iterable[Sequence[CharSpan]],
     vocab: Vocabulary,
     max_len: int = DEFAULT_MAX_LEN,
-) -> list[Optional[LabeledSequence]]:
-    """The marker example of each mention, built in the sentence holding it.
+) -> tuple[list[tuple[int, int]], list[LabeledSequence]]:
+    """The marker example of every mention, built in the sentence holding it.
 
-    A mention not contained in one sentence gets None and a warning: no
+    `sentences` and `spans` give each document's split sentences and its
+    mention spans, in `docs` order. Returns the examples in document then
+    mention order, each with its (document index, mention index) key. A
+    mention not contained in one sentence is skipped with a warning: no
     classifier can see it.
     """
-    starts = [sent.span.start for sent in sentences]
-    out: list[Optional[LabeledSequence]] = []
-    for span in spans:
-        i = bisect_right(starts, span.start) - 1
-        if i >= 0 and sentences[i].span.contains(span):
-            out.append(build_classification_example(sentences[i], span, vocab, max_len, doc_id))
-        else:
-            warnings.warn(f"{doc_id}: mention {span} not contained in a sentence; "
-                          "skipped for classification")
-            out.append(None)
-    return out
+    keys: list[tuple[int, int]] = []
+    seqs: list[LabeledSequence] = []
+    for d, (doc, sents, doc_spans) in enumerate(zip(docs, sentences, spans)):
+        starts = [sent.span.start for sent in sents]
+        for j, span in enumerate(doc_spans):
+            i = bisect_right(starts, span.start) - 1
+            if i >= 0 and sents[i].span.contains(span):
+                keys.append((d, j))
+                seqs.append(
+                    build_classification_example(sents[i], span, vocab, max_len, doc.doc_id)
+                )
+            else:
+                warnings.warn(f"{doc.doc_id}: mention {span} not contained in a sentence; "
+                              "skipped for classification")
+    return keys, seqs
 
 
 def collect_task_examples(
@@ -199,22 +202,20 @@ def collect_task_examples(
     The Event task covers every gold mention; dimension tasks cover only
     gold Disposition mentions.
     """
-    examples: list[LabeledSequence] = []
     attr = None if task.name == "Event" else CONTEXT_DIMENSIONS[task.name][1]
-    for doc in docs:
-        mentions = [
-            m for m in doc.mentions
-            if task.name == "Event" or m.event is EventLabel.DISPOSITION
-        ]
-        seqs = mention_examples(
-            doc.doc_id, split_text(doc.text), [m.span for m in mentions], vocab, max_len
-        )
-        for m, seq in zip(mentions, seqs):
-            if seq is not None:
-                gold = m.event if attr is None else getattr(m.context, attr)
-                seq.label = task.classes.index(gold.value)
-                examples.append(seq)
-    return examples
+    mentions = [
+        [m for m in doc.mentions if attr is None or m.event is EventLabel.DISPOSITION]
+        for doc in docs
+    ]
+    keys, seqs = mention_examples(
+        docs, (split_text(doc.text) for doc in docs),
+        ([m.span for m in ms] for ms in mentions), vocab, max_len,
+    )
+    for (d, j), seq in zip(keys, seqs):
+        m = mentions[d][j]
+        gold = m.event if attr is None else getattr(m.context, attr)
+        seq.label = task.classes.index(gold.value)
+    return seqs
 
 
 def classify_batch(
@@ -270,12 +271,13 @@ def train_task(
     With fewer than two observed classes in training data a constant
     classifier is produced (with a warning) instead of training.
     """
-    enc_cfg = replace(enc_cfg, vocab_size=len(vocab))
+    if not corpus.train or not corpus.dev:
+        raise DataError("train and dev splits must be non-empty")
     train_examples = collect_task_examples(corpus.train, task, vocab, enc_cfg.max_len)
     dev_examples = collect_task_examples(corpus.dev, task, vocab, enc_cfg.max_len)
 
     observed = sorted({s.label for s in train_examples})
-    model = init_model(enc_cfg, {task.name: len(task.classes)})
+    model = init_model(enc_cfg, len(vocab), {task.name: len(task.classes)})
     if len(observed) < 2:
         warnings.warn(
             f"task {task.name}: fewer than two classes observed in training "

@@ -23,6 +23,7 @@ from .errors import (
     DuplicateDocIdError,
     IntegrityError,
     MissingPairError,
+    RxtractError,
     SchemaError,
     SpanRangeError,
     StandoffParseError,
@@ -270,7 +271,9 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> AnnotatedDocumen
     # Resolve references now that all lines are read (order-independent).
     for eid, target in event_ids.items():
         if target not in spans:
-            raise StandoffParseError(0, f"event {eid} references unknown mention {target}")
+            raise StandoffParseError(
+                events[target][1], f"event {eid} references unknown mention {target}"
+            )
     for tid in spans:
         if tid not in events:
             raise SchemaError(f"mention {tid} has no event annotation")
@@ -351,7 +354,11 @@ def read_utf8(path: Path, error: type[Exception] = DataError) -> str:
 
 
 def load_corpus(root: str | Path) -> Corpus:
-    """Load train/dev/test splits of paired .txt/.ann files from a directory."""
+    """Load train/dev/test splits of paired .txt/.ann files from a directory.
+
+    An error in an annotation file keeps its type and is prefixed with the
+    `.ann` path.
+    """
     root = Path(root)
     corpus = Corpus()
     seen: set[str] = set()
@@ -370,11 +377,15 @@ def load_corpus(root: str | Path) -> Corpus:
                 raise MissingPairError(f"{txt_path} has no .ann file")
             doc_id = txt_path.stem
             if doc_id in seen:
-                raise DuplicateDocIdError(f"duplicate doc_id {doc_id!r}")
+                raise DuplicateDocIdError(f"{ann_path}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
             text = read_utf8(txt_path)
             ann = read_utf8(ann_path)
-            docs.append(parse_standoff(text, ann, doc_id=doc_id))
+            try:
+                docs.append(parse_standoff(text, ann, doc_id=doc_id))
+            except RxtractError as exc:
+                exc.args = (f"{ann_path}: {exc}",)  # same type, now naming the file
+                raise
     return corpus
 
 

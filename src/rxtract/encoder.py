@@ -48,7 +48,6 @@ class EncoderConfig:
     heads: int = 4
     ffn_dim: int = 256
     max_len: int = DEFAULT_MAX_LEN
-    vocab_size: int = 4096
     dropout_rate: float = 0.1
     seed: int = 0
     precision: int = 32  # 32 or 64
@@ -64,8 +63,6 @@ class EncoderConfig:
             raise ConfigError("max_len must be at least 8")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if self.vocab_size < 1:
-            raise ConfigError("vocab_size must be positive")
         if self.precision not in (32, 64):
             raise ConfigError("precision must be 32 or 64")
 
@@ -121,15 +118,12 @@ class FlatParams(Mapping[str, np.ndarray]):
 @dataclass
 class EncoderModel:
     """Parameters plus configuration; `task_classes` maps each
-    sequence-classification head to its class count."""
+    sequence-classification head to its class count. The vocabulary size
+    is the row count of `params["tok_emb"]`."""
 
     config: EncoderConfig
     params: FlatParams
     task_classes: dict[str, int] = field(default_factory=dict)
-
-    def copy_params(self) -> FlatParams:
-        """The parameters in a new buffer that shares no memory with the model."""
-        return self.params.copy()
 
 
 @dataclass(frozen=True)
@@ -156,10 +150,13 @@ class TrainConfig:
             raise ConfigError("clip_norm must be positive")
 
 
-def _param_layout(cfg: EncoderConfig, n_classes: Mapping[str, int]):
+def _param_layout(cfg: EncoderConfig, vocab_size: int, n_classes: Mapping[str, int]):
     """Name, shape and initial fill of every parameter, in creation order."""
+    cfg.validate()
+    if vocab_size < 1:
+        raise ConfigError("vocab_size must be positive")
     h, f = cfg.hidden_dim, cfg.ffn_dim
-    layout = [("tok_emb", (cfg.vocab_size, h), "uniform"),
+    layout = [("tok_emb", (vocab_size, h), "uniform"),
               ("pos_emb", (cfg.max_len, h), "uniform")]
     for i in range(cfg.layers):
         p = f"layer{i}"
@@ -186,20 +183,22 @@ def _param_layout(cfg: EncoderConfig, n_classes: Mapping[str, int]):
 
 
 def param_shapes(
-    cfg: EncoderConfig, n_classes: Mapping[str, int] | None = None
+    cfg: EncoderConfig, vocab_size: int, n_classes: Mapping[str, int] | None = None
 ) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter `init_model(cfg, n_classes)` creates."""
-    cfg.validate()
-    return {name: shape for name, shape, _ in _param_layout(cfg, dict(n_classes or {}))}
+    """The shape of every parameter `init_model(cfg, vocab_size, n_classes)`
+    creates."""
+    layout = _param_layout(cfg, vocab_size, dict(n_classes or {}))
+    return {name: shape for name, shape, _ in layout}
 
 
-def init_model(cfg: EncoderConfig, n_classes: Mapping[str, int] | None = None) -> EncoderModel:
-    """Build a model with seeded uniform(-0.02, 0.02) weights, zero biases,
-    and unit layer-norm gains."""
-    cfg.validate()
+def init_model(
+    cfg: EncoderConfig, vocab_size: int, n_classes: Mapping[str, int] | None = None
+) -> EncoderModel:
+    """Build a model over a `vocab_size`-piece vocabulary with seeded
+    uniform(-0.02, 0.02) weights, zero biases, and unit layer-norm gains."""
     n_classes = dict(n_classes or {})
     rng = np.random.default_rng(cfg.seed)
-    layout = _param_layout(cfg, n_classes)
+    layout = _param_layout(cfg, vocab_size, n_classes)
     params = FlatParams.zeros([(name, shape) for name, shape, _ in layout], cfg.dtype)
     for name, shape, fill in layout:
         if fill == "uniform":
@@ -207,10 +206,6 @@ def init_model(cfg: EncoderConfig, n_classes: Mapping[str, int] | None = None) -
         elif fill == "ones":
             params[name][...] = 1.0
     return EncoderModel(config=cfg, params=params, task_classes=n_classes)
-
-
-def parameter_count(model: EncoderModel) -> int:
-    return model.params.flat.size
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +314,13 @@ def pack_batch(seqs: Sequence[LabeledSequence], model: EncoderModel) -> Packed:
                   [s.origin for s in seqs])
 
 
-def _forward_batch(model, ids, mask, train=False, rng=None):
+def _forward_batch(model, ids, mask, rng=None):
     """Run the encoder stack; returns final hidden states plus the
-    intermediate cache the backward pass consumes."""
+    intermediate cache the backward pass consumes.
+
+    Dropout runs at the model's rate exactly when `rng` is given; at rate 0
+    nothing is drawn from it.
+    """
     cfg = model.config
     p = model.params
     dt = cfg.dtype
@@ -332,9 +331,7 @@ def _forward_batch(model, ids, mask, train=False, rng=None):
     nh = cfg.heads
     dk = h // nh
     scale = dt.type(1.0 / math.sqrt(dk))
-    rate = cfg.dropout_rate if train else 0.0
-    if rate > 0 and rng is None:
-        raise ConfigError("training-mode forward needs an rng for dropout")
+    rate = cfg.dropout_rate if rng is not None else 0.0
 
     # Activations are (B*L, H) rows, so each weight product is one GEMM.
     x = (p["tok_emb"][ids] + p["pos_emb"][:length]).reshape(b * length, h)
@@ -477,7 +474,7 @@ def forward_batch(
 ) -> tuple[np.ndarray, Packed]:
     """Inference-mode hidden states for a batch, with the packing used."""
     packed = pack_batch(seqs, model)
-    hidden, _ = _forward_batch(model, packed.ids, packed.mask, train=False)
+    hidden, _ = _forward_batch(model, packed.ids, packed.mask)
     return hidden, packed
 
 
@@ -527,22 +524,21 @@ def loss_and_grads(
     model: EncoderModel,
     batch: Sequence[LabeledSequence],
     task: Optional[str] = None,
-    train: bool = False,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, FlatParams]:
     """Mean cross-entropy and gradients for every parameter.
 
     With no task, the token head's loss averages over real non-special
     positions; with a task, its sequence head's loss averages over
-    examples. Deterministic whenever dropout is off.
+    examples. Dropout draws from `rng` when one is given; without one the
+    result is deterministic.
     """
-    return _loss_grads_packed(model, pack_batch(batch, model), task, train, rng,
-                              want_grads=True)
+    return _loss_grads_packed(model, pack_batch(batch, model), task, rng, want_grads=True)
 
 
-def _loss_grads_packed(model, packed, task, train, rng, want_grads):
+def _loss_grads_packed(model, packed, task, rng, want_grads):
     cfg = model.config
-    hidden, cache = _forward_batch(model, packed.ids, packed.mask, train=train, rng=rng)
+    hidden, cache = _forward_batch(model, packed.ids, packed.mask, rng)
     logits, feat = _head(model, hidden, packed, task)
     logp = _log_softmax(logits)
     target = packed.tags if task is None else packed.labels
@@ -684,7 +680,7 @@ def grad_check(
     if model.config.precision != 64:
         raise ConfigError("grad_check requires a 64-bit model")
     packed = pack_batch(batch, model)
-    _, analytic = _loss_grads_packed(model, packed, task, False, None, want_grads=True)
+    _, analytic = _loss_grads_packed(model, packed, task, None, want_grads=True)
 
     names = sorted(model.params)
     sizes = np.array([model.params[n].size for n in names])
@@ -704,9 +700,9 @@ def grad_check(
         idx = np.unravel_index(offset, param.shape)
         orig = param[idx]
         param[idx] = orig + step
-        up, _ = _loss_grads_packed(model, packed, task, False, None, False)
+        up, _ = _loss_grads_packed(model, packed, task, None, False)
         param[idx] = orig - step
-        down, _ = _loss_grads_packed(model, packed, task, False, None, False)
+        down, _ = _loss_grads_packed(model, packed, task, None, False)
         param[idx] = orig
         numeric = (up - down) / (2.0 * step)
         a = float(analytic[name][idx])
@@ -797,9 +793,10 @@ def fit(
     After each epoch `eval_fn` scores the model (higher is better); the
     best-scoring parameters are restored at the end. Stops when the score
     has not improved for `patience` consecutive epochs. `task` picks the
-    head trained, as in `loss_and_grads`. Each epoch's `log` line gives
-    the mean loss, the dev score, the largest global gradient norm and
-    how many of the epoch's steps were clipped.
+    head trained, as in `loss_and_grads`. One rng seeded with `tc.seed`
+    draws each epoch's order and the dropout masks. Each epoch's `log`
+    line gives the mean loss, the dev score, the largest global gradient
+    norm and how many of the epoch's steps were clipped.
     """
     tc.validate()
     if not examples:
@@ -820,8 +817,7 @@ def fit(
         clipped = 0
         for start in range(0, len(order), tc.batch_size):
             batch = [examples[i] for i in order[start : start + tc.batch_size]]
-            loss, grads = loss_and_grads(model, batch, task,
-                                         train=model.config.dropout_rate > 0, rng=rng)
+            loss, grads = loss_and_grads(model, batch, task, rng)
             norm = optimizer_step(state, model, grads, tc)
             epoch_loss += loss
             n_batches += 1

@@ -4,7 +4,7 @@ span prediction."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .corpus import AnnotatedDocument, CharSpan, Corpus
@@ -104,8 +104,7 @@ def train_ner(
     micro-F1 on the dev split."""
     if not corpus.train or not corpus.dev:
         raise DataError("train and dev splits must be non-empty")
-    enc_cfg = replace(enc_cfg, vocab_size=len(vocab))
-    model = init_model(enc_cfg)
+    model = init_model(enc_cfg, len(vocab))
     examples = build_ner_examples(corpus.train, vocab, enc_cfg.max_len)
 
     dev_ids = [doc.doc_id for doc in corpus.dev]

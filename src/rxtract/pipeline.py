@@ -22,7 +22,6 @@ from .context import (
 from .corpus import (
     CONTEXT_DIMENSIONS,
     AnnotatedDocument,
-    CharSpan,
     ContextAttributes,
     EventLabel,
     MedicationMention,
@@ -31,7 +30,7 @@ from .corpus import (
 from .errors import ConfigError
 from .evaluation import MentionKey
 from .ner import NerModelBundle, predict_ner_batch
-from .preproc import LabeledSequence, Sentence, split_text
+from .preproc import split_text
 
 
 @dataclass
@@ -49,37 +48,20 @@ class PipelineBundle:
                 raise ConfigError(f"pipeline is missing the {name} classifier")
 
 
-def _examples(
-    bundle: ClassifierBundle,
-    docs: Sequence[AnnotatedDocument],
-    sentences: Sequence[Sequence[Sentence]],
-    spans: Sequence[Sequence[CharSpan]],
-) -> tuple[list[tuple[int, CharSpan]], list[LabeledSequence]]:
-    """Stage 3: the marker example of every mention a classifier can see,
-    with its (document index, span) key."""
-    max_len = bundle.max_len
-    keys, seqs = [], []
-    for d, (doc, sents, doc_spans) in enumerate(zip(docs, sentences, spans)):
-        built = mention_examples(doc.doc_id, sents, doc_spans, bundle.vocab, max_len)
-        for span, seq in zip(doc_spans, built):
-            if seq is not None:
-                keys.append((d, span))
-                seqs.append(seq)
-    return keys, seqs
-
-
 def _run_staged(
     p: PipelineBundle, docs: Sequence[AnnotatedDocument]
 ) -> list[AnnotatedDocument]:
     docs = [AnnotatedDocument(d.doc_id, normalize_newlines(d.text)) for d in docs]
     sentences = [split_text(d.text) for d in docs]
     spans = predict_ner_batch(p.ner.model, p.ner.vocab, sentences)
-    keys, seqs = _examples(p.classifiers, docs, sentences, spans)
-    events = predict_events(p.classifiers, seqs)
+    cb = p.classifiers
+    keys, seqs = mention_examples(docs, sentences, spans, cb.vocab, cb.max_len)
+    events = predict_events(cb, seqs)
     disposition = [k for k, e in enumerate(events) if e is EventLabel.DISPOSITION]
-    contexts = predict_contexts(p.classifiers, [seqs[k] for k in disposition])
+    contexts = predict_contexts(cb, [seqs[k] for k in disposition])
     context_of = dict(zip(disposition, contexts))
-    for k, ((d, span), event) in enumerate(zip(keys, events)):
+    for k, ((d, j), event) in enumerate(zip(keys, events)):
+        span = spans[d][j]
         surface = docs[d].text[span.start : span.end]
         docs[d].mentions.append(MedicationMention(span, surface, event, context_of.get(k)))
     for doc in docs:
@@ -131,9 +113,11 @@ def classify_gold_events(
     it scores as missed.
     """
     spans = [[m.span for m in d.mentions] for d in docs]
-    keys, seqs = _examples(bundle, docs, [split_text(d.text) for d in docs], spans)
+    keys, seqs = mention_examples(docs, (split_text(d.text) for d in docs), spans,
+                                  bundle.vocab, bundle.max_len)
     out: dict[str, list[MedicationMention]] = {d.doc_id: [] for d in docs}
-    for (d, span), event in zip(keys, predict_events(bundle, seqs)):
+    for (d, j), event in zip(keys, predict_events(bundle, seqs)):
+        span = spans[d][j]
         surface = docs[d].text[span.start : span.end]
         out[docs[d].doc_id].append(MedicationMention(span, surface, event))
     return out
@@ -150,8 +134,9 @@ def classify_gold_context(
     spans = [
         [m.span for m in d.mentions if m.event is EventLabel.DISPOSITION] for d in docs
     ]
-    keys, seqs = _examples(bundle, docs, [split_text(d.text) for d in docs], spans)
+    keys, seqs = mention_examples(docs, (split_text(d.text) for d in docs), spans,
+                                  bundle.vocab, bundle.max_len)
     return {
-        (docs[d].doc_id, span.start, span.end): context
-        for (d, span), context in zip(keys, predict_contexts(bundle, seqs))
+        (docs[d].doc_id, spans[d][j].start, spans[d][j].end): context
+        for (d, j), context in zip(keys, predict_contexts(bundle, seqs))
     }

@@ -308,14 +308,14 @@ def test_criterion_4_overall_accuracy_identity():
 
 def test_criterion_5_gradient_correctness():
     cfg = EncoderConfig(layers=2, hidden_dim=32, heads=2, ffn_dim=64,
-                        max_len=32, vocab_size=64, dropout_rate=0.0,
+                        max_len=32, dropout_rate=0.0,
                         seed=3, precision=64)
     start = time.monotonic()
     worst = 0.0
     checked = 0
     for mode, task in (("token", None), ("sequence", "Event")):
-        model = init_model(cfg, {"Event": 3} if task else {})
-        batch = toy_examples(mode, cfg.vocab_size, n=4, length=20, seed=7)
+        model = init_model(cfg, 64, {"Event": 3} if task else {})
+        batch = toy_examples(mode, 64, n=4, length=20, seed=7)
         report = grad_check(model, batch, task=task, n_samples=200, seed=13)
         worst = max(worst, report.max_rel_error)
         checked += report.n_checked

@@ -15,7 +15,7 @@ from rxtract.preproc import build_vocab
 from rxtract.synth import GeneratorSpec, gen_corpus
 
 ENC = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=32, max_len=64,
-                    vocab_size=64, dropout_rate=0.1, seed=0)
+                    dropout_rate=0.1, seed=0)
 TC = TrainConfig(learning_rate=1e-3, max_epochs=2, patience=2, seed=0)
 
 
@@ -81,6 +81,20 @@ class TestNerArtifact:
         with pytest.raises(CompatibilityError):
             load_artifact(tmp_path / "m")
 
+    def test_vocabulary_size_recorded_once(self, tmp_path, ner_bundle, tiny_setup):
+        result, vocab = tiny_setup
+        save_artifact(ner_bundle, tmp_path / "m")
+        keys = [line.split("=", 1)[0]
+                for line in (tmp_path / "m" / MANIFEST).read_text(encoding="utf-8").splitlines()]
+        assert keys.count("vocab_size") == 1 and "config.vocab_size" not in keys
+        # a manifest that still carries the config copy loads as before
+        _edit_manifest(tmp_path / "m", r"^(config\.max_len=.*)$",
+                       rf"\1\nconfig.vocab_size={len(vocab)}")
+        loaded = load_artifact(tmp_path / "m")
+        assert np.array_equal(loaded.model.params.flat, ner_bundle.model.params.flat)
+        for doc in result.corpus.test + result.corpus.train:
+            assert predict_ner(loaded, doc.text) == predict_ner(ner_bundle, doc.text)
+
     def test_missing_manifest_is_corruption(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(CorruptionError):
@@ -124,7 +138,7 @@ def _edit_manifest(path, pattern, replacement):
 
 class TestMalformedManifest:
     """Every parse failure in a saved classifier's manifest, and every config
-    that disagrees with its tensors or vocabulary, is corruption."""
+    or vocabulary size that disagrees with its tensors, is corruption."""
 
     @pytest.mark.parametrize(
         "pattern, replacement",
@@ -136,7 +150,7 @@ class TestMalformedManifest:
             (r"^config\.heads=.*$", "config.heads=3"),
             (r"^config\.hidden_dim=.*$", "config.hidden_dim=32"),
             (r"^config\.max_len=.*$", "config.max_len=4"),
-            (r"^config\.vocab_size=.*$", "config.vocab_size=7"),
+            (r"^vocab_size=.*$", "vocab_size=7"),
             (r"^tensor_0=(.*)\ntensor_1=(.*)$", r"tensor_0=\2\ntensor_1=\1"),
         ],
         ids=["tensor_shape", "config_value", "vocab_size", "missing_config_key",

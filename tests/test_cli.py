@@ -166,6 +166,30 @@ class TestNonUtf8Input:
         assert _one_line(err, "error: ", manifest) and "UTF-8" in err
 
 
+class TestCorpusErrors:
+    def test_annotation_error_names_file_and_line(self, tmp_path, data_dir, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(data_dir, corpus)
+        ann = sorted((corpus / "dev").glob("*.ann"))[0]
+        text = ann.with_suffix(".txt").read_text(encoding="utf-8")
+        ann.write_text("T1\tDrug 0 3\tzzz\n", encoding="utf-8")
+        code, err = _run(capsys, ["stats", "--data", str(corpus)])
+        assert code == 1
+        assert _one_line(err, f"error: {ann}: line 1: ", ann)
+        assert f"surface 'zzz' != text slice {text[:3]!r}" in err
+
+    @pytest.mark.parametrize("task", ["ner", "event", "actor"])
+    def test_empty_dev_split_is_data_error(self, tmp_path, capsys, task):
+        data = tmp_path / "data"
+        assert run_command(["synth", "--seed", "11", "--out", str(data),
+                            "--train", "4", "--dev", "0", "--test", "1"]) == 0
+        code, err = _run(capsys, ["train", "--task", task, "--data", str(data),
+                                  "--out", str(tmp_path / "m"), *FAST_FLAGS])
+        assert code == 1
+        assert err == "error: train and dev splits must be non-empty\n"
+        assert not (tmp_path / "m").exists()
+
+
 class TestConfigValues:
     @pytest.mark.parametrize("line", ["learning_rate=nan", "clip_norm=inf"])
     def test_non_finite_value_is_clean_error(self, tmp_path, data_dir, capsys, line):

@@ -16,7 +16,7 @@ from rxtract.context import (
     train_all_tasks,
     train_task,
 )
-from rxtract.corpus import EventLabel, parse_standoff
+from rxtract.corpus import AnnotatedDocument, CharSpan, EventLabel, parse_standoff
 from rxtract.encoder import EncoderConfig, TrainConfig, init_model
 from rxtract.errors import SpanRangeError
 from rxtract.preproc import (
@@ -34,7 +34,7 @@ from rxtract.synth import GeneratorSpec, gen_corpus
 
 SMALL_ENC = EncoderConfig(
     layers=1, hidden_dim=32, heads=2, ffn_dim=64, max_len=96,
-    vocab_size=64, dropout_rate=0.0, seed=0,
+    dropout_rate=0.0, seed=0,
 )
 
 
@@ -95,6 +95,20 @@ class TestBuildExample:
         assert PAD_ID not in seq.subtoken_ids
         assert seq.attention_mask == [1] * len(seq)
 
+    def test_over_long_word_closes_only_its_own_side(self):
+        long_word = "q" * 100
+        text = f"caregiver never started velamab {long_word} 5mg yesterday definitely."
+        short = "caregiver never started velamab"
+        vocab = build_vocab([short], 512)  # no "q": one piece per character
+        sent = _sentence(text)
+        assert len(subword_encode(long_word, vocab)) == 100
+        seq = build_classification_example(sent, sent.tokens[3].span, vocab, max_len=64)
+        # the right side stops at the long word; the left side keeps every word
+        assert sorted(set(seq.word_index) - {-1}) == [0, 1, 2, 3]
+        alone = _sentence(short)
+        want = build_classification_example(alone, alone.tokens[3].span, vocab, max_len=64)
+        assert seq.subtoken_ids == want.subtoken_ids
+
     def test_mention_outside_sentence_rejected(self):
         text = "first part. second part."
         sents = split_sentences(text, tokenize(text))
@@ -130,9 +144,9 @@ def _zero_head_bundle(texts):
     for name, task in TASKS.items():
         cfg = EncoderConfig(
             layers=1, hidden_dim=16, heads=2, ffn_dim=32, max_len=64,
-            vocab_size=len(vocab), dropout_rate=0.0, seed=1,
+            dropout_rate=0.0, seed=1,
         )
-        model = init_model(cfg, {name: len(task.classes)})
+        model = init_model(cfg, len(vocab), {name: len(task.classes)})
         model.params[f"seq_head.{name}.w"][:] = 0.0
         model.params[f"seq_head.{name}.b"][:] = 0.0
         from rxtract.context import TaskModel
@@ -144,8 +158,26 @@ def _zero_head_bundle(texts):
 def _plavix_example(bundle):
     text = "doctor started plavix today"
     sent = _sentence(text)
-    return mention_examples("d", [sent], [sent.tokens[2].span], bundle.vocab,
-                            bundle.max_len)
+    return mention_examples([AnnotatedDocument("d", text)], [[sent]], [[sent.tokens[2].span]],
+                            bundle.vocab, bundle.max_len)[1]
+
+
+class TestMentionExamples:
+    def test_keys_are_document_and_mention_indices(self):
+        texts = ["Stop. aspirin now", "took plavix"]
+        docs = [AnnotatedDocument(f"d{i}", t) for i, t in enumerate(texts)]
+        sentences = [split_sentences(t, tokenize(t)) for t in texts]
+        # (5, 13) starts between the first document's two sentences
+        spans = [[CharSpan(5, 13), CharSpan(6, 13)], [CharSpan(5, 11)]]
+        vocab = build_vocab(texts, 256)
+        with pytest.warns(UserWarning, match="not contained in a sentence"):
+            keys, seqs = mention_examples(docs, sentences, spans, vocab)
+        assert keys == [(0, 1), (1, 0)]
+        assert [s.origin[0] for s in seqs] == ["d0", "d1"]
+        for (d, j), seq in zip(keys, seqs):
+            want = build_classification_example(sentences[d][-1], spans[d][j], vocab,
+                                                doc_id=docs[d].doc_id)
+            assert seq.subtoken_ids == want.subtoken_ids
 
 
 class TestTieBreaks:

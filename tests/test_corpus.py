@@ -247,6 +247,24 @@ class TestLoadCorpus:
         with pytest.raises(DuplicateDocIdError):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize(
+        "ann, error, line",
+        [
+            ("T1\tDrug 11 14\tzzz\n", IntegrityError, 1),
+            ("T1\tDrug 11 21\tlisinopril\nE1\tDisposition:T1\nE2\tDisposition:T9\n",
+             StandoffParseError, 3),
+        ],
+        ids=["surface_mismatch", "dangling_event"],
+    )
+    def test_annotation_error_names_file_and_line(self, tmp_path, ann, error, line):
+        for split in ("train", "dev", "test"):
+            (tmp_path / split).mkdir()
+        _write_pair(tmp_path / "train", "good", TEXT, ANN)
+        _write_pair(tmp_path / "dev", "bad", TEXT, ann)
+        with pytest.raises(error) as exc:
+            load_corpus(tmp_path)
+        assert str(exc.value).startswith(f"{tmp_path / 'dev' / 'bad.ann'}: line {line}: ")
+
     def test_write_then_load_round_trip(self, tmp_path):
         doc = parse_standoff(TEXT, ANN, doc_id="only")
         corpus = Corpus(train=[doc])

@@ -26,7 +26,6 @@ from rxtract.encoder import (
     optimizer_step,
     pack_batch,
     param_shapes,
-    parameter_count,
     predict_batch,
     toy_examples,
 )
@@ -36,8 +35,9 @@ from rxtract.preproc import PAD_ID, BioTag, LabeledSequence, build_vocab
 
 TOY = EncoderConfig(
     layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=32,
-    vocab_size=64, dropout_rate=0.0, seed=3, precision=64,
+    dropout_rate=0.0, seed=3, precision=64,
 )
+VOCAB = 64
 
 
 def _hidden(model, seq):
@@ -57,28 +57,27 @@ def _softmax(v):
 
 class TestInitModel:
     def test_same_seed_bit_identical(self):
-        a = init_model(TOY, {"Event": 3})
-        b = init_model(TOY, {"Event": 3})
+        a = init_model(TOY, VOCAB, {"Event": 3})
+        b = init_model(TOY, VOCAB, {"Event": 3})
         assert a.params.keys() == b.params.keys()
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k])
 
     def test_heads_divisibility_checked(self):
         with pytest.raises(ConfigError):
-            init_model(EncoderConfig(heads=3, hidden_dim=64))
+            init_model(EncoderConfig(heads=3, hidden_dim=64), 4096)
 
     def test_dropout_range_checked(self):
         with pytest.raises(ConfigError):
-            init_model(EncoderConfig(dropout_rate=1.0))
+            init_model(EncoderConfig(dropout_rate=1.0), 4096)
 
     def test_max_len_floor(self):
         with pytest.raises(ConfigError):
-            init_model(EncoderConfig(max_len=4))
+            init_model(EncoderConfig(max_len=4), 4096)
 
     def test_parameter_count_closed_form(self):
-        cfg = EncoderConfig(layers=2, hidden_dim=64, heads=4, ffn_dim=128,
-                            vocab_size=4096, max_len=256)
-        model = init_model(cfg, {"Event": 3})
+        cfg = EncoderConfig(layers=2, hidden_dim=64, heads=4, ffn_dim=128, max_len=256)
+        model = init_model(cfg, 4096, {"Event": 3})
         h, f = 64, 128
         per_layer = (
             4 * h * h + 4 * h      # attention projections and biases
@@ -92,10 +91,16 @@ class TestInitModel:
             + h * 3 + 3            # token head
             + 3 * h * 3 + 3        # Event head on concat features
         )
-        assert parameter_count(model) == expected
+        assert model.params.flat.size == expected
+
+    def test_vocab_size_floor(self):
+        with pytest.raises(ConfigError, match="vocab_size"):
+            init_model(TOY, 0)
+        with pytest.raises(ConfigError, match="vocab_size"):
+            param_shapes(TOY, 0)
 
     def test_init_ranges(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         assert float(np.abs(model.params["tok_emb"]).max()) <= 0.02
         assert np.all(model.params["layer0.ln1.gain"] == 1.0)
         assert np.all(model.params["layer0.attn.bq"] == 0.0)
@@ -115,8 +120,8 @@ def _plain_seq(ids, n_words=None, tags=None, label=None):
 
 class TestForward:
     def test_attention_probs_sum_to_one(self):
-        model = init_model(TOY)
-        batch = toy_examples("token", TOY.vocab_size, n=3, length=16, seed=0)
+        model = init_model(TOY, VOCAB)
+        batch = toy_examples("token", VOCAB, n=3, length=16, seed=0)
         packed = pack_batch(batch, model)
         _, cache = _forward_batch(model, packed.ids, packed.mask)
         for layer in cache["layers"]:
@@ -124,7 +129,7 @@ class TestForward:
             assert np.allclose(sums, 1.0, atol=1e-6)
 
     def test_pad_tail_content_is_inert(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         ids = [2, 7, 8, 9, 3, 0, 0, 0]
         seq_a = LabeledSequence(ids, [1] * 5 + [0] * 3, [-1, 0, 1, 2, -1, -1, -1, -1])
         ids_b = [2, 7, 8, 9, 3, 13, 14, 15]  # junk in the padding tail
@@ -134,12 +139,12 @@ class TestForward:
         assert np.array_equal(ha[0, :5], hb[0, :5])
 
     def test_inference_deterministic(self):
-        model = init_model(TOY)
-        seq = toy_examples("token", TOY.vocab_size, n=1, length=12, seed=1)[0]
+        model = init_model(TOY, VOCAB)
+        seq = toy_examples("token", VOCAB, n=1, length=12, seed=1)[0]
         assert np.array_equal(_hidden(model, seq), _hidden(model, seq))
 
     def test_sequence_too_long(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         ids = [2] + [7] * TOY.max_len + [3]
         seq = LabeledSequence(ids, [1] * len(ids), [-1] * len(ids))
         with pytest.raises(SequenceLengthError):
@@ -147,9 +152,9 @@ class TestForward:
 
     def test_single_position_matches_scalar_recomputation(self):
         cfg = EncoderConfig(layers=1, hidden_dim=4, heads=2, ffn_dim=8,
-                            max_len=8, vocab_size=16, dropout_rate=0.0,
+                            max_len=8, dropout_rate=0.0,
                             seed=11, precision=64)
-        model = init_model(cfg)
+        model = init_model(cfg, 16)
         tok = 9
         seq = LabeledSequence([tok], [1], [0])
         got = _hidden(model, seq)[0]
@@ -161,13 +166,13 @@ class TestPackBatch:
     """`pack_batch` is the one place that writes padding."""
 
     def _mixed(self):
-        batch = toy_examples("token", TOY.vocab_size, n=6, length=20, seed=9)
+        batch = toy_examples("token", VOCAB, n=6, length=20, seed=9)
         assert len({len(s) for s in batch}) > 2
         return batch
 
     def test_short_rows_get_a_padding_tail(self):
         batch = self._mixed()
-        packed = pack_batch(batch, init_model(TOY))
+        packed = pack_batch(batch, init_model(TOY, VOCAB))
         width = max(len(s) for s in batch)
         assert packed.ids.shape == (len(batch), width)
         for i, s in enumerate(batch):
@@ -181,7 +186,7 @@ class TestPackBatch:
             assert np.all(packed.tags[i, n:] == int(BioTag.O))
 
     def test_real_positions_match_packing_alone(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         batch = self._mixed()
         hidden, _ = forward_batch(model, batch)
         assert hidden.dtype == np.float64
@@ -248,10 +253,10 @@ class TestGelu:
 
 class TestHeads:
     def test_zero_token_head_uniform(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         model.params["token_head.w"][:] = 0.0
         model.params["token_head.b"][:] = 0.0
-        seq = toy_examples("token", TOY.vocab_size, n=1, length=12, seed=2)[0]
+        seq = toy_examples("token", VOCAB, n=1, length=12, seed=2)[0]
         logits = _logits(model, [seq])[0]
         probs = np.apply_along_axis(_softmax, -1, logits)
         assert np.allclose(probs, 1.0 / 3.0, atol=1e-9)
@@ -270,15 +275,15 @@ class TestHeads:
             assert np.argmax(row) == np.argmax(_softmax(row))
 
     def test_zero_sequence_head_uniform(self):
-        model = init_model(TOY, {"Event": 3})
+        model = init_model(TOY, VOCAB, {"Event": 3})
         model.params["seq_head.Event.w"][:] = 0.0
-        seq = toy_examples("sequence", TOY.vocab_size, n=1, length=12, seed=3)[0]
+        seq = toy_examples("sequence", VOCAB, n=1, length=12, seed=3)[0]
         logits = _logits(model, [seq], "Event")[0]
         assert np.allclose(_softmax(logits), 1.0 / 3.0, atol=1e-9)
 
     def test_logits_do_not_depend_on_gold_labels(self):
-        model = init_model(TOY, {"Event": 3})
-        batch = toy_examples("sequence", TOY.vocab_size, n=4, length=12, seed=8)
+        model = init_model(TOY, VOCAB, {"Event": 3})
+        batch = toy_examples("sequence", VOCAB, n=4, length=12, seed=8)
         before = _logits(model, batch, "Event")
         for seq in batch:
             seq.label = (seq.label + 1) % 3
@@ -287,9 +292,9 @@ class TestHeads:
 
     def test_sequence_head_scalar_recomputation(self):
         cfg = EncoderConfig(layers=1, hidden_dim=4, heads=2, ffn_dim=8,
-                            max_len=8, vocab_size=16, dropout_rate=0.0,
+                            max_len=8, dropout_rate=0.0,
                             seed=5, precision=64)
-        model = init_model(cfg, {"flag": 2})
+        model = init_model(cfg, 16, {"flag": 2})
         seq = LabeledSequence([2, 4, 9, 5, 3], [1] * 5, [-1, -1, 0, -1, -1])
         hidden = _hidden(model, seq)
         logits = _logits(model, [seq], "flag")[0]
@@ -305,8 +310,8 @@ class TestHeads:
 class TestPredictBatch:
     @pytest.mark.parametrize("kind,task", [("token", None), ("sequence", "Event")])
     def test_row_by_row_argmax_in_input_order(self, kind, task):
-        model = init_model(TOY, {"Event": 3})
-        batch = toy_examples(kind, TOY.vocab_size, n=INFERENCE_BATCH + 6, length=16, seed=12)
+        model = init_model(TOY, VOCAB, {"Event": 3})
+        batch = toy_examples(kind, VOCAB, n=INFERENCE_BATCH + 6, length=16, seed=12)
         lengths = [len(s) for s in batch]
         assert len(set(lengths)) > 2 and lengths != sorted(lengths)
         want = []
@@ -316,8 +321,8 @@ class TestPredictBatch:
         assert predict_batch(model, batch, task) == want
 
     def test_unknown_task_is_config_error(self):
-        model = init_model(TOY, {"Event": 3})
-        batch = toy_examples("sequence", TOY.vocab_size, n=2, length=12, seed=13)
+        model = init_model(TOY, VOCAB, {"Event": 3})
+        batch = toy_examples("sequence", VOCAB, n=2, length=12, seed=13)
         with pytest.raises(ConfigError):
             predict_batch(model, batch, "Nope")
         with pytest.raises(ConfigError):
@@ -334,58 +339,78 @@ class TestTrainConfig:
 
 class TestLoss:
     def test_confident_correct_predictions_near_zero_loss(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         model.params["token_head.w"][:] = 0.0
         model.params["token_head.b"][:] = [-20.0, -20.0, 20.0]  # always O
-        batch = toy_examples("token", TOY.vocab_size, n=2, length=12, seed=4)
+        batch = toy_examples("token", VOCAB, n=2, length=12, seed=4)
         for seq in batch:
             seq.tags = [BioTag.O] * len(seq)
         loss, _ = loss_and_grads(model, batch)
         assert loss < 1e-8
 
     def test_uniform_predictions_log3(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         model.params["token_head.w"][:] = 0.0
         model.params["token_head.b"][:] = 0.0
-        batch = toy_examples("token", TOY.vocab_size, n=2, length=12, seed=5)
+        batch = toy_examples("token", VOCAB, n=2, length=12, seed=5)
         loss, _ = loss_and_grads(model, batch)
         assert abs(loss - math.log(3)) < 1e-6
 
     def test_batch_order_invariance(self):
-        model = init_model(TOY, {"Event": 3})
-        batch = toy_examples("token", TOY.vocab_size, n=5, length=14, seed=6)
+        model = init_model(TOY, VOCAB, {"Event": 3})
+        batch = toy_examples("token", VOCAB, n=5, length=14, seed=6)
         a, _ = loss_and_grads(model, batch)
         b, _ = loss_and_grads(model, list(reversed(batch)))
         assert abs(a - b) < 1e-9
 
     def test_gradients_cover_every_parameter(self):
-        model = init_model(TOY, {"Event": 3})
-        batch = toy_examples("sequence", TOY.vocab_size, n=3, length=12, seed=7)
+        model = init_model(TOY, VOCAB, {"Event": 3})
+        batch = toy_examples("sequence", VOCAB, n=3, length=12, seed=7)
         _, grads = loss_and_grads(model, batch, task="Event")
         assert grads.keys() == model.params.keys()
         for k, g in grads.items():
             assert g.shape == model.params[k].shape
 
     def test_non_finite_loss_carries_origin(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         model.params["tok_emb"][:] = np.nan
-        batch = toy_examples("token", TOY.vocab_size, n=2, length=12, seed=8)
+        batch = toy_examples("token", VOCAB, n=2, length=12, seed=8)
         with pytest.raises(NumericError) as exc:
             loss_and_grads(model, batch)
         assert exc.value.origin == batch[0].origin
 
 
+class TestDropout:
+    """Dropout runs exactly when an rng is passed."""
+
+    def test_rng_switches_dropout_on(self):
+        model = init_model(replace(TOY, dropout_rate=0.5), VOCAB)
+        batch = toy_examples("token", VOCAB, n=2, length=12, seed=4)
+        plain, _ = loss_and_grads(model, batch)
+        assert loss_and_grads(model, batch)[0] == plain
+        assert loss_and_grads(model, batch, rng=np.random.default_rng(0))[0] != plain
+
+    def test_rate_zero_draws_nothing(self):
+        model = init_model(TOY, VOCAB)
+        batch = toy_examples("token", VOCAB, n=2, length=12, seed=4)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        loss, _ = loss_and_grads(model, batch, rng=rng)
+        assert rng.bit_generator.state == state
+        assert loss == loss_and_grads(model, batch)[0]
+
+
 class TestOptimizer:
     def test_zero_gradients_leave_parameters_unchanged(self):
-        model = init_model(TOY)
-        before = model.copy_params()
+        model = init_model(TOY, VOCAB)
+        before = model.params.copy()
         grads = model.params.zeros_like()
         optimizer_step(OptimizerState.for_model(model), model, grads, TrainConfig())
         for k in before:
             assert np.array_equal(before[k], model.params[k])
 
     def test_first_step_is_signed_learning_rate(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         tc = TrainConfig(learning_rate=0.01, clip_norm=100.0)
         grads = model.params.zeros_like()
         grads["token_head.b"][0] = 0.5
@@ -397,8 +422,8 @@ class TestOptimizer:
 
     def test_clipping_equals_prescaled_gradients(self):
         tc = TrainConfig(learning_rate=0.05, clip_norm=1.0)
-        model_a = init_model(TOY)
-        model_b = init_model(TOY)
+        model_a = init_model(TOY, VOCAB)
+        model_b = init_model(TOY, VOCAB)
         grads_a = model_a.params.zeros_like()
         grads_a["token_head.b"][2] = 10.0  # global norm 10, clip 1
         grads_b = grads_a.copy()
@@ -413,7 +438,7 @@ def _assert_one_buffer(model):
     """Every parameter is a view of one contiguous buffer, in layout order."""
     flat = model.params.flat
     assert flat.ndim == 1 and flat.flags.c_contiguous and flat.dtype == model.config.dtype
-    shapes = param_shapes(model.config, model.task_classes)
+    shapes = param_shapes(model.config, model.params["tok_emb"].shape[0], model.task_classes)
     assert list(model.params) == list(shapes)
     start = flat.__array_interface__["data"][0]
     offset = 0
@@ -427,27 +452,27 @@ def _assert_one_buffer(model):
 
 class TestFlatLayout:
     def test_init_model(self):
-        _assert_one_buffer(init_model(TOY, {"Event": 3, "Actor": 5}))
+        _assert_one_buffer(init_model(TOY, VOCAB, {"Event": 3, "Actor": 5}))
 
     def test_load_artifact(self, tmp_path):
         vocab = build_vocab(["patient started velamab 5mg daily"], 64)
-        model = init_model(replace(TOY, vocab_size=len(vocab), precision=32))
+        model = init_model(replace(TOY, precision=32), len(vocab))
         save_artifact(NerModelBundle(model, vocab, TrainConfig(), []), tmp_path / "m")
         loaded = load_artifact(tmp_path / "m").model
         _assert_one_buffer(loaded)
         assert np.array_equal(loaded.params.flat, model.params.flat)
 
     def test_fit(self):
-        model = init_model(TOY, {"Event": 3})
-        examples = toy_examples("sequence", TOY.vocab_size, n=6, length=12, seed=3)
+        model = init_model(TOY, VOCAB, {"Event": 3})
+        examples = toy_examples("sequence", VOCAB, n=6, length=12, seed=3)
         scores = iter([0.5, 0.1])  # restores the first epoch's parameters
         fit(model, examples, TrainConfig(max_epochs=2, patience=2), lambda m: next(scores),
             task="Event")
         _assert_one_buffer(model)
 
     def test_copy_params_is_independent(self):
-        model = init_model(TOY)
-        copy = model.copy_params()
+        model = init_model(TOY, VOCAB)
+        copy = model.params.copy()
         assert not np.shares_memory(copy.flat, model.params.flat)
         copy["tok_emb"][0, 0] = 5.0
         model.params["token_head.b"][0] = 7.0
@@ -455,7 +480,7 @@ class TestFlatLayout:
         assert copy["token_head.b"][0] == 0.0
 
     def test_key_cannot_be_rebound(self):
-        model = init_model(TOY)
+        model = init_model(TOY, VOCAB)
         with pytest.raises(TypeError):
             model.params["token_head.b"] = np.ones(3)
         model.params["token_head.b"] += 1.0  # in place, through the view
@@ -466,12 +491,12 @@ class TestFlatLayout:
         [
             lambda p: {k: np.ones_like(v) for k, v in p.items()},
             lambda p: FlatParams(np.ones_like(p.flat), tuple(reversed(p.layout))),
-            lambda p: init_model(TOY, {"Event": 3, "Actor": 3}).params,
+            lambda p: init_model(TOY, VOCAB, {"Event": 3, "Actor": 3}).params,
         ],
         ids=["dict", "reordered", "other_model"],
     )
     def test_gradients_in_another_layout_are_refused(self, make_grads):
-        model = init_model(TOY, {"Event": 3})
+        model = init_model(TOY, VOCAB, {"Event": 3})
         grads = make_grads(model.params)
         before = model.params.flat.copy()
         state = OptimizerState.for_model(model)
@@ -484,8 +509,8 @@ class TestFlatLayout:
 class TestFitLog:
     @pytest.mark.parametrize("clip_norm, clipped", [(1e-6, 3), (1e6, 0)])
     def test_epoch_line_reports_gradient_norm_and_clipping(self, clip_norm, clipped):
-        model = init_model(TOY)
-        examples = toy_examples("token", TOY.vocab_size, n=6, length=12, seed=3)
+        model = init_model(TOY, VOCAB)
+        examples = toy_examples("token", VOCAB, n=6, length=12, seed=3)
         lines = []
         tc = TrainConfig(batch_size=2, max_epochs=1, clip_norm=clip_norm)
         fit(model, examples, tc, lambda m: 0.0, log=lines.append)
@@ -498,33 +523,33 @@ class TestFitLog:
 
 class TestGradCheck:
     def test_token_mode(self):
-        model = init_model(TOY)
-        batch = toy_examples("token", TOY.vocab_size, n=4, length=16, seed=1)
+        model = init_model(TOY, VOCAB)
+        batch = toy_examples("token", VOCAB, n=4, length=16, seed=1)
         report = grad_check(model, batch, n_samples=220, seed=9)
         assert report.n_checked >= 200
         assert report.max_rel_error < 1e-4
 
     def test_sequence_mode(self):
-        model = init_model(TOY, {"Event": 3})
-        batch = toy_examples("sequence", TOY.vocab_size, n=4, length=16, seed=2)
+        model = init_model(TOY, VOCAB, {"Event": 3})
+        batch = toy_examples("sequence", VOCAB, n=4, length=16, seed=2)
         report = grad_check(model, batch, task="Event", n_samples=220, seed=10)
         assert report.max_rel_error < 1e-4
 
     def test_zero_analytic_and_numeric_counts_as_pass(self):
         cfg = EncoderConfig(layers=1, hidden_dim=8, heads=2, ffn_dim=16,
-                            max_len=16, vocab_size=32, dropout_rate=0.0,
+                            max_len=16, dropout_rate=0.0,
                             seed=1, precision=64)
         # the Event head never feeds the token loss: exact zero on both routes
-        model = init_model(cfg, {"Event": 3})
-        batch = toy_examples("token", cfg.vocab_size, n=2, length=10, seed=3)
+        model = init_model(cfg, 32, {"Event": 3})
+        batch = toy_examples("token", 32, n=2, length=10, seed=3)
         report = grad_check(model, batch,
-                            n_samples=parameter_count(model), seed=11)
-        assert report.n_checked == parameter_count(model)
+                            n_samples=model.params.flat.size, seed=11)
+        assert report.n_checked == model.params.flat.size
         assert report.max_rel_error < 1e-4
 
     def test_requires_64_bit(self):
         model = init_model(EncoderConfig(layers=1, hidden_dim=8, heads=2,
-                                         ffn_dim=16, vocab_size=32, precision=32))
+                                         ffn_dim=16, precision=32), 32)
         batch = toy_examples("token", 32, n=2, length=10, seed=4)
         with pytest.raises(ConfigError):
             grad_check(model, batch)
@@ -533,10 +558,10 @@ class TestGradCheck:
 class TestTrainingSignal:
     def test_fifty_steps_memorize_small_batch(self):
         cfg = EncoderConfig(layers=1, hidden_dim=32, heads=2, ffn_dim=64,
-                            max_len=32, vocab_size=64, dropout_rate=0.0,
+                            max_len=32, dropout_rate=0.0,
                             seed=2, precision=32)
-        model = init_model(cfg)
-        batch = toy_examples("token", cfg.vocab_size, n=10, length=16, seed=5)
+        model = init_model(cfg, 64)
+        batch = toy_examples("token", 64, n=10, length=16, seed=5)
         tc = TrainConfig(learning_rate=1e-2, clip_norm=1.0)
         state = OptimizerState.for_model(model)
         initial, _ = loss_and_grads(model, batch)

@@ -12,7 +12,7 @@ from rxtract.synth import GeneratorSpec, gen_corpus
 
 SMALL_ENC = EncoderConfig(
     layers=1, hidden_dim=32, heads=2, ffn_dim=64, max_len=64,
-    vocab_size=64, dropout_rate=0.0, seed=0,
+    dropout_rate=0.0, seed=0,
 )
 
 
@@ -64,8 +64,7 @@ class TestBuildExamples:
 class TestPredict:
     def _random_bundle(self, texts):
         vocab = build_vocab(texts, 256)
-        cfg = EncoderConfig(**{**SMALL_ENC.__dict__, "vocab_size": len(vocab)})
-        model = init_model(cfg)
+        model = init_model(SMALL_ENC, len(vocab))
         return NerModelBundle(model, vocab, TrainConfig(), [])
 
     def test_empty_text(self):
@@ -107,10 +106,10 @@ class TestTraining:
             assert np.array_equal(a.model.params[k], b.model.params[k])
 
     def test_patience_stops_after_flat_epochs(self):
-        model = init_model(SMALL_ENC)
+        model = init_model(SMALL_ENC, 64)
         examples = build_ner_examples(
             gen_corpus(GeneratorSpec(seed=2, n_train=4, n_dev=1, n_test=1)).corpus.train,
-            build_vocab(["a"], SMALL_ENC.vocab_size),
+            build_vocab(["a"], 64),
         )
         # dev metric frozen at zero: never improves after the first epoch
         res = fit(model, examples,

@@ -32,15 +32,15 @@ def _toy_pipeline(texts, ner_bias_o=True, event_bias=None, seed=2):
     """Untrained pipeline whose heads are rigged for predictable outputs."""
     vocab = build_vocab(texts, 512)
     enc = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=32,
-                        max_len=64, vocab_size=len(vocab), dropout_rate=0.0,
+                        max_len=64, dropout_rate=0.0,
                         seed=seed)
-    ner_model = init_model(enc)
+    ner_model = init_model(enc, len(vocab))
     if ner_bias_o:
         ner_model.params["token_head.w"][:] = 0.0
         ner_model.params["token_head.b"][:] = [-5.0, -5.0, 5.0]
     tasks = {}
     for name, task in TASKS.items():
-        m = init_model(enc, {name: len(task.classes)})
+        m = init_model(enc, len(vocab), {name: len(task.classes)})
         m.params[f"seq_head.{name}.w"][:] = 0.0
         m.params[f"seq_head.{name}.b"][:] = 0.0
         if name == "Event" and event_bias is not None:
@@ -148,7 +148,7 @@ class TestBundleValidation:
         p = _toy_pipeline(["took plavix today"])
         actor = p.classifiers.tasks["Actor"]
         actor.model = init_model(replace(actor.model.config, max_len=32),
-                                 actor.model.task_classes)
+                                 len(p.classifiers.vocab), actor.model.task_classes)
         with pytest.raises(ConfigError, match="max_len"):
             run_pipeline(p, "took plavix today")
 

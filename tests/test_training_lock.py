@@ -35,10 +35,11 @@ from rxtract.encoder import (
     toy_examples,
 )
 
+VOCAB = 64
 FIT_CFG = EncoderConfig(layers=1, hidden_dim=128, heads=4, ffn_dim=256, max_len=32,
-                        vocab_size=64, dropout_rate=0.1, seed=5)
+                        dropout_rate=0.1, seed=5)
 STEP_CFG = EncoderConfig(layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=32,
-                         vocab_size=64, dropout_rate=0.1, seed=5)
+                         dropout_rate=0.1, seed=5)
 # clip_norm sits below every gradient norm of the fits, so each of their steps clips
 TC = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=4, patience=3,
                  clip_norm=0.05, seed=2)
@@ -90,9 +91,9 @@ def _equal(a, b) -> bool:
 
 @pytest.mark.parametrize("task", [None, "Event"])
 def test_fit_weights_locked(task):
-    model = init_model(FIT_CFG, {"Event": 3})
+    model = init_model(FIT_CFG, VOCAB, {"Event": 3})
     kind = "token" if task is None else "sequence"
-    examples = toy_examples(kind, FIT_CFG.vocab_size, n=40, length=14, seed=3)
+    examples = toy_examples(kind, VOCAB, n=40, length=14, seed=3)
     scores = iter([0.2, 0.6, 0.4, 0.5])  # the best epoch is not the last one
     result = fit(model, examples, TC, lambda m: next(scores), task=task)
     assert result.best_epoch == 2 and len(result.history) == 4
@@ -102,13 +103,13 @@ def test_fit_weights_locked(task):
 @pytest.mark.parametrize("precision", [32, 64])
 def test_optimizer_matches_per_tensor_reference(precision):
     cfg = replace(STEP_CFG, precision=precision)
-    model = init_model(cfg, {"Event": 3})
+    model = init_model(cfg, VOCAB, {"Event": 3})
     params = {k: p.copy() for k, p in model.params.items()}
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     state = OptimizerState.for_model(model)
     rng = np.random.default_rng(4)
-    batch = toy_examples("sequence", cfg.vocab_size, n=6, length=14, seed=6)
+    batch = toy_examples("sequence", VOCAB, n=6, length=14, seed=6)
     _, grads = loss_and_grads(model, batch, "Event")  # laid out like the model
     norms = []
     for t in range(1, 6):
