@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .context import ClassifierBundle, TaskModel
+from .context import TASKS, ClassifierBundle, TaskModel
 from .corpus import read_utf8
 from .encoder import EncoderConfig, EncoderModel, FlatParams, TrainConfig, param_shapes
 from .errors import CompatibilityError, ConfigError, CorruptionError
@@ -252,31 +252,23 @@ def load_artifact(path: str | Path) -> AnyBundle:
         )
     if kind == "pipeline":
         names = entries.get("components", "").split()
-        tasks: dict[str, TaskModel] = {}
-        vocab = None
-        ner_bundle = None
+        missing = [name for name in ("ner", *TASKS) if name not in names]
+        if missing:
+            raise CorruptionError(
+                f"pipeline artifact missing components: {' '.join(missing)}")
+        components: dict[str, AnyBundle] = {}
         for name in names:
-            if name == "ner":
-                sub = load_artifact(path / "ner")
-                if not isinstance(sub, NerModelBundle):
-                    raise CorruptionError("pipeline ner component has wrong kind")
-                ner_bundle = sub
-                continue
-            sub = load_artifact(path / f"task_{name}")
-            if not isinstance(sub, ClassifierBundle) or name not in sub.tasks:
-                raise CorruptionError(f"component {name} has wrong kind")
-            tasks[name] = sub.tasks[name]
-            if vocab is None:
-                vocab = sub.vocab
-            elif vocab.pieces != sub.vocab.pieces:
-                raise CorruptionError("pipeline components disagree on vocabulary")
-        if ner_bundle is None or vocab is None:
-            raise CorruptionError("pipeline artifact missing components")
-        if ner_bundle.vocab.pieces != vocab.pieces:
-            raise CorruptionError("pipeline components disagree on vocabulary")
-        bundle = PipelineBundle(
-            ner=ner_bundle, classifiers=ClassifierBundle(tasks=tasks, vocab=vocab)
-        )
-        bundle.validate()
-        return bundle
+            sub = load_artifact(path / ("ner" if name == "ner" else f"task_{name}"))
+            right_kind = isinstance(sub, NerModelBundle) if name == "ner" else (
+                isinstance(sub, ClassifierBundle) and name in sub.tasks)
+            if not right_kind:
+                raise CorruptionError(f"pipeline component {name} has wrong kind")
+            components[name] = sub
+        ner_bundle = components.pop("ner")
+        for name, sub in components.items():
+            if sub.vocab.pieces != ner_bundle.vocab.pieces:
+                raise CorruptionError(
+                    f"pipeline component {name} disagrees with ner on vocabulary")
+        tasks = {name: sub.tasks[name] for name, sub in components.items()}
+        return PipelineBundle(ner_bundle, ClassifierBundle(tasks, ner_bundle.vocab))
     raise CorruptionError(f"unknown artifact kind {kind!r}")

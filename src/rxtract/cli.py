@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", type=int, default=40)
     p.add_argument("--test", type=int, default=40)
     p.add_argument("--lexicon-size", type=int, default=40)
-    p.add_argument("--difficulty", choices=["separable", "noisy"], default="separable")
-    p.add_argument("--noise-rate", type=float, default=0.1)
+    p.add_argument("--noise-rate", type=float, default=0.0,
+                   help="rate at which cues and events are swapped; 0 is separable")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fine-tune one task or the whole pipeline")
@@ -162,7 +162,6 @@ def cmd_synth(args) -> int:
         n_dev=args.dev,
         n_test=args.test,
         lexicon_size=args.lexicon_size,
-        difficulty=args.difficulty,
         noise_rate=args.noise_rate,
     )
     result = synth.gen_corpus(spec)

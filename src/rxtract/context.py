@@ -91,9 +91,7 @@ def build_classification_example(
                  len(tokens))
         b = a - 1
 
-    mention_pieces: list[tuple[int, int]] = []  # (word, piece id)
-    for w in range(a, b + 1):
-        mention_pieces.extend((w, pid) for pid in pieces[w])
+    mention_pieces = [(w, pid) for w in range(a, b + 1) for pid in pieces[w]]
     budget = max_len - 4 - len(mention_pieces)
     if budget < 0:
         mention_pieces = mention_pieces[: max_len - 4]
@@ -110,23 +108,16 @@ def build_classification_example(
         budget -= len(pieces[w])
         lo, hi = (w, hi) if left else (lo, w)
 
-    ids = [CLS_ID]
-    word_index = [NO_WORD]
-    for w in range(lo, a):
-        ids.extend(pieces[w])
-        word_index.extend([w] * len(pieces[w]))
-    ids.append(S_MARK_ID)
-    word_index.append(NO_WORD)
-    for w, pid in mention_pieces:
-        ids.append(pid)
-        word_index.append(w)
-    ids.append(E_MARK_ID)
-    word_index.append(NO_WORD)
-    for w in range(b + 1, hi + 1):
-        ids.extend(pieces[w])
-        word_index.extend([w] * len(pieces[w]))
-    ids.append(SEP_ID)
-    word_index.append(NO_WORD)
+    pairs = [  # (word, piece id)
+        (NO_WORD, CLS_ID),
+        *((w, pid) for w in range(lo, a) for pid in pieces[w]),
+        (NO_WORD, S_MARK_ID),
+        *mention_pieces,
+        (NO_WORD, E_MARK_ID),
+        *((w, pid) for w in range(b + 1, hi + 1) for pid in pieces[w]),
+        (NO_WORD, SEP_ID),
+    ]
+    word_index, ids = (list(column) for column in zip(*pairs))
 
     return LabeledSequence(
         subtoken_ids=ids,

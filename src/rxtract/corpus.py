@@ -207,7 +207,7 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> AnnotatedDocumen
     per ContextAttributes.
     """
     text = normalize_newlines(text)
-    spans: dict[str, CharSpan] = {}
+    spans: dict[str, tuple[CharSpan, int]] = {}  # T id -> (span, lineno)
     events: dict[str, tuple[EventLabel, int]] = {}  # T id -> (event, lineno)
     event_ids: dict[str, str] = {}  # E id -> T id
     attrs: list[tuple[str, str, str, int]] = []  # (dim, E id, value, lineno)
@@ -242,7 +242,7 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> AnnotatedDocumen
                     f"line {lineno}: surface {parts[2]!r} != text slice "
                     f"{text[start:end]!r}"
                 )
-            spans[rid] = CharSpan(start, end)
+            spans[rid] = (CharSpan(start, end), lineno)
         elif rid.startswith("E"):
             if len(parts) != 2 or ":" not in parts[1]:
                 raise StandoffParseError(lineno, "E record needs '<Event>:T<m>' body")
@@ -274,9 +274,9 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> AnnotatedDocumen
             raise StandoffParseError(
                 events[target][1], f"event {eid} references unknown mention {target}"
             )
-    for tid in spans:
+    for tid, (_, lineno) in spans.items():
         if tid not in events:
-            raise SchemaError(f"mention {tid} has no event annotation")
+            raise SchemaError(f"line {lineno}: mention {tid} has no event annotation")
 
     attr_values: dict[str, dict[str, Enum]] = {tid: {} for tid in spans}
     for dim, eid, value, lineno in attrs:
@@ -298,8 +298,7 @@ def parse_standoff(text: str, ann: str, doc_id: str = "doc") -> AnnotatedDocumen
         attr_values[tid][dim] = parsed
 
     mentions = []
-    for tid in spans:
-        span = spans[tid]
+    for tid, (span, _) in spans.items():
         event, _ = events[tid]
         context = None
         if event is EventLabel.DISPOSITION:

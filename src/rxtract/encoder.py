@@ -304,7 +304,7 @@ def pack_batch(seqs: Sequence[LabeledSequence], model: EncoderModel) -> Packed:
         mask[i, :n] = s.attention_mask
         loss_mask[i, :n] = [w != NO_WORD for w in s.word_index]
         if s.tags is not None:
-            tags[i, :n] = [int(t) for t in s.tags]
+            tags[i, :n] = s.tags
         if s.label is not None:
             labels[i] = s.label
         s_pos[i] = row.index(S_MARK_ID) if S_MARK_ID in row else 0

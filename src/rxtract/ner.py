@@ -81,10 +81,7 @@ def predict_ner_batch(
         for s in flat
     ]
     tag_ids = predict_batch(model, seqs)  # ties: B < I < O
-    per_sentence = (
-        decode_bio(seq, [BioTag(t) for t in ids], sent)
-        for seq, ids, sent in zip(seqs, tag_ids, flat)
-    )
+    per_sentence = map(decode_bio, seqs, tag_ids, flat)
     return [[span for _ in doc for span in next(per_sentence)] for doc in sentences]
 
 

@@ -1,13 +1,21 @@
 """Offset-preserving tokenization, sentence splitting, subword vocabulary,
-BIO encoding/decoding, and word-to-subtoken tag alignment."""
+BIO encoding/decoding, and word-to-subtoken tag alignment.
+
+Alignment and decoding are one pass each over a sentence: `align_to_subtokens`
+finds its cut from one prefix sum of the words' piece counts, and
+`decode_bio` walks the pieces once, reading the model's integer tag ids or
+`BioTag`s alike (`BioTag` is an `IntEnum`).
+"""
 
 from __future__ import annotations
 
 import heapq
 import re
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .corpus import CharSpan
@@ -290,25 +298,21 @@ def align_to_subtokens(
         raise ValueError("word_tags length must equal token count")
 
     piece_lists = [subword_encode(tok.text, vocab) for tok in sent.tokens]
+    ends = list(accumulate(map(len, piece_lists)))  # pieces through each word
 
-    keep = len(sent.tokens)
-    while keep > 0:
-        total = 2 + sum(len(p) for p in piece_lists[:keep])
-        if total <= max_len and (keep == len(sent.tokens) or word_tags[keep] is not BioTag.I):
-            break
+    keep = bisect_right(ends, max_len - 2)
+    while 0 < keep < len(sent.tokens) and word_tags[keep] is BioTag.I:
         keep -= 1
 
     ids = [CLS_ID]
     word_index = [NO_WORD]
     tags = [BioTag.O]
     for w in range(keep):
-        for j, pid in enumerate(piece_lists[w]):
-            ids.append(pid)
-            word_index.append(w)
-            if word_tags[w] is BioTag.B:
-                tags.append(BioTag.B if j == 0 else BioTag.I)
-            else:
-                tags.append(word_tags[w])
+        pieces, tag = piece_lists[w], word_tags[w]
+        ids += pieces
+        word_index += [w] * len(pieces)
+        tags.append(tag)
+        tags += [BioTag.I if tag is BioTag.B else tag] * (len(pieces) - 1)
     ids.append(SEP_ID)
     word_index.append(NO_WORD)
     tags.append(BioTag.O)
@@ -323,46 +327,32 @@ def align_to_subtokens(
 
 
 def decode_bio(
-    seq: LabeledSequence, predicted_tags: Sequence[BioTag], sent: Sentence
+    seq: LabeledSequence, predicted_tags: Sequence[int], sent: Sentence
 ) -> list[CharSpan]:
     """Recover mention character spans from per-subtoken tag predictions.
 
-    Each word takes the tag predicted on its first piece; word-level runs
-    then decode as B starting a span and I extending it, with an orphan I
-    repaired to B.
+    `predicted_tags` holds one tag id per piece, as BioTags or the model's
+    integer ids. Each word takes the tag on its first piece (a word's pieces
+    are adjacent, in word order). B, or an orphan I, opens a span; an I on
+    the next word extends it; O closes it.
     """
     if len(predicted_tags) != len(seq.subtoken_ids):
         raise ValueError("predicted_tags length must equal sequence length")
 
-    word_tag: dict[int, BioTag] = {}
-    for pos, w in enumerate(seq.word_index):
-        if w != NO_WORD and w not in word_tag:
-            word_tag[w] = predicted_tags[pos]
-
+    tokens = sent.tokens
     spans: list[CharSpan] = []
-    open_range: Optional[list[int]] = None  # [first_word, last_word]
-
-    def close():
-        nonlocal open_range
-        if open_range is not None:
-            first, last = open_range
-            spans.append(
-                CharSpan(sent.tokens[first].span.start, sent.tokens[last].span.end)
-            )
-            open_range = None
-
-    for w in sorted(word_tag):
-        tag = word_tag[w]
-        if tag is BioTag.B:
-            close()
-            open_range = [w, w]
-        elif tag is BioTag.I:
-            if open_range is not None and open_range[1] == w - 1:
-                open_range[1] = w
-            else:
-                close()
-                open_range = [w, w]  # orphan I repaired to B
-        else:
-            close()
-    close()
+    first = last = None  # the open span's first and last word
+    prev = NO_WORD
+    for w, tag in zip(seq.word_index, predicted_tags):
+        if w == NO_WORD or w == prev:
+            continue
+        prev = w
+        if tag == BioTag.I and last == w - 1:
+            last = w
+            continue
+        if first is not None:
+            spans.append(CharSpan(tokens[first].span.start, tokens[last].span.end))
+        first = last = w if tag in (BioTag.B, BioTag.I) else None
+    if first is not None:
+        spans.append(CharSpan(tokens[first].span.start, tokens[last].span.end))
     return spans

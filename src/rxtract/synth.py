@@ -2,9 +2,10 @@
 
 Produces desk-scale clinical-flavored (entirely fictional) notes whose
 mention spans and labels are known exactly, recorded in an emission ledger.
-In separable mode every label value is signalled by a cue word unique to
-it, so competent models can approach perfect scores; noisy mode swaps cues
-at a configurable rate to blur the signal.
+Every label value is signalled by a cue word unique to it, so competent
+models can approach perfect scores. At a positive `noise_rate` each
+displayed event and each cue is swapped for a random one at that rate, to
+blur the signal; a rate of 0 keeps the corpus separable.
 """
 
 from __future__ import annotations
@@ -117,14 +118,11 @@ class GeneratorSpec:
     min_sentences: int = 4
     max_sentences: int = 8
     mention_prob: float = 0.7
-    difficulty: str = "separable"  # or "noisy"
-    noise_rate: float = 0.1
+    noise_rate: float = 0.0  # 0 is separable
     # fraction of dev/test mentions wearing a dose-form word unseen in training
     novel_form_rate: float = 0.0
 
     def validate(self) -> None:
-        if self.difficulty not in ("separable", "noisy"):
-            raise ConfigError(f"unknown difficulty {self.difficulty!r}")
         if min(self.n_train, self.n_dev, self.n_test) < 0:
             raise ConfigError("split sizes must be non-negative")
         if not (0 < self.mention_prob <= 1):
@@ -172,9 +170,9 @@ def _quota_labels(targets: dict[str, float], total: int, rng: random.Random) -> 
 
 
 def _cue(dim: str, attrs: ContextAttributes, spec: GeneratorSpec, rng: random.Random) -> str:
-    """The cue word of attrs' class in dim, or at noise_rate in noisy mode a random one."""
+    """The cue word of attrs' class in dim, or at noise_rate a random one."""
     table = CUES[dim]
-    if spec.difficulty == "noisy" and rng.random() < spec.noise_rate:
+    if spec.noise_rate > 0 and rng.random() < spec.noise_rate:
         return rng.choice(sorted(table.values()))
     return table[getattr(attrs, CONTEXT_DIMENSIONS[dim][1]).value]
 
@@ -189,7 +187,7 @@ def _render_sentence(
     """Return (sentence text, offset of the drug mention within it)."""
     dose = rng.choice(DOSES)
     display = event
-    if spec.difficulty == "noisy" and rng.random() < spec.noise_rate:
+    if spec.noise_rate > 0 and rng.random() < spec.noise_rate:
         display = rng.choice(list(EventLabel))
 
     if display is EventLabel.DISPOSITION:

@@ -1,6 +1,7 @@
 """Model persistence: manifest+blob round trips, corruption, versioning."""
 
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -186,3 +187,28 @@ class TestPipelineArtifact:
                 run_pipeline(loaded, doc.text, doc.doc_id).mentions
                 == run_pipeline(bundle, doc.text, doc.doc_id).mentions
             )
+
+
+class TestMalformedPipeline:
+    """A pipeline directory that omits, mislabels or mismatches a component
+    is corruption."""
+
+    def test_omitted_classifier(self, tmp_path, tiny):
+        save_artifact(tiny[1], tmp_path / "p")
+        _edit_manifest(tmp_path / "p", r"^(components=.*) Actor(.*)$", r"\1\2")
+        with pytest.raises(CorruptionError, match="missing components: Actor"):
+            load_artifact(tmp_path / "p")
+
+    def test_component_of_wrong_kind(self, tmp_path, tiny):
+        save_artifact(tiny[1], tmp_path / "p")
+        shutil.rmtree(tmp_path / "p" / "task_Event")
+        shutil.copytree(tmp_path / "p" / "ner", tmp_path / "p" / "task_Event")
+        with pytest.raises(CorruptionError, match="Event has wrong kind"):
+            load_artifact(tmp_path / "p")
+
+    @pytest.mark.parametrize("component", ["ner", "task_Actor"])
+    def test_vocabulary_disagreement(self, tmp_path, tiny, component):
+        save_artifact(tiny[1], tmp_path / "p")
+        _edit_manifest(tmp_path / "p" / component, r"^piece_6=.*$", 'piece_6="qqqq"')
+        with pytest.raises(CorruptionError, match="vocabulary"):
+            load_artifact(tmp_path / "p")

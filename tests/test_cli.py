@@ -178,6 +178,19 @@ class TestCorpusErrors:
         assert _one_line(err, f"error: {ann}: line 1: ", ann)
         assert f"surface 'zzz' != text slice {text[:3]!r}" in err
 
+    def test_mention_without_event_names_file_and_line(self, tmp_path, data_dir, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(data_dir, corpus)
+        ann = sorted((corpus / "dev").glob("*.ann"))[0]
+        word = ann.with_suffix(".txt").read_text(encoding="utf-8").split(" ")[0]
+        lines = ann.read_text(encoding="utf-8").splitlines()
+        lines.append(f"T99\tDrug 0 {len(word)}\t{word}")
+        ann.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, err = _run(capsys, ["stats", "--data", str(corpus)])
+        assert code == 1
+        assert _one_line(err, f"error: {ann}: line {len(lines)}: ", ann)
+        assert "mention T99 has no event annotation" in err
+
     @pytest.mark.parametrize("task", ["ner", "event", "actor"])
     def test_empty_dev_split_is_data_error(self, tmp_path, capsys, task):
         data = tmp_path / "data"
@@ -210,6 +223,20 @@ class TestConfigValues:
         assert "lexicon_size" in err
         assert not out.exists()
 
+    def test_synth_noise_rate_changes_text(self, tmp_path):
+        texts = {}
+        for rate in ("0", "0.9"):
+            out = tmp_path / rate
+            assert run_command(["synth", "--seed", "1", "--out", str(out), "--train", "4",
+                                "--dev", "1", "--test", "1", "--noise-rate", rate]) == 0
+            texts[rate] = [p.read_text(encoding="utf-8")
+                           for p in sorted((out / "train").glob("*.txt"))]
+        assert texts["0"] != texts["0.9"]
+
+    def test_synth_difficulty_is_usage_error(self, tmp_path):
+        out = tmp_path / "c"
+        assert run_command(["synth", "--out", str(out), "--difficulty", "noisy"]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("held", ["train", "ledger.jsonl"])
     def test_synth_into_earlier_output_is_usage_error(self, tmp_path, capsys, held):

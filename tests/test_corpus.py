@@ -253,8 +253,10 @@ class TestLoadCorpus:
             ("T1\tDrug 11 14\tzzz\n", IntegrityError, 1),
             ("T1\tDrug 11 21\tlisinopril\nE1\tDisposition:T1\nE2\tDisposition:T9\n",
              StandoffParseError, 3),
+            ("T1\tDrug 11 21\tlisinopril\nE1\tDisposition:T1\nT2\tDrug 3 10\tstarted\n",
+             SchemaError, 3),
         ],
-        ids=["surface_mismatch", "dangling_event"],
+        ids=["surface_mismatch", "dangling_event", "mention_without_event"],
     )
     def test_annotation_error_names_file_and_line(self, tmp_path, ann, error, line):
         for split in ("train", "dev", "test"):

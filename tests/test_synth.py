@@ -25,8 +25,8 @@ from rxtract.synth import (
 )
 
 SMALL = GeneratorSpec(seed=7, n_train=40, n_dev=10, n_test=10)
-NOISY = GeneratorSpec(seed=11, n_train=40, n_dev=10, n_test=10, difficulty="noisy",
-                      noise_rate=0.3, novel_form_rate=0.05)
+NOISY = GeneratorSpec(seed=11, n_train=40, n_dev=10, n_test=10, noise_rate=0.3,
+                      novel_form_rate=0.05)
 
 # sha256 of every document's id, text and standoff, recorded before the
 # dimension tables were keyed by name. A change to the generator's output or
@@ -148,22 +148,17 @@ class TestNoisyMode:
     def test_noisy_mode_changes_surface_text(self):
         sep = gen_corpus(GeneratorSpec(seed=7, n_train=40, n_dev=5, n_test=5))
         noisy = gen_corpus(
-            GeneratorSpec(seed=7, n_train=40, n_dev=5, n_test=5,
-                          difficulty="noisy", noise_rate=0.5)
+            GeneratorSpec(seed=7, n_train=40, n_dev=5, n_test=5, noise_rate=0.5)
         )
         assert [d.text for d in sep.corpus.train] != [d.text for d in noisy.corpus.train]
         # labels keep satisfying all corpus invariants
         for d in noisy.corpus.train:
             d.validate()
 
-    def test_bad_difficulty_rejected(self):
-        with pytest.raises(ConfigError):
-            gen_corpus(GeneratorSpec(difficulty="hard"))
-
     @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
     def test_noise_rate_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ConfigError, match="noise_rate"):
-            GeneratorSpec(difficulty="noisy", noise_rate=rate).validate()
+            GeneratorSpec(noise_rate=rate).validate()
 
 
 class TestLexiconSize:
