@@ -270,5 +270,9 @@ def load_artifact(path: str | Path) -> AnyBundle:
                 raise CorruptionError(
                     f"pipeline component {name} disagrees with ner on vocabulary")
         tasks = {name: sub.tasks[name] for name, sub in components.items()}
-        return PipelineBundle(ner_bundle, ClassifierBundle(tasks, ner_bundle.vocab))
+        try:
+            classifiers = ClassifierBundle(tasks, ner_bundle.vocab)
+        except ConfigError as exc:
+            raise CorruptionError(f"pipeline components disagree: {exc}") from None
+        return PipelineBundle(ner_bundle, classifiers)
     raise CorruptionError(f"unknown artifact kind {kind!r}")

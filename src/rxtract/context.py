@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .corpus import (
@@ -24,9 +24,11 @@ from .encoder import (
     EncoderConfig,
     EncoderModel,
     TrainConfig,
+    check_agreement,
     fit,
     init_model,
     predict_batch,
+    stack_models,
 )
 from .errors import ConfigError, DataError, SpanRangeError
 from .preproc import (
@@ -59,6 +61,17 @@ for _dim, (_enum, _) in CONTEXT_DIMENSIONS.items():
     TASKS[_dim] = ClassificationTask(_dim, tuple(v.value for v in _enum))
 
 DIMENSION_TASKS = tuple(t for name, t in TASKS.items() if name != "Event")
+
+
+@dataclass(frozen=True)
+class TaskStack:
+    """Tasks whose models run as one stacked forward pass."""
+
+    name: str
+    tasks: tuple[ClassificationTask, ...]
+
+
+CONTEXT_STACK = TaskStack("context", DIMENSION_TASKS)
 
 
 def build_classification_example(
@@ -136,18 +149,38 @@ class TaskModel:
 
 @dataclass
 class ClassifierBundle:
-    """One independently trained model per classification task."""
+    """One independently trained model per classification task.
+
+    Construction checks once that the classifiers share the bundle's
+    vocabulary and agree on every config field that shapes the forward
+    pass (`encoder.FORWARD_FIELDS`), and raises ConfigError if not. With
+    all five dimension classifiers present, it also stacks their models in
+    `CONTEXT_STACK` order into `contexts` (`encoder.stack_models`), which
+    `predict_contexts` runs as one forward pass; the weights stay each
+    model's own. A model moves into the stack of the last bundle built
+    over it.
+    """
 
     tasks: dict[str, TaskModel]
     vocab: Vocabulary
+    max_len: int = field(init=False)  # the one example length every classifier reads
+    contexts: Optional[EncoderModel] = field(init=False, default=None, repr=False,
+                                             compare=False)
 
-    @property
-    def max_len(self) -> int:
-        """The one example length every classifier of the bundle reads."""
-        lengths = {tm.model.config.max_len for tm in self.tasks.values()}
-        if len(lengths) != 1:
-            raise ConfigError(f"classifiers disagree on max_len: {sorted(lengths)}")
-        return lengths.pop()
+    def __post_init__(self) -> None:
+        if not self.tasks:
+            raise ConfigError("a classifier bundle needs at least one classifier")
+        models = {name: tm.model for name, tm in self.tasks.items()}
+        check_agreement(models)
+        name, first = next(iter(models.items()))
+        rows = first.params["tok_emb"].shape[0]
+        if rows != len(self.vocab):
+            raise ConfigError(f"classifier {name} has {rows} vocabulary rows, "
+                              f"the bundle's vocabulary {len(self.vocab)} pieces")
+        self.max_len = first.config.max_len
+        if all(task.name in models for task in CONTEXT_STACK.tasks):
+            self.contexts = stack_models({task.name: models[task.name]
+                                          for task in CONTEXT_STACK.tasks})
 
 
 def mention_examples(
@@ -210,10 +243,15 @@ def collect_task_examples(
 
 
 def classify_batch(
-    model: EncoderModel, task: ClassificationTask, seqs: Sequence[LabeledSequence]
-) -> list[int]:
-    """Argmax class ids in input order; ties break toward the lowest index."""
-    return predict_batch(model, seqs, task.name)
+    model: EncoderModel, task: ClassificationTask | TaskStack, seqs: Sequence[LabeledSequence]
+) -> list:
+    """Argmax class ids in input order; ties break toward the lowest index.
+
+    For a TaskStack, `model` is the stack of its tasks' models, in its
+    order, and each sequence gets a list of class ids, one per task.
+    """
+    names = tuple(t.name for t in task.tasks) if isinstance(task, TaskStack) else task.name
+    return predict_batch(model, seqs, names)
 
 
 def predict_events(
@@ -227,17 +265,19 @@ def predict_events(
 def predict_contexts(
     bundle: ClassifierBundle, examples: Sequence[LabeledSequence]
 ) -> list[ContextAttributes]:
-    """The five dimension classifiers, each run independently over every
-    example, assembled into one ContextAttributes per example."""
-    columns = {}
-    for task in DIMENSION_TASKS:
-        enum_cls, attr = CONTEXT_DIMENSIONS[task.name]
-        ids = classify_batch(bundle.tasks[task.name].model, task, examples)
-        columns[attr] = [enum_cls(task.classes[i]) for i in ids]
-    return [
-        ContextAttributes(**{attr: labels[k] for attr, labels in columns.items()})
-        for k in range(len(examples))
-    ]
+    """The five dimension classifiers over every example, run as one
+    stacked forward pass, assembled into one ContextAttributes per example."""
+    if bundle.contexts is None:
+        raise ConfigError("the bundle lacks context classifiers")
+
+    def attributes(ids):
+        labels = {}
+        for task, i in zip(CONTEXT_STACK.tasks, ids):
+            enum_cls, attr = CONTEXT_DIMENSIONS[task.name]
+            labels[attr] = enum_cls(task.classes[i])
+        return ContextAttributes(**labels)
+
+    return [attributes(ids) for ids in classify_batch(bundle.contexts, CONTEXT_STACK, examples)]
 
 
 def _accuracy(model: EncoderModel, task: ClassificationTask,

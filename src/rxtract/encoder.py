@@ -122,7 +122,7 @@ class EncoderModel:
     is the row count of `params["tok_emb"]`."""
 
     config: EncoderConfig
-    params: FlatParams
+    params: FlatParams  # a dict of stacked views for a `stack_models` stack
     task_classes: dict[str, int] = field(default_factory=dict)
 
 
@@ -212,11 +212,19 @@ def init_model(
 # forward / backward primitives
 
 
+def _mean_last(x):
+    """`x.mean(axis=-1, keepdims=True)`, bit for bit, without numpy's
+    Python-level wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layernorm_fwd(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # The same roundings as x.mean and x.var, with `x - mu` formed once.
+    mu = _mean_last(x)
+    d = x - mu
+    var = _mean_last(d * d)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    xhat = d * inv
     return xhat * gain + bias, (xhat, inv)
 
 
@@ -225,8 +233,8 @@ def _layernorm_bwd(dy, cache, gain):
     dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     dbias = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = _mean_last(dxhat)
+    m2 = _mean_last(dxhat * xhat)
     dx = (dxhat - m1 - xhat * m2) * inv
     return dx, dgain, dbias
 
@@ -319,7 +327,9 @@ def _forward_batch(model, ids, mask, rng=None):
     intermediate cache the backward pass consumes.
 
     Dropout runs at the model's rate exactly when `rng` is given; at rate 0
-    nothing is drawn from it.
+    nothing is drawn from it. The weights may carry a leading model axis
+    (`stack_models`); the hidden states then carry it too, and model `m`'s
+    slice is bit for bit what model `m` gives alone.
     """
     cfg = model.config
     p = model.params
@@ -332,9 +342,15 @@ def _forward_batch(model, ids, mask, rng=None):
     dk = h // nh
     scale = dt.type(1.0 / math.sqrt(dk))
     rate = cfg.dropout_rate if rng is not None else 0.0
+    lead = p["tok_emb"].shape[:-2]  # () for one model, (M,) for a stack
 
-    # Activations are (B*L, H) rows, so each weight product is one GEMM.
-    x = (p["tok_emb"][ids] + p["pos_emb"][:length]).reshape(b * length, h)
+    def vec(name):  # a vector parameter, broadcast over each model's rows
+        return p[name][..., None, :]
+
+    # Activations are (..., B*L, H) rows, so each weight product is one GEMM
+    # per model.
+    emb = np.take(p["tok_emb"], ids, axis=-2) + p["pos_emb"][..., None, :length, :]
+    x = emb.reshape(*lead, b * length, h)
     emb_mask = None
     if rate > 0:
         emb_mask = _dropout_mask(rng, x.shape, rate, dt)
@@ -346,34 +362,34 @@ def _forward_batch(model, ids, mask, rng=None):
         pre = f"layer{i}"
         x_in = x
 
-        def heads(m):  # (B*L,H) -> (B,nh,L,dk)
-            return m.reshape(b, length, nh, dk).transpose(0, 2, 1, 3)
+        def heads(m):  # (..., B*L, H) -> (..., B, nh, L, dk)
+            return m.reshape(*lead, b, length, nh, dk).swapaxes(-3, -2)
 
-        q = heads(x_in @ p[f"{pre}.attn.wq"] + p[f"{pre}.attn.bq"])
-        k = heads(x_in @ p[f"{pre}.attn.wk"] + p[f"{pre}.attn.bk"])
-        v = heads(x_in @ p[f"{pre}.attn.wv"] + p[f"{pre}.attn.bv"])
-        scores = np.where(key_keep, (q @ k.transpose(0, 1, 3, 2)) * scale, dt.type(NEG_INF))
+        q = heads(x_in @ p[f"{pre}.attn.wq"] + vec(f"{pre}.attn.bq"))
+        k = heads(x_in @ p[f"{pre}.attn.wk"] + vec(f"{pre}.attn.bk"))
+        v = heads(x_in @ p[f"{pre}.attn.wv"] + vec(f"{pre}.attn.bv"))
+        scores = np.where(key_keep, (q @ k.swapaxes(-1, -2)) * scale, dt.type(NEG_INF))
         probs = _softmax(scores)
         attn_mask_drop = None
         probs_used = probs
         if rate > 0:
             attn_mask_drop = _dropout_mask(rng, probs.shape, rate, dt)
             probs_used = probs * attn_mask_drop
-        ctx = (probs_used @ v).transpose(0, 2, 1, 3).reshape(b * length, h)
-        attn_out = ctx @ p[f"{pre}.attn.wo"] + p[f"{pre}.attn.bo"]
+        ctx = (probs_used @ v).swapaxes(-3, -2).reshape(*lead, b * length, h)
+        attn_out = ctx @ p[f"{pre}.attn.wo"] + vec(f"{pre}.attn.bo")
         res1 = x_in + attn_out
-        y, ln1_cache = _layernorm_fwd(res1, p[f"{pre}.ln1.gain"], p[f"{pre}.ln1.bias"])
+        y, ln1_cache = _layernorm_fwd(res1, vec(f"{pre}.ln1.gain"), vec(f"{pre}.ln1.bias"))
 
-        a = y @ p[f"{pre}.ffn.w1"] + p[f"{pre}.ffn.b1"]
+        a = y @ p[f"{pre}.ffn.w1"] + vec(f"{pre}.ffn.b1")
         g, gelu_tanh = _gelu(a)
         ffn_mask = None
         g_used = g
         if rate > 0:
             ffn_mask = _dropout_mask(rng, g.shape, rate, dt)
             g_used = g * ffn_mask
-        fout = g_used @ p[f"{pre}.ffn.w2"] + p[f"{pre}.ffn.b2"]
+        fout = g_used @ p[f"{pre}.ffn.w2"] + vec(f"{pre}.ffn.b2")
         res2 = y + fout
-        x, ln2_cache = _layernorm_fwd(res2, p[f"{pre}.ln2.gain"], p[f"{pre}.ln2.bias"])
+        x, ln2_cache = _layernorm_fwd(res2, vec(f"{pre}.ln2.gain"), vec(f"{pre}.ln2.bias"))
 
         layers.append(
             dict(x_in=x_in, q=q, k=k, v=v, probs=probs, probs_used=probs_used,
@@ -383,7 +399,7 @@ def _forward_batch(model, ids, mask, rng=None):
 
     cache = dict(ids=ids, length=length, emb_mask=emb_mask, layers=layers,
                  key_keep=key_keep, scale=scale)
-    return x.reshape(b, length, h), cache
+    return x.reshape(*lead, b, length, h), cache
 
 
 def _backward_batch(model, cache, d_hidden, grads):
@@ -503,20 +519,87 @@ def _head(model, hidden, packed, task):
     return feat @ model.params[f"{name}.w"] + model.params[f"{name}.b"], feat
 
 
+# Config fields that shape the forward pass. Models run as one stack must
+# agree on them and on their vocabulary size.
+FORWARD_FIELDS = ("layers", "hidden_dim", "heads", "ffn_dim", "max_len", "precision")
+
+
+def check_agreement(models: Mapping[str, EncoderModel]) -> None:
+    """Raise ConfigError unless every model has the first one's vocabulary
+    size and `FORWARD_FIELDS` values, so that they can run as one stack."""
+
+    def shape(m):
+        return {"vocab_size": m.params["tok_emb"].shape[0],
+                **{f: getattr(m.config, f) for f in FORWARD_FIELDS}}
+
+    (first, ref), *rest = models.items()
+    want = shape(ref)
+    for name, m in rest:
+        got = shape(m)
+        for key in want:
+            if got[key] != want[key]:
+                raise ConfigError(f"classifier {name} has {key} {got[key]}, "
+                                  f"classifier {first} has {want[key]}")
+
+
+def stack_models(models: Mapping[str, EncoderModel]) -> EncoderModel:
+    """One model that runs `models` as a stack, for inference.
+
+    Its encoder weights carry a leading model axis in `models` order, and
+    it holds each model's head for the task that model is keyed by. The
+    models must pass `check_agreement`. Their parameter buffers move into
+    the rows of one (M, W) buffer, each model's `FlatParams` over a prefix
+    of its row, so every stacked weight is a view of the models' own
+    memory: nothing is copied, and a write into a model's parameters shows
+    in the stack.
+    """
+    first = next(iter(models.values()))
+    sizes = [m.params.flat.size for m in models.values()]
+    buf = np.empty((len(models), max(sizes)), first.config.dtype)
+    for row, size, m in zip(buf, sizes, models.values()):
+        row[:size] = m.params.flat
+        m.params = FlatParams(row[:size], m.params.layout)  # drops the old buffer
+    params = {}
+    offset = 0
+    for name, shape in first.params.layout:  # the seq heads come last
+        if name.startswith("seq_head."):
+            break
+        size = math.prod(shape)
+        params[name] = buf[:, offset : offset + size].reshape(len(models), *shape)
+        offset += size
+    for task, m in models.items():
+        name = _head_name(task)
+        params[f"{name}.w"], params[f"{name}.b"] = m.params[f"{name}.w"], m.params[f"{name}.b"]
+    return EncoderModel(first.config, params,
+                        {task: m.task_classes[task] for task, m in models.items()})
+
+
 def predict_batch(
-    model: EncoderModel, seqs: Sequence[LabeledSequence], task: Optional[str] = None
+    model: EncoderModel,
+    seqs: Sequence[LabeledSequence],
+    task: Optional[str | tuple[str, ...]] = None,
 ) -> list:
     """Argmax predictions in input order, in length-ordered chunks.
 
     With a task, one class id per sequence; with none, one B/I/O id per
-    real position. Ties break toward the lowest id.
+    real position. With a tuple of tasks, `model` is their `stack_models`
+    stack, in the same order, and each sequence gets a list of class ids,
+    one per task; each of the tuple's heads reads its model's slice of the
+    stacked hidden states. A stacked chunk holds `INFERENCE_BATCH // M`
+    rows, so its activations take no more memory than one model's chunk.
+    Ties break toward the lowest id.
     """
+    stacked = isinstance(task, tuple)
     out: list = [None] * len(seqs)
-    for idx in length_chunks(seqs, INFERENCE_BATCH):
+    for idx in length_chunks(seqs, INFERENCE_BATCH // len(task) if stacked else INFERENCE_BATCH):
         hidden, packed = forward_batch(model, [seqs[i] for i in idx])
-        best = np.argmax(_head(model, hidden, packed, task)[0], axis=-1)
-        for i, row in zip(idx, best):
-            out[i] = int(row) if task is not None else row[: len(seqs[i])].tolist()
+        if stacked:
+            best = np.stack([np.argmax(_head(model, hid, packed, t)[0], axis=-1)
+                             for hid, t in zip(hidden, task)], axis=-1)
+        else:
+            best = np.argmax(_head(model, hidden, packed, task)[0], axis=-1)
+        for i, row in zip(idx, best.tolist()):
+            out[i] = row[: len(seqs[i])] if task is None else row
     return out
 
 

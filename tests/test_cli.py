@@ -386,3 +386,24 @@ class TestPipelineFlow:
         err = capsys.readouterr().err
         for dim in ("Action", "Negation", "Temporality", "Certainty", "Actor"):
             assert dim in err
+
+    def test_classifier_of_another_width_is_one_error_line(self, tmp_path, data_dir,
+                                                           pipeline_dir, capsys):
+        actor = tmp_path / "actor"
+        wide = [*FAST_FLAGS, "--hidden-dim", "32"]  # the last flag wins
+        assert run_command(["train", "--task", "actor", "--data", str(data_dir),
+                            "--out", str(actor), *wide]) == 0
+        pipe = tmp_path / "pipe"
+        shutil.copytree(pipeline_dir, pipe)
+        shutil.rmtree(pipe / "task_Actor")
+        shutil.copytree(actor, pipe / "task_Actor")
+        note = tmp_path / "note.txt"
+        note.write_text("clinician duly started kelinib 10mg today.", encoding="utf-8")
+        capsys.readouterr()
+        code = run_command(["pipeline", "--model", str(pipe), "--in", str(note),
+                            "--out", str(tmp_path / "preds.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "classifier Actor has hidden_dim 32" in err
+        assert not (tmp_path / "preds.jsonl").exists()

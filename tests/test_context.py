@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rxtract.context import (
+    CONTEXT_STACK,
     DIMENSION_TASKS,
     TASKS,
     ClassifierBundle,
@@ -18,7 +19,7 @@ from rxtract.context import (
 )
 from rxtract.corpus import AnnotatedDocument, CharSpan, EventLabel, parse_standoff
 from rxtract.encoder import EncoderConfig, TrainConfig, init_model
-from rxtract.errors import SpanRangeError
+from rxtract.errors import ConfigError, SpanRangeError
 from rxtract.preproc import (
     CLS_ID,
     E_MARK_ID,
@@ -252,3 +253,50 @@ class TestTrainTask:
         preds = classify_batch(tm.model, TASKS["Event"], examples[:20])
         agree = sum(p == s.label for p, s in zip(preds, examples[:20]))
         assert agree >= 18
+
+
+class TestStackedContexts:
+    """The five dimension classifiers run as one stacked forward pass."""
+
+    def _examples(self, corpus, bundle):
+        docs = corpus.dev + corpus.test
+        seqs = collect_task_examples(docs, TASKS["Event"], bundle.vocab, bundle.max_len)
+        assert len(seqs) > 64  # several stacked chunks and more than one single-model chunk
+        return seqs
+
+    def test_predictions_equal_one_classifier_at_a_time(self, tiny):
+        corpus, pipe = tiny
+        bundle = pipe.classifiers
+        seqs = self._examples(corpus, bundle)
+        got = predict_contexts(bundle, seqs)
+        for task in DIMENSION_TASKS:
+            ids = classify_batch(bundle.tasks[task.name].model, task, seqs)
+            field = task.name.lower()
+            assert [getattr(attrs, field).value for attrs in got] == \
+                [task.classes[i] for i in ids]
+
+    def test_stack_is_the_classifiers_own_memory(self, tiny):
+        bundle = tiny[1].classifiers
+        stack = bundle.contexts
+        assert list(stack.task_classes) == [task.name for task in CONTEXT_STACK.tasks]
+        for i, task in enumerate(DIMENSION_TASKS):
+            params = bundle.tasks[task.name].model.params
+            for name, w in stack.params.items():
+                if not name.startswith("seq_head."):
+                    assert np.shares_memory(w[i], params[name])
+            assert np.shares_memory(stack.params[f"seq_head.{task.name}.w"], params.flat)
+        assert not np.shares_memory(stack.params["tok_emb"],
+                                    bundle.tasks["Event"].model.params.flat)
+
+    def test_bundle_without_dimensions_has_no_stack(self, tiny):
+        bundle = tiny[1].classifiers
+        events = ClassifierBundle({"Event": bundle.tasks["Event"]}, bundle.vocab)
+        assert events.contexts is None and events.max_len == bundle.max_len
+        with pytest.raises(ConfigError, match="lacks context classifiers"):
+            predict_contexts(events, self._examples(tiny[0], bundle)[:1])
+
+    def test_vocabulary_of_another_size_is_config_error(self, tiny):
+        bundle = tiny[1].classifiers
+        other = build_vocab(["a few other words"], 64)
+        with pytest.raises(ConfigError, match="vocabulary rows"):
+            ClassifierBundle(dict(bundle.tasks), other)

@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rxtract import encoder
 from rxtract.artifacts import load_artifact, save_artifact
 from rxtract.encoder import (
     INFERENCE_BATCH,
+    LN_EPS,
     EncoderConfig,
     FlatParams,
     OptimizerState,
@@ -18,6 +20,9 @@ from rxtract.encoder import (
     _gelu,
     _gelu_grad,
     _head,
+    _layernorm_bwd,
+    _layernorm_fwd,
+    check_agreement,
     fit,
     forward_batch,
     grad_check,
@@ -27,6 +32,7 @@ from rxtract.encoder import (
     pack_batch,
     param_shapes,
     predict_batch,
+    stack_models,
     toy_examples,
 )
 from rxtract.errors import ConfigError, NumericError, SequenceLengthError
@@ -327,6 +333,112 @@ class TestPredictBatch:
             predict_batch(model, batch, "Nope")
         with pytest.raises(ConfigError):
             loss_and_grads(model, batch, task="Nope")
+
+
+class TestLayerNorm:
+    """The layer norm's reductions keep the bits of `x.mean` and `x.var`."""
+
+    @staticmethod
+    def _reference(x, gain, bias, dy):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + LN_EPS)
+        xhat = (x - mu) * inv
+        dxhat = dy * gain
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return xhat * gain + bias, xhat, inv, (dxhat - m1 - xhat * m2) * inv
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_mean_and_var(self, dtype):
+        rng = np.random.default_rng(0)
+        for rows in [*range(1, 400, 3), 400]:
+            for width in (16, 17, 32, 64, 100, 128):
+                x, dy = (rng.standard_normal((2, rows, width)) * 3 + 0.5).astype(dtype)
+                gain, bias = rng.standard_normal((2, width)).astype(dtype)
+                out, (xhat, inv) = _layernorm_fwd(x, gain, bias)
+                dx, _, _ = _layernorm_bwd(dy, (xhat, inv), gain)
+                for got, want in zip((out, xhat, inv, dx), self._reference(x, gain, bias, dy)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+STACK_TASKS = {"A": 2, "B": 3, "C": 4, "D": 3, "E": 2}  # heads of different widths
+WIDE = EncoderConfig(layers=2, hidden_dim=128, heads=4, ffn_dim=256, max_len=32,
+                     dropout_rate=0.0, seed=3)
+
+
+def _distinct_models(cfg):
+    """Five models of one shape, with distinct weights, one head each."""
+    return {task: init_model(replace(cfg, seed=i), VOCAB, {task: n})
+            for i, (task, n) in enumerate(STACK_TASKS.items())}
+
+
+class TestStack:
+    @pytest.mark.parametrize("cfg", [TOY, WIDE], ids=["toy", "wide"])
+    @pytest.mark.parametrize("precision", [32, 64])
+    @pytest.mark.parametrize("rows", [1, 2, 8, 12, 13, 64])
+    def test_hidden_states_bit_identical_to_each_model_alone(self, cfg, precision, rows):
+        models = _distinct_models(replace(cfg, precision=precision))
+        seqs = toy_examples("sequence", VOCAB, n=rows, length=20, seed=rows)
+        alone = [forward_batch(m, seqs)[0] for m in models.values()]
+        hidden, _ = forward_batch(stack_models(models), seqs)
+        assert hidden.shape == (len(models), *alone[0].shape)
+        for got, want in zip(hidden, alone):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_predictions_match_each_model_alone(self):
+        models = _distinct_models(TOY)
+        seqs = toy_examples("sequence", VOCAB, n=INFERENCE_BATCH + 6, length=20, seed=14)
+        want = [predict_batch(m, seqs, task) for task, m in models.items()]
+        assert len({tuple(w) for w in want}) > 1
+        got = predict_batch(stack_models(models), seqs, tuple(models))
+        assert got == [list(ids) for ids in zip(*want)]
+
+    def test_stacked_chunk_holds_a_share_of_the_rows(self, monkeypatch):
+        models = _distinct_models(TOY)
+        stack = stack_models(models)
+        rows, forward = [], encoder.forward_batch
+        monkeypatch.setattr(encoder, "forward_batch",
+                            lambda m, seqs: rows.append(len(seqs)) or forward(m, seqs))
+        seqs = toy_examples("sequence", VOCAB, n=30, length=12, seed=2)
+        predict_batch(stack, seqs, tuple(models))
+        assert rows == [12, 12, 6] and INFERENCE_BATCH // len(models) == 12
+
+    def test_weights_are_the_models_own_memory(self):
+        models = _distinct_models(TOY)
+        before = {task: m.params.flat.copy() for task, m in models.items()}
+        stack = stack_models(models)
+        for i, (task, m) in enumerate(models.items()):
+            _assert_one_buffer(m)
+            assert np.array_equal(m.params.flat, before[task])
+            for name, w in stack.params.items():
+                if not name.startswith("seq_head."):
+                    assert np.shares_memory(w[i], m.params[name])
+                    assert np.array_equal(w[i], m.params[name])
+            for part in ("w", "b"):
+                assert np.shares_memory(stack.params[f"seq_head.{task}.{part}"], m.params.flat)
+        assert stack.task_classes == STACK_TASKS
+        models["C"].params["layer1.ffn.w2"][0, 0] = 7.0
+        assert stack.params["layer1.ffn.w2"][2, 0, 0] == 7.0
+
+    @pytest.mark.parametrize("field,value", [
+        ("layers", 1), ("hidden_dim", 32), ("heads", 4), ("ffn_dim", 16),
+        ("max_len", 16), ("precision", 32),
+    ])
+    def test_models_that_cannot_stack_are_config_error(self, field, value):
+        models = _distinct_models(TOY)
+        models["D"] = init_model(replace(TOY, **{field: value}), VOCAB, {"D": 3})
+        with pytest.raises(ConfigError, match=f"classifier D has {field} {value}, "
+                                              f"classifier A has"):
+            check_agreement(models)
+
+    def test_vocabulary_size_must_agree_but_dropout_and_seed_need_not(self):
+        models = _distinct_models(replace(TOY, dropout_rate=0.1))
+        models["E"] = init_model(replace(TOY, dropout_rate=0.3, seed=9), VOCAB, {"E": 2})
+        check_agreement(models)
+        models["B"] = init_model(TOY, VOCAB + 1, {"B": 3})
+        with pytest.raises(ConfigError, match="classifier B has vocab_size 65"):
+            check_agreement(models)
 
 
 class TestTrainConfig:

@@ -1,28 +1,37 @@
 """Trained-bits lock: training must keep producing the same weights.
 
-The digests below were recorded before the parameters, gradients and
-optimizer moments moved into one flat buffer per model, and before every
-activation-by-weight product became one 2-D GEMM. A refactor of the
-training step must reproduce them exactly; a change that moves them on
-purpose must say why and record the new values. The optimizer is also
-checked step by step against the per-tensor Adam loop, copied here as the
-reference.
+The fit digests below lock the weights `fit` trains under OpenBLAS's
+Haswell kernel. Kernels round GEMMs differently (the AVX-512 ones give
+other bits), so the fit runs in a child process pinned to that kernel with
+`OPENBLAS_CORETYPE=Haswell` and one thread: every x86-64 CPU with AVX2 and
+FMA runs it, and numpy's OpenBLAS wheels pick their kernel at run time, so
+the lock holds whatever kernel this process uses. Other architectures
+cannot run that kernel, so there the fit lock is skipped. A refactor of
+the training step must reproduce the digests exactly; a change that moves
+them on purpose must say why and record the new values. The optimizer is
+also checked step by step against the per-tensor Adam loop, copied here as
+the reference; its gradients come from a seeded generator, so it runs in
+this process on any kernel.
 
 The fit runs at the benchmark encoder's widths (hidden 128, FFN 256). At
 narrower widths OpenBLAS picks its small-matrix kernels for the per-row
 products of the old 3-D form, and those round differently from one 2-D
-product, so the weights of a narrow model move in their last bits. The
-optimizer check draws its gradients from a seeded generator, so it runs
-at any width.
+product, so the weights of a narrow model move in their last bits.
 """
 
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rxtract
 from rxtract.encoder import (
     EncoderConfig,
     OptimizerState,
@@ -44,10 +53,11 @@ STEP_CFG = EncoderConfig(layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=3
 TC = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=4, patience=3,
                  clip_norm=0.05, seed=2)
 
-FIT_DIGESTS = {
-    None: "62ba9730a0bc9cf42ce0761adb1e11ceb16ca1a0743645afd6acabbedc5d7963",
-    "Event": "728283eded99bb7c74ef98fe8672ec406839434141eb8c427e224dd7a681ee29",
+FIT_DIGESTS = {  # under OPENBLAS_CORETYPE=Haswell
+    None: "c4eb5fb9985906034d49618adc30b69104fc0d0d951ccef51802ddb69f326ff7",
+    "Event": "001e094df85fd8d925649be65a183e39565f7382b8c8b4640490ef72c91e810d",
 }
+FIT_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 STEP_DIGESTS = {
     32: "09311cda1dca48165dd474efd8ace59bd9bd1adad897ca691ddfde2c3bd68e30",
     64: "6516279f95b3dd7b56f0c2b2058b1e1019a875f0e642e16101bf62e16f697982",
@@ -89,15 +99,28 @@ def _equal(a, b) -> bool:
     return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
 
-@pytest.mark.parametrize("task", [None, "Event"])
-def test_fit_weights_locked(task):
+def _fit_digest(task):
     model = init_model(FIT_CFG, VOCAB, {"Event": 3})
     kind = "token" if task is None else "sequence"
     examples = toy_examples(kind, VOCAB, n=40, length=14, seed=3)
     scores = iter([0.2, 0.6, 0.4, 0.5])  # the best epoch is not the last one
     result = fit(model, examples, TC, lambda m: next(scores), task=task)
     assert result.best_epoch == 2 and len(result.history) == 4
-    assert _digest(model.params) == FIT_DIGESTS[task]
+    return _digest(model.params)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the digests are Haswell-kernel bits; only x86-64 runs that kernel")
+@pytest.mark.parametrize("task", [None, "Event"])
+def test_fit_weights_locked(task):
+    src = str(Path(rxtract.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, __file__, str(task)], capture_output=True, text=True,
+        env={**os.environ, **FIT_ENV, "PYTHONPATH": path},
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == [FIT_DIGESTS[task]]
 
 
 @pytest.mark.parametrize("precision", [32, 64])
@@ -127,3 +150,7 @@ def test_optimizer_matches_per_tensor_reference(precision):
         assert _equal(state.m, m) and _equal(state.v, v)
     assert min(norms) < TC.clip_norm < max(norms)
     assert _digest(model.params) == STEP_DIGESTS[precision]
+
+
+if __name__ == "__main__":  # the child process of test_fit_weights_locked
+    print(_fit_digest(None if sys.argv[1] == "None" else sys.argv[1]))
