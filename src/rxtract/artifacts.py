@@ -24,13 +24,13 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .context import TASKS, ClassifierBundle, TaskModel
+from .context import ClassifierBundle, TaskModel
 from .corpus import read_utf8
 from .encoder import EncoderConfig, EncoderModel, FlatParams, TrainConfig, param_shapes
 from .errors import CompatibilityError, ConfigError, CorruptionError
 from .ner import NerModelBundle
 from .pipeline import PipelineBundle
-from .preproc import NUM_SPECIALS, SPECIAL_PIECES, Vocabulary
+from .preproc import NUM_SPECIALS, Vocabulary
 
 FORMAT_VERSION = 1
 MANIFEST = "manifest.txt"
@@ -69,7 +69,10 @@ def _parse_dataclass(cls, entries: dict[str, str], prefix: str):
         key = f"{prefix}.{f.name}"
         with _manifest_value(key):
             kwargs[f.name] = type(getattr(probe, f.name))(entries[key])
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise CorruptionError(f"manifest config is invalid: {exc}") from None
 
 
 def _write_model_dir(
@@ -154,8 +157,6 @@ def _read_model_dir(
                 raise ValueError(key)
         pieces.append(piece)
     vocab = Vocabulary.from_pieces(pieces)
-    if vocab.pieces[:NUM_SPECIALS] != SPECIAL_PIECES:
-        raise CorruptionError("special pieces corrupted")
 
     tensors: list[tuple[str, tuple[int, ...]]] = []
     for key, spec in ordered:
@@ -166,6 +167,9 @@ def _read_model_dir(
                 if min(shape) < 0:
                     raise ValueError(shape)
             tensors.append((name, shape))
+    if cfg.layers > len(tensors):  # every layer declares tensors: bound the layout first
+        raise CorruptionError(f"config.layers {cfg.layers} exceeds the "
+                              f"{len(tensors)} tensors the manifest declares")
     try:
         expected = param_shapes(cfg, len(vocab), task_classes)
     except ConfigError as exc:
@@ -252,10 +256,8 @@ def load_artifact(path: str | Path) -> AnyBundle:
         )
     if kind == "pipeline":
         names = entries.get("components", "").split()
-        missing = [name for name in ("ner", *TASKS) if name not in names]
-        if missing:
-            raise CorruptionError(
-                f"pipeline artifact missing components: {' '.join(missing)}")
+        if "ner" not in names:
+            raise CorruptionError("pipeline artifact missing components: ner")
         components: dict[str, AnyBundle] = {}
         for name in names:
             sub = load_artifact(path / ("ner" if name == "ner" else f"task_{name}"))
@@ -271,8 +273,7 @@ def load_artifact(path: str | Path) -> AnyBundle:
                     f"pipeline component {name} disagrees with ner on vocabulary")
         tasks = {name: sub.tasks[name] for name, sub in components.items()}
         try:
-            classifiers = ClassifierBundle(tasks, ner_bundle.vocab)
+            return PipelineBundle(ner_bundle, ClassifierBundle(tasks, ner_bundle.vocab))
         except ConfigError as exc:
-            raise CorruptionError(f"pipeline components disagree: {exc}") from None
-        return PipelineBundle(ner_bundle, classifiers)
+            raise CorruptionError(f"pipeline artifact is invalid: {exc}") from None
     raise CorruptionError(f"unknown artifact kind {kind!r}")

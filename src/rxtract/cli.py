@@ -75,8 +75,6 @@ def _resolve_configs(args) -> tuple[EncoderConfig, TrainConfig, int]:
 
     enc = EncoderConfig(**{k: v for k, v in parsed.items() if k in _ENC_FIELDS})
     train = TrainConfig(**{k: v for k, v in parsed.items() if k in _TRAIN_FIELDS})
-    enc.validate()
-    train.validate()
     return enc, train, parsed.get("vocab_target_size", DEFAULT_VOCAB_SIZE)
 
 
@@ -196,7 +194,6 @@ def cmd_train(args) -> int:
         ner_bundle = ner.train_ner(corpus, enc_cfg, train_cfg, vocab=vocab, log=_log)
         cls_bundle = context.train_all_tasks(corpus, enc_cfg, train_cfg, vocab, log=_log)
         bundle = pipeline.PipelineBundle(ner=ner_bundle, classifiers=cls_bundle)
-        bundle.validate()
     else:
         task = context.TASKS[TASK_NAMES[args.task]]
         tm = context.train_task(corpus, task, enc_cfg, train_cfg, vocab, log=_log)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     ConflictError,
@@ -102,6 +102,14 @@ class CharSpan:
         return self.start <= other.start and other.end <= self.end
 
 
+def check_disjoint(spans: Iterable[CharSpan], what: str) -> None:
+    """Raise ConflictError if two of `spans` overlap; `what` names the list."""
+    ordered = sorted(spans)
+    for a, b in zip(ordered, ordered[1:]):  # in start order, any overlap shows in neighbours
+        if a.overlaps(b):
+            raise ConflictError(f"{what}: overlapping spans {a} and {b}")
+
+
 @dataclass(frozen=True)
 class ContextAttributes:
     """The five orthogonal context dimensions of a medication change.
@@ -145,8 +153,8 @@ class AnnotatedDocument:
     mentions: list[MedicationMention] = field(default_factory=list)
 
     def validate(self) -> None:
-        prev: Optional[CharSpan] = None
-        for m in sorted(self.mentions, key=lambda m: m.span):
+        """Documents are mutable: check one after building or editing it."""
+        for m in self.mentions:
             if m.span.end > len(self.text):
                 raise SpanRangeError(
                     f"{self.doc_id}: span {m.span} exceeds text length {len(self.text)}"
@@ -159,11 +167,7 @@ class AnnotatedDocument:
                 raise SchemaError(
                     f"{self.doc_id}: context must be present iff event is Disposition"
                 )
-            if prev is not None and prev.overlaps(m.span):
-                raise ConflictError(
-                    f"{self.doc_id}: overlapping mention spans {prev} and {m.span}"
-                )
-            prev = m.span
+        check_disjoint((m.span for m in self.mentions), self.doc_id)
 
 
 @dataclass

@@ -52,7 +52,7 @@ class EncoderConfig:
     seed: int = 0
     precision: int = 32  # 32 or 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.layers < 1 or self.hidden_dim < 1 or self.ffn_dim < 1:
             raise ConfigError("layers, hidden_dim, and ffn_dim must be positive")
         if self.heads < 1 or self.hidden_dim % self.heads != 0:
@@ -137,7 +137,7 @@ class TrainConfig:
     clip_norm: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and math.isfinite(self.clip_norm)):
             raise ConfigError("learning_rate and clip_norm must be finite")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
@@ -152,7 +152,6 @@ class TrainConfig:
 
 def _param_layout(cfg: EncoderConfig, vocab_size: int, n_classes: Mapping[str, int]):
     """Name, shape and initial fill of every parameter, in creation order."""
-    cfg.validate()
     if vocab_size < 1:
         raise ConfigError("vocab_size must be positive")
     h, f = cfg.hidden_dim, cfg.ffn_dim
@@ -420,8 +419,8 @@ def _backward_batch(model, cache, d_hidden, grads):
         dres2, dg2, db2 = _layernorm_bwd(dx, c["ln2"], p[f"{pre}.ln2.gain"])
         grads[f"{pre}.ln2.gain"] += dg2
         grads[f"{pre}.ln2.bias"] += db2
-        dy = dres2.copy()
-        dfout = dres2
+        # `dy` aliases `dfout`: its `+=` below comes after dfout's last read
+        dy = dfout = dres2
 
         grads[f"{pre}.ffn.w2"] += c["g_used"].T @ dfout
         grads[f"{pre}.ffn.b2"] += dfout.sum(axis=0)
@@ -436,8 +435,8 @@ def _backward_batch(model, cache, d_hidden, grads):
         dres1, dg1, db1 = _layernorm_bwd(dy, c["ln1"], p[f"{pre}.ln1.gain"])
         grads[f"{pre}.ln1.gain"] += dg1
         grads[f"{pre}.ln1.bias"] += db1
-        dx_in = dres1.copy()
-        dattn_out = dres1
+        # `dx_in` aliases `dattn_out`: its `+=` below comes after dattn_out's last read
+        dx_in = dattn_out = dres1
 
         grads[f"{pre}.attn.wo"] += c["ctx"].T @ dattn_out
         grads[f"{pre}.attn.bo"] += dattn_out.sum(axis=0)
@@ -621,9 +620,11 @@ def loss_and_grads(
 
 def _loss_grads_packed(model, packed, task, rng, want_grads):
     cfg = model.config
-    hidden, cache = _forward_batch(model, packed.ids, packed.mask, rng)
-    logits, feat = _head(model, hidden, packed, task)
-    logp = _log_softmax(logits)
+    # a non-finite loss raises NumericError below, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hidden, cache = _forward_batch(model, packed.ids, packed.mask, rng)
+        logits, feat = _head(model, hidden, packed, task)
+        logp = _log_softmax(logits)
     target = packed.tags if task is None else packed.labels
     picked = np.take_along_axis(logp, target[..., None], axis=-1)[..., 0]
     if task is None:
@@ -881,7 +882,6 @@ def fit(
     line gives the mean loss, the dev score, the largest global gradient
     norm and how many of the epoch's steps were clipped.
     """
-    tc.validate()
     if not examples:
         raise DataError("no training examples")
     rng = np.random.default_rng(tc.seed)

@@ -50,9 +50,13 @@ class SequenceLengthError(RxtractError):
 
 
 class NumericError(RxtractError):
-    """A non-finite value surfaced during training; carries the example origin."""
+    """A non-finite value surfaced during training; carries and names the example origin."""
 
     def __init__(self, message: str, origin=None):
+        if origin is not None:
+            doc_id, span = origin
+            where = "" if span is None else f", sentence at {span.start}-{span.end}"
+            message = f"{message} on an example from document {doc_id!r}{where}"
         super().__init__(message)
         self.origin = origin
 

@@ -20,6 +20,7 @@ from .corpus import (
     ContextAttributes,
     EventLabel,
     MedicationMention,
+    check_disjoint,
 )
 from .errors import RxtractError, SizeError
 
@@ -74,13 +75,6 @@ class MatchResult:
     unmatched_pred: list[int]
 
 
-def _check_disjoint(spans: Sequence[CharSpan], which: str) -> None:
-    ordered = sorted(spans)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.overlaps(b):
-            raise RxtractError(f"overlapping spans within {which} list: {a}, {b}")
-
-
 def match_spans(
     gold: Sequence[CharSpan], pred: Sequence[CharSpan], mode: str = STRICT
 ) -> MatchResult:
@@ -92,8 +86,8 @@ def match_spans(
     """
     if mode not in (STRICT, LENIENT):
         raise RxtractError(f"unknown match mode {mode!r}")
-    _check_disjoint(gold, "gold")
-    _check_disjoint(pred, "pred")
+    check_disjoint(gold, "gold list")
+    check_disjoint(pred, "pred list")
 
     pairs: list[tuple[int, int]] = []
     used: set[int] = set()

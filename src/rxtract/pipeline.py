@@ -35,17 +35,17 @@ from .preproc import split_text
 
 @dataclass
 class PipelineBundle:
-    """The three stages chained over one shared vocabulary."""
+    """The three stages chained over one shared vocabulary, one classifier per task."""
 
     ner: NerModelBundle
     classifiers: ClassifierBundle
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.ner.vocab.pieces != self.classifiers.vocab.pieces:
             raise ConfigError("pipeline components do not share one vocabulary")
-        for name in TASKS:
-            if name not in self.classifiers.tasks:
-                raise ConfigError(f"pipeline is missing the {name} classifier")
+        missing = [name for name in TASKS if name not in self.classifiers.tasks]
+        if missing:
+            raise ConfigError(f"missing components: {' '.join(missing)}")
 
 
 def _run_staged(

@@ -18,7 +18,7 @@ from enum import IntEnum
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .corpus import CharSpan
+from .corpus import CharSpan, check_disjoint
 from .errors import CapacityError, ConflictError
 
 PAD_ID = 0
@@ -240,12 +240,9 @@ def spans_to_bio(sent: Sentence, mentions: Sequence[CharSpan]) -> list[BioTag]:
     A token counts as inside a mention when their spans overlap by at least
     one character.
     """
-    ordered = sorted(mentions)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.overlaps(b):
-            raise ConflictError(f"overlapping mention spans {a} and {b}")
+    check_disjoint(mentions, "mentions")
     tags = [BioTag.O] * len(sent.tokens)
-    for mention in ordered:
+    for mention in mentions:
         first = True
         for i, tok in enumerate(sent.tokens):
             if tok.span.overlaps(mention):

@@ -108,7 +108,7 @@ def default_lexicon(size: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSpec:
     seed: int = 7
     n_train: int = 200
@@ -122,7 +122,7 @@ class GeneratorSpec:
     # fraction of dev/test mentions wearing a dose-form word unseen in training
     novel_form_rate: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.n_train, self.n_dev, self.n_test) < 0:
             raise ConfigError("split sizes must be non-negative")
         if not (0 < self.mention_prob <= 1):
@@ -220,7 +220,6 @@ def _render_sentence(
 
 def gen_corpus(spec: GeneratorSpec) -> SynthResult:
     """Generate a corpus with an exact emission ledger; deterministic per seed."""
-    spec.validate()
     rng = random.Random(spec.seed)
     lexicon = default_lexicon(spec.lexicon_size)
 

@@ -361,7 +361,6 @@ def test_criterion_8_end_to_end_degradation(corpus200, ner_trained, classifiers_
     ner_bundle, _ = ner_trained
     cls_bundle, _ = classifiers_trained
     pipe = PipelineBundle(ner=ner_bundle, classifiers=cls_bundle)
-    pipe.validate()
     combined = combined_accuracy(corpus200.test, run_pipeline_over(pipe, corpus200.test))
 
     event_rep = event_metrics(

@@ -165,6 +165,14 @@ class TestMalformedManifest:
             load_artifact(tmp_path / "ev")
 
 
+def test_huge_layer_count_is_corruption(tmp_path, event_bundle):
+    """Refused before a layout of that many layers is built."""
+    save_artifact(event_bundle, tmp_path / "ev")
+    _edit_manifest(tmp_path / "ev", r"^config\.layers=.*$", "config.layers=" + "9" * 30)
+    with pytest.raises(CorruptionError, match="config.layers"):
+        load_artifact(tmp_path / "ev")
+
+
 class TestPipelineArtifact:
     def test_round_trip_preserves_end_to_end_outputs(self, tmp_path, tiny_setup, ner_bundle):
         import warnings
@@ -178,7 +186,6 @@ class TestPipelineArtifact:
         bundle = PipelineBundle(
             ner=ner_bundle, classifiers=ClassifierBundle(tasks=tasks, vocab=vocab)
         )
-        bundle.validate()
         save_artifact(bundle, tmp_path / "p")
         loaded = load_artifact(tmp_path / "p")
         assert isinstance(loaded, PipelineBundle)

@@ -215,6 +215,19 @@ class TestConfigValues:
         assert line.split("=")[0] in err and "finite" in err
         assert not (tmp_path / "m").exists()
 
+    def test_non_finite_loss_is_one_line_naming_its_example(self, tmp_path, capsys):
+        data = tmp_path / "c"
+        assert run_command(["synth", "--out", str(data), "--train", "8", "--dev", "2",
+                            "--test", "2", "--seed", "3"]) == 0
+        code, err = _run(capsys, ["train", "--task", "event", "--data", str(data),
+                                  "--out", str(tmp_path / "m"), "--layers", "1",
+                                  "--hidden-dim", "16", "--heads", "2", "--ffn-dim", "32",
+                                  "--max-len", "64", "--max-epochs", "2",
+                                  "--learning-rate", "1e30"])
+        assert code == 1
+        assert re.fullmatch(r"error: non-finite loss .*document 'train\d+'.*\n", err)
+        assert not (tmp_path / "m").exists()
+
     def test_synth_lexicon_size_outside_name_pool_is_clean_error(self, tmp_path, capsys):
         out = tmp_path / "c"
         code, err = _run(capsys, ["synth", "--out", str(out), "--lexicon-size", "0"])

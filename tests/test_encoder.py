@@ -441,12 +441,29 @@ class TestStack:
             check_agreement(models)
 
 
+class TestConfigsCheckedWhenBuilt:
+    @pytest.mark.parametrize("cls, fields", [
+        (EncoderConfig, {"layers": 0}),
+        (EncoderConfig, {"heads": 3}),
+        (EncoderConfig, {"max_len": 4}),
+        (EncoderConfig, {"dropout_rate": 1.0}),
+        (EncoderConfig, {"precision": 16}),
+        (TrainConfig, {"batch_size": 0}),
+        (TrainConfig, {"patience": 0}),
+        (TrainConfig, {"beta1": 1.0}),
+        (TrainConfig, {"clip_norm": -1.0}),
+    ])
+    def test_invalid_value_raises_when_built(self, cls, fields):
+        with pytest.raises(ConfigError):
+            cls(**fields)
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match="finite"):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
 
 
 class TestLoss:

@@ -134,9 +134,14 @@ class TestBundleValidation:
     def test_vocabulary_mismatch_detected(self):
         a = _toy_pipeline(["alpha beta"])
         b = _toy_pipeline(["gamma delta epsilon zeta"])
-        mixed = PipelineBundle(ner=a.ner, classifiers=b.classifiers)
-        with pytest.raises(ConfigError):
-            mixed.validate()
+        with pytest.raises(ConfigError, match="vocabulary"):
+            PipelineBundle(ner=a.ner, classifiers=b.classifiers)
+
+    def test_missing_classifier_detected(self):
+        p = _toy_pipeline(["alpha beta"])
+        tasks = {name: tm for name, tm in p.classifiers.tasks.items() if name != "Actor"}
+        with pytest.raises(ConfigError, match="missing components: Actor"):
+            PipelineBundle(ner=p.ner, classifiers=ClassifierBundle(tasks, p.classifiers.vocab))
 
     def test_run_pipeline_over_keys_by_doc_id(self):
         result = gen_corpus(GeneratorSpec(seed=3, n_train=3, n_dev=1, n_test=1))

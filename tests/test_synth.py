@@ -158,19 +158,30 @@ class TestNoisyMode:
     @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
     def test_noise_rate_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ConfigError, match="noise_rate"):
-            GeneratorSpec(noise_rate=rate).validate()
+            GeneratorSpec(noise_rate=rate)
+
+
+@pytest.mark.parametrize("fields", [
+    {"n_train": -1},
+    {"mention_prob": 0.0},
+    {"novel_form_rate": 1.5},
+    {"min_sentences": 5, "max_sentences": 4},
+])
+def test_invalid_spec_raises_when_built(fields):
+    with pytest.raises(ConfigError):
+        GeneratorSpec(**fields)
 
 
 class TestLexiconSize:
     @pytest.mark.parametrize("size", [0, -3, MAX_LEXICON_SIZE + 1, 500])
     def test_size_outside_name_pool_rejected(self, size):
         with pytest.raises(ConfigError, match="lexicon_size"):
-            GeneratorSpec(lexicon_size=size).validate()
+            GeneratorSpec(lexicon_size=size)
         with pytest.raises(ConfigError, match="lexicon_size"):
             default_lexicon(size)
 
     def test_full_name_pool_accepted(self):
-        GeneratorSpec(lexicon_size=MAX_LEXICON_SIZE).validate()
+        GeneratorSpec(lexicon_size=MAX_LEXICON_SIZE)
         assert len(set(default_lexicon(MAX_LEXICON_SIZE))) == MAX_LEXICON_SIZE == 200
 
 
