@@ -224,7 +224,8 @@ def collect_task_examples(
     """Labeled examples for one task.
 
     The Event task covers every gold mention; dimension tasks cover only
-    gold Disposition mentions.
+    gold Disposition mentions. Only documents holding a mention the task
+    covers are split into sentences.
     """
     attr = None if task.name == "Event" else CONTEXT_DIMENSIONS[task.name][1]
     mentions = [
@@ -232,7 +233,7 @@ def collect_task_examples(
         for doc in docs
     ]
     keys, seqs = mention_examples(
-        docs, (split_text(doc.text) for doc in docs),
+        docs, (split_text(doc.text) if ms else [] for doc, ms in zip(docs, mentions)),
         ([m.span for m in ms] for ms in mentions), vocab, max_len,
     )
     for (d, j), seq in zip(keys, seqs):

@@ -278,8 +278,7 @@ class Packed:
     loss_mask: np.ndarray    # (B, L) bool, real non-special positions
     tags: np.ndarray         # (B, L) int64, token-head targets
     labels: np.ndarray       # (B,) int64, sequence-head targets
-    s_pos: np.ndarray        # (B,) int64
-    e_pos: np.ndarray        # (B,) int64
+    head_pos: np.ndarray     # (B, 3) int64, a sequence head's [CLS], [S], [E] (0 if absent)
     origins: list
 
 
@@ -301,8 +300,7 @@ def pack_batch(seqs: Sequence[LabeledSequence], model: EncoderModel) -> Packed:
     loss_mask = np.zeros((b, width), dtype=bool)
     tags = np.full((b, width), int(BioTag.O), dtype=np.int64)
     labels = np.zeros(b, dtype=np.int64)
-    s_pos = np.zeros(b, dtype=np.int64)
-    e_pos = np.zeros(b, dtype=np.int64)
+    head_pos = np.zeros((b, 3), dtype=np.int64)
 
     for i, s in enumerate(seqs):
         row = s.subtoken_ids
@@ -314,21 +312,27 @@ def pack_batch(seqs: Sequence[LabeledSequence], model: EncoderModel) -> Packed:
             tags[i, :n] = s.tags
         if s.label is not None:
             labels[i] = s.label
-        s_pos[i] = row.index(S_MARK_ID) if S_MARK_ID in row else 0
-        e_pos[i] = row.index(E_MARK_ID) if E_MARK_ID in row else 0
+        head_pos[i, 1:] = [row.index(m) if m in row else 0 for m in (S_MARK_ID, E_MARK_ID)]
 
-    return Packed(ids, mask, loss_mask, tags, labels, s_pos, e_pos,
-                  [s.origin for s in seqs])
+    return Packed(ids, mask, loss_mask, tags, labels, head_pos, [s.origin for s in seqs])
 
 
-def _forward_batch(model, ids, mask, rng=None):
-    """Run the encoder stack; returns final hidden states plus the
-    intermediate cache the backward pass consumes.
+def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
+    """Run the encoder stack; returns final hidden states plus, with
+    `keep_cache`, the intermediate cache the backward pass consumes (else
+    None).
 
     Dropout runs at the model's rate exactly when `rng` is given; at rate 0
     nothing is drawn from it. The weights may carry a leading model axis
     (`stack_models`); the hidden states then carry it too, and model `m`'s
     slice is bit for bit what model `m` gives alone.
+
+    Given `rows`, a (B, R) array of positions, the hidden states are
+    (..., B, R, H), those positions' rows only: the last layer still
+    attends over every position, but takes only those query rows from its
+    attention probabilities on, so its output projection, layer norms and
+    FFN run on R rows per sequence. Only inference passes `rows`: the
+    backward pass needs every position.
     """
     cfg = model.config
     p = model.params
@@ -374,9 +378,18 @@ def _forward_batch(model, ids, mask, rng=None):
         if rate > 0:
             attn_mask_drop = _dropout_mask(rng, probs.shape, rate, dt)
             probs_used = probs * attn_mask_drop
-        ctx = (probs_used @ v).swapaxes(-3, -2).reshape(*lead, b * length, h)
+        resid = x_in
+        if rows is not None and i == cfg.layers - 1:
+            # Each position's output reads only its own query row from here
+            # on. Picking the rows after the softmax, not before the Q
+            # projection, keeps q @ k.T's GEMM, and its rounding, whole.
+            batch = np.arange(b)[:, None]
+            probs_used = probs_used[..., batch[:, None], np.arange(nh)[:, None],
+                                    rows[:, None], :]  # (..., B, nh, R, L)
+            resid = x_in[..., (batch * length + rows).ravel(), :]
+        ctx = (probs_used @ v).swapaxes(-3, -2).reshape(resid.shape)
         attn_out = ctx @ p[f"{pre}.attn.wo"] + vec(f"{pre}.attn.bo")
-        res1 = x_in + attn_out
+        res1 = resid + attn_out
         y, ln1_cache = _layernorm_fwd(res1, vec(f"{pre}.ln1.gain"), vec(f"{pre}.ln1.bias"))
 
         a = y @ p[f"{pre}.ffn.w1"] + vec(f"{pre}.ffn.b1")
@@ -390,15 +403,18 @@ def _forward_batch(model, ids, mask, rng=None):
         res2 = y + fout
         x, ln2_cache = _layernorm_fwd(res2, vec(f"{pre}.ln2.gain"), vec(f"{pre}.ln2.bias"))
 
-        layers.append(
-            dict(x_in=x_in, q=q, k=k, v=v, probs=probs, probs_used=probs_used,
-                 attn_drop=attn_mask_drop, ctx=ctx, ln1=ln1_cache, y=y, a=a,
-                 gelu_tanh=gelu_tanh, g_used=g_used, ffn_drop=ffn_mask, ln2=ln2_cache)
-        )
+        if keep_cache:
+            layers.append(
+                dict(x_in=x_in, q=q, k=k, v=v, probs=probs, probs_used=probs_used,
+                     attn_drop=attn_mask_drop, ctx=ctx, ln1=ln1_cache, y=y, a=a,
+                     gelu_tanh=gelu_tanh, g_used=g_used, ffn_drop=ffn_mask, ln2=ln2_cache)
+            )
 
-    cache = dict(ids=ids, length=length, emb_mask=emb_mask, layers=layers,
-                 key_keep=key_keep, scale=scale)
-    return x.reshape(*lead, b, length, h), cache
+    hidden = x.reshape(*lead, b, -1, h)
+    if not keep_cache:
+        return hidden, None
+    return hidden, dict(ids=ids, length=length, emb_mask=emb_mask, layers=layers,
+                        key_keep=key_keep, scale=scale)
 
 
 def _backward_batch(model, cache, d_hidden, grads):
@@ -485,11 +501,21 @@ def length_chunks(seqs: Sequence[LabeledSequence], size: int) -> Iterator[list[i
 
 
 def forward_batch(
-    model: EncoderModel, seqs: Sequence[LabeledSequence]
+    model: EncoderModel,
+    seqs: Sequence[LabeledSequence],
+    task: Optional[str | tuple[str, ...]] = None,
 ) -> tuple[np.ndarray, Packed]:
-    """Inference-mode hidden states for a batch, with the packing used."""
+    """Inference-mode hidden states for the head `task` picks, with the
+    packing used.
+
+    With no task, the token head's input: every position, (..., B, L, H).
+    With a task or a tuple of them, a sequence head's input: each row's
+    states at its `head_pos`, (..., B, 3, H), the last layer computed at
+    those rows alone.
+    """
     packed = pack_batch(seqs, model)
-    hidden, _ = _forward_batch(model, packed.ids, packed.mask)
+    rows = None if task is None else packed.head_pos
+    hidden, _ = _forward_batch(model, packed.ids, packed.mask, rows=rows)
     return hidden, packed
 
 
@@ -497,23 +523,20 @@ def _head_name(task):
     return "token_head" if task is None else f"seq_head.{task}"
 
 
-def _head(model, hidden, packed, task):
+def _head(model, hidden, task):
     """Logits of the head `task` picks, and the features they read.
 
     With no task, the token head maps every position's hidden state to
-    B/I/O logits. With a task, that task's sequence head reads
-    concat(hidden[CLS], hidden[S], hidden[E]) of each row.
+    B/I/O logits. With a task, `hidden` holds each row's states at its
+    `Packed.head_pos`, (B, 3, H), and that task's sequence head reads
+    their concatenation, concat(hidden[CLS], hidden[S], hidden[E]).
     """
     if task is None:
         feat = hidden
     else:
         if task not in model.task_classes:
             raise ConfigError(f"model has no head for task {task!r}")
-        rows = np.arange(hidden.shape[0])
-        feat = np.concatenate(
-            [hidden[:, 0, :], hidden[rows, packed.s_pos], hidden[rows, packed.e_pos]],
-            axis=1,
-        )
+        feat = hidden.reshape(*hidden.shape[:-2], -1)
     name = _head_name(task)
     return feat @ model.params[f"{name}.w"] + model.params[f"{name}.b"], feat
 
@@ -591,12 +614,12 @@ def predict_batch(
     stacked = isinstance(task, tuple)
     out: list = [None] * len(seqs)
     for idx in length_chunks(seqs, INFERENCE_BATCH // len(task) if stacked else INFERENCE_BATCH):
-        hidden, packed = forward_batch(model, [seqs[i] for i in idx])
+        hidden, _ = forward_batch(model, [seqs[i] for i in idx], task)
         if stacked:
-            best = np.stack([np.argmax(_head(model, hid, packed, t)[0], axis=-1)
+            best = np.stack([np.argmax(_head(model, hid, t)[0], axis=-1)
                              for hid, t in zip(hidden, task)], axis=-1)
         else:
-            best = np.argmax(_head(model, hidden, packed, task)[0], axis=-1)
+            best = np.argmax(_head(model, hidden, task)[0], axis=-1)
         for i, row in zip(idx, best.tolist()):
             out[i] = row[: len(seqs[i])] if task is None else row
     return out
@@ -622,8 +645,10 @@ def _loss_grads_packed(model, packed, task, rng, want_grads):
     cfg = model.config
     # a non-finite loss raises NumericError below, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hidden, cache = _forward_batch(model, packed.ids, packed.mask, rng)
-        logits, feat = _head(model, hidden, packed, task)
+        hidden, cache = _forward_batch(model, packed.ids, packed.mask, rng,
+                                       keep_cache=want_grads)
+        read = (np.arange(len(packed.ids))[:, None], packed.head_pos)  # a sequence head's rows
+        logits, feat = _head(model, hidden if task is None else hidden[read], task)
         logp = _log_softmax(logits)
     target = packed.tags if task is None else packed.labels
     picked = np.take_along_axis(logp, target[..., None], axis=-1)[..., 0]
@@ -656,10 +681,9 @@ def _loss_grads_packed(model, packed, task, rng, want_grads):
     d_feat = dlogits @ w.T
     if task is None:
         d_hidden = d_feat
-    else:  # scatter back to the CLS, [S] and [E] positions `_head` read
+    else:  # scatter back to the rows `_head` read
         d_hidden = np.zeros_like(hidden)
-        for pos, part in zip((0, packed.s_pos, packed.e_pos), np.split(d_feat, 3, axis=1)):
-            np.add.at(d_hidden, (np.arange(n), pos), part)
+        np.add.at(d_hidden, read, d_feat.reshape(n, 3, -1))
     _backward_batch(model, cache, d_hidden, grads)
     return loss, grads
 

@@ -1,11 +1,16 @@
 """Command-line integration: exit codes, golden flows, artifact handling."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rxtract
 from rxtract.cli import run_command
 
 FAST_FLAGS = [
@@ -31,6 +36,15 @@ def ner_model_dir(tmp_path_factory, data_dir):
                         "--out", str(out), *FAST_FLAGS])
     assert code == 0
     return out
+
+
+def test_package_runs_as_module():
+    src = str(Path(rxtract.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-m", "rxtract", "--help"], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": path})
+    assert child.returncode == 0, child.stderr
+    assert "usage:" in child.stdout
 
 
 class TestExitCodes:

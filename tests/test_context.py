@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rxtract import context
 from rxtract.context import (
     CONTEXT_STACK,
     DIMENSION_TASKS,
@@ -137,6 +138,22 @@ class TestTaskInventories:
         vocab = build_vocab([text], 128)
         assert collect_task_examples([doc], TASKS["Action"], vocab) == []
         assert len(collect_task_examples([doc], TASKS["Event"], vocab)) == 1
+
+    @pytest.mark.parametrize("task", ["Event", "Action"])
+    def test_only_documents_with_a_covered_mention_are_split(self, task, monkeypatch):
+        docs = gen_corpus(GeneratorSpec(seed=4, n_train=20, n_dev=2, n_test=2)).corpus.train
+        docs.insert(3, AnnotatedDocument("quiet", "no changes today. follow up soon.", []))
+        vocab = build_vocab([d.text for d in docs], 512)
+        covered = [d for d in docs if any(
+            task == "Event" or m.event is EventLabel.DISPOSITION for m in d.mentions)]
+        assert 0 < len(covered) < len(docs)
+        want = collect_task_examples(covered, TASKS[task], vocab)
+        calls = []
+        split = context.split_text
+        monkeypatch.setattr(context, "split_text", lambda text: calls.append(text) or split(text))
+        got = collect_task_examples(docs, TASKS[task], vocab)
+        assert calls == [d.text for d in covered]
+        assert got == want and all(s.label is not None for s in got)
 
 
 def _zero_head_bundle(texts):

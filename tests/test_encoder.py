@@ -37,7 +37,16 @@ from rxtract.encoder import (
 )
 from rxtract.errors import ConfigError, NumericError, SequenceLengthError
 from rxtract.ner import NerModelBundle
-from rxtract.preproc import PAD_ID, BioTag, LabeledSequence, build_vocab
+from rxtract.preproc import (
+    CLS_ID,
+    E_MARK_ID,
+    PAD_ID,
+    S_MARK_ID,
+    SEP_ID,
+    BioTag,
+    LabeledSequence,
+    build_vocab,
+)
 
 TOY = EncoderConfig(
     layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=32,
@@ -53,7 +62,7 @@ def _hidden(model, seq):
 
 def _logits(model, seqs, task=None):
     """Inference-mode logits of the head `task` picks, for a batch."""
-    return _head(model, *forward_batch(model, seqs), task)[0]
+    return _head(model, forward_batch(model, seqs, task)[0], task)[0]
 
 
 def _softmax(v):
@@ -129,7 +138,7 @@ class TestForward:
         model = init_model(TOY, VOCAB)
         batch = toy_examples("token", VOCAB, n=3, length=16, seed=0)
         packed = pack_batch(batch, model)
-        _, cache = _forward_batch(model, packed.ids, packed.mask)
+        _, cache = _forward_batch(model, packed.ids, packed.mask, keep_cache=True)
         for layer in cache["layers"]:
             sums = layer["probs"].sum(axis=-1)
             assert np.allclose(sums, 1.0, atol=1e-6)
@@ -398,8 +407,8 @@ class TestStack:
         models = _distinct_models(TOY)
         stack = stack_models(models)
         rows, forward = [], encoder.forward_batch
-        monkeypatch.setattr(encoder, "forward_batch",
-                            lambda m, seqs: rows.append(len(seqs)) or forward(m, seqs))
+        monkeypatch.setattr(encoder, "forward_batch", lambda m, seqs, *rest:
+                            rows.append(len(seqs)) or forward(m, seqs, *rest))
         seqs = toy_examples("sequence", VOCAB, n=30, length=12, seed=2)
         predict_batch(stack, seqs, tuple(models))
         assert rows == [12, 12, 6] and INFERENCE_BATCH // len(models) == 12
@@ -439,6 +448,56 @@ class TestStack:
         models["B"] = init_model(TOY, VOCAB + 1, {"B": 3})
         with pytest.raises(ConfigError, match="classifier B has vocab_size 65"):
             check_agreement(models)
+
+
+def _edge_sequences():
+    """Marker sequences of several lengths, so that a chunk holds padded
+    rows; one has no markers, one has [E] on its last real position."""
+    seqs = toy_examples("sequence", VOCAB, n=8, length=20, seed=21)
+    no_marker = [CLS_ID, 9, 10, 11, SEP_ID]
+    e_last = [CLS_ID, 12, S_MARK_ID, 13, 14, E_MARK_ID]
+    for pos, ids in ((2, no_marker), (5, e_last)):
+        seqs.insert(pos, LabeledSequence(ids, [1] * len(ids), [-1] * len(ids), label=0))
+    return seqs
+
+
+class TestTrimmedLastLayer:
+    """A sequence head's inference forward runs the last layer at its rows alone."""
+
+    @pytest.fixture(params=["one", "stack"])
+    def model_and_task(self, request):
+        if request.param == "one":
+            return init_model(WIDE, VOCAB, {"A": 3}), "A"
+        models = _distinct_models(WIDE)
+        return stack_models(models), tuple(models)
+
+    def test_matches_the_full_forward_at_the_rows_read(self, model_and_task):
+        model, task = model_and_task
+        seqs = _edge_sequences()
+        full, packed = forward_batch(model, seqs)
+        pos = packed.head_pos
+        assert packed.mask.min() == 0  # padded rows
+        assert pos[2].tolist() == [0, 0, 0]  # no markers: [CLS] read three times
+        assert pos[5, 2] == len(seqs[5]) - 1  # [E] on the last real position
+        want = full[..., np.arange(len(seqs))[:, None], pos, :]
+        got, _ = forward_batch(model, seqs, task)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # allclose: a GEMM over a subset of rows may round differently
+        # on some BLAS kernels
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+
+        if isinstance(task, tuple):
+            best = np.stack([np.argmax(_head(model, w, t)[0], axis=-1)
+                             for w, t in zip(want, task)], axis=-1)
+        else:
+            best = np.argmax(_head(model, want, task)[0], axis=-1)
+        assert predict_batch(model, seqs, task) == best.tolist()
+
+    def test_inference_keeps_no_cache(self, model_and_task):
+        model, _ = model_and_task
+        packed = pack_batch(_edge_sequences(), model)
+        for rows in (None, packed.head_pos):
+            assert _forward_batch(model, packed.ids, packed.mask, rows=rows)[1] is None
 
 
 class TestConfigsCheckedWhenBuilt:
