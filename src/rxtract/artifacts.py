@@ -7,9 +7,11 @@ which is the model's one parameter buffer in wire dtype); its `kind` is `ner`
 or `classifier` (one task). A `pipeline` artifact is a directory of those,
 one per component, plus a manifest naming them.
 
-The vocabulary size is recorded once, as `vocab_size`; the tensor shapes
-are checked against it. Keys the reader does not use are ignored, so a
-manifest that still carries a `config.vocab_size` line loads unchanged.
+The vocabulary size is recorded once, as `vocab_size`, and each sequence
+head's class count only in its `seq_head.<task>.w` tensor shape; the other
+shapes are checked against them. Keys the reader does not use are ignored,
+so a manifest that still carries a `config.vocab_size` or `task_classes`
+line loads unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 
 from .context import ClassifierBundle, TaskModel
 from .corpus import read_utf8
-from .encoder import EncoderConfig, EncoderModel, FlatParams, TrainConfig, param_shapes
+from .encoder import EncoderConfig, EncoderModel, FlatParams, TrainConfig
+from .encoder import head_widths, param_shapes
 from .errors import CompatibilityError, ConfigError, CorruptionError
 from .ner import NerModelBundle
 from .pipeline import PipelineBundle
@@ -91,10 +94,6 @@ def _write_model_dir(
     lines.extend(_config_lines("config", model.config))
     lines.extend(_config_lines("train", train_cfg))
     lines.append("history=" + " ".join(repr(h) for h in history))
-    lines.append(
-        "task_classes="
-        + " ".join(f"{k}:{v}" for k, v in sorted(model.task_classes.items()))
-    )
     lines.append(f"vocab_size={len(vocab)}")
     for i, piece in enumerate(vocab.pieces):
         if i >= NUM_SPECIALS:
@@ -140,12 +139,6 @@ def _read_model_dir(
     train_cfg = _parse_dataclass(TrainConfig, entries, "train")
     with _manifest_value("history"):
         history = [float(x) for x in entries.get("history", "").split()]
-    task_classes = {}
-    with _manifest_value("task_classes"):
-        for item in entries.get("task_classes", "").split():
-            name, count = item.rsplit(":", 1)
-            task_classes[name] = int(count)
-
     with _manifest_value("vocab_size"):
         vocab_size = int(entries["vocab_size"])
     pieces = []
@@ -171,7 +164,7 @@ def _read_model_dir(
         raise CorruptionError(f"config.layers {cfg.layers} exceeds the "
                               f"{len(tensors)} tensors the manifest declares")
     try:
-        expected = param_shapes(cfg, len(vocab), task_classes)
+        expected = param_shapes(cfg, len(vocab), head_widths(tensors))
     except ConfigError as exc:
         raise CorruptionError(f"manifest config is invalid: {exc}") from None
     declared = dict(tensors)
@@ -200,8 +193,7 @@ def _read_model_dir(
     flat = np.frombuffer(blob, dtype=dtype).astype(cfg.dtype)
     params = FlatParams(flat, tensors)
 
-    model = EncoderModel(config=cfg, params=params, task_classes=task_classes)
-    return model, vocab, train_cfg, history
+    return EncoderModel(config=cfg, params=params), vocab, train_cfg, history
 
 
 def save_artifact(bundle: AnyBundle, path: str | Path) -> None:

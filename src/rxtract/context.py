@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 from .corpus import (
@@ -19,6 +20,7 @@ from .corpus import (
     ContextAttributes,
     Corpus,
     EventLabel,
+    MedicationMention,
 )
 from .encoder import (
     EncoderConfig,
@@ -48,19 +50,18 @@ from .preproc import (
 
 @dataclass(frozen=True)
 class ClassificationTask:
+    """One classifier: its labels in class-id order, and the
+    `ContextAttributes` field it predicts (None for Event)."""
+
     name: str
-    classes: tuple[str, ...]
+    classes: tuple[Enum, ...]
+    attr: Optional[str] = None
 
 
-EVENT_TASK = ClassificationTask(
-    "Event", tuple(e.value for e in EventLabel)
-)
-
-TASKS: dict[str, ClassificationTask] = {"Event": EVENT_TASK}
-for _dim, (_enum, _) in CONTEXT_DIMENSIONS.items():
-    TASKS[_dim] = ClassificationTask(_dim, tuple(v.value for v in _enum))
-
-DIMENSION_TASKS = tuple(t for name, t in TASKS.items() if name != "Event")
+EVENT_TASK = ClassificationTask("Event", tuple(EventLabel))
+DIMENSION_TASKS = tuple(ClassificationTask(dim, tuple(enum_cls), attr)
+                        for dim, (enum_cls, attr) in CONTEXT_DIMENSIONS.items())
+TASKS: dict[str, ClassificationTask] = {t.name: t for t in (EVENT_TASK, *DIMENSION_TASKS)}
 
 
 @dataclass(frozen=True)
@@ -215,31 +216,38 @@ def mention_examples(
     return keys, seqs
 
 
-def collect_task_examples(
+def gold_examples(
     docs: Sequence[AnnotatedDocument],
-    task: ClassificationTask,
+    task: ClassificationTask | TaskStack,
     vocab: Vocabulary,
     max_len: int = DEFAULT_MAX_LEN,
-) -> list[LabeledSequence]:
-    """Labeled examples for one task.
-
-    The Event task covers every gold mention; dimension tasks cover only
-    gold Disposition mentions. Only documents holding a mention the task
-    covers are split into sentences.
-    """
-    attr = None if task.name == "Event" else CONTEXT_DIMENSIONS[task.name][1]
+) -> tuple[list[tuple[str, MedicationMention]], list[LabeledSequence]]:
+    """The marker example of every gold mention `task` covers, with its
+    (doc_id, mention), as `mention_examples` orders and skips them. Event
+    covers every mention; a dimension task or stack, Disposition mentions
+    only. Only documents holding a covered mention are split."""
     mentions = [
-        [m for m in doc.mentions if attr is None or m.event is EventLabel.DISPOSITION]
+        [m for m in doc.mentions if task is EVENT_TASK or m.event is EventLabel.DISPOSITION]
         for doc in docs
     ]
     keys, seqs = mention_examples(
         docs, (split_text(doc.text) if ms else [] for doc, ms in zip(docs, mentions)),
         ([m.span for m in ms] for ms in mentions), vocab, max_len,
     )
-    for (d, j), seq in zip(keys, seqs):
-        m = mentions[d][j]
-        gold = m.event if attr is None else getattr(m.context, attr)
-        seq.label = task.classes.index(gold.value)
+    return [(docs[d].doc_id, mentions[d][j]) for d, j in keys], seqs
+
+
+def collect_task_examples(
+    docs: Sequence[AnnotatedDocument],
+    task: ClassificationTask,
+    vocab: Vocabulary,
+    max_len: int = DEFAULT_MAX_LEN,
+) -> list[LabeledSequence]:
+    """Labeled examples for one task, over the gold mentions it covers."""
+    gold, seqs = gold_examples(docs, task, vocab, max_len)
+    for (_, m), seq in zip(gold, seqs):
+        seq.label = task.classes.index(m.event if task.attr is None
+                                       else getattr(m.context, task.attr))
     return seqs
 
 
@@ -260,7 +268,7 @@ def predict_events(
 ) -> list[EventLabel]:
     """The Event classifier over marker examples, in input order."""
     ids = classify_batch(bundle.tasks["Event"].model, EVENT_TASK, examples)
-    return [EventLabel(EVENT_TASK.classes[i]) for i in ids]
+    return [EVENT_TASK.classes[i] for i in ids]
 
 
 def predict_contexts(
@@ -270,15 +278,8 @@ def predict_contexts(
     stacked forward pass, assembled into one ContextAttributes per example."""
     if bundle.contexts is None:
         raise ConfigError("the bundle lacks context classifiers")
-
-    def attributes(ids):
-        labels = {}
-        for task, i in zip(CONTEXT_STACK.tasks, ids):
-            enum_cls, attr = CONTEXT_DIMENSIONS[task.name]
-            labels[attr] = enum_cls(task.classes[i])
-        return ContextAttributes(**labels)
-
-    return [attributes(ids) for ids in classify_batch(bundle.contexts, CONTEXT_STACK, examples)]
+    return [ContextAttributes(**{t.attr: t.classes[i] for t, i in zip(CONTEXT_STACK.tasks, ids)})
+            for ids in classify_batch(bundle.contexts, CONTEXT_STACK, examples)]
 
 
 def _accuracy(model: EncoderModel, task: ClassificationTask,

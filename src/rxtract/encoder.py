@@ -16,8 +16,9 @@ best-epoch copy in `fit` run on whole buffers. Write into
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -90,10 +91,6 @@ class FlatParams(Mapping[str, np.ndarray]):
             self._views[name] = flat[offset : offset + size].reshape(shape)
             offset += size
 
-    @classmethod
-    def zeros(cls, layout: Sequence[tuple[str, tuple[int, ...]]], dtype) -> "FlatParams":
-        return cls(np.zeros(sum(math.prod(shape) for _, shape in layout), dtype), layout)
-
     def zeros_like(self) -> "FlatParams":
         return FlatParams(np.zeros_like(self.flat), self.layout)
 
@@ -117,13 +114,23 @@ class FlatParams(Mapping[str, np.ndarray]):
 
 @dataclass
 class EncoderModel:
-    """Parameters plus configuration; `task_classes` maps each
-    sequence-classification head to its class count. The vocabulary size
-    is the row count of `params["tok_emb"]`."""
+    """Parameters plus configuration. The vocabulary size is the row count
+    of `params["tok_emb"]`, and a sequence head's class count the column
+    count of its `seq_head.<task>.w`."""
 
     config: EncoderConfig
     params: FlatParams  # a dict of stacked views for a `stack_models` stack
-    task_classes: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def task_classes(self) -> dict[str, int]:
+        """Each sequence head's class count, by task."""
+        return head_widths((name, w.shape) for name, w in self.params.items())
+
+
+def head_widths(shapes: Iterable[tuple[str, tuple[int, ...]]]) -> dict[str, int]:
+    """The class count of each sequence head among (name, shape) pairs."""
+    return {name[len("seq_head."):-len(".w")]: shape[-1] for name, shape in shapes
+            if name.startswith("seq_head.") and name.endswith(".w")}
 
 
 @dataclass(frozen=True)
@@ -151,34 +158,37 @@ class TrainConfig:
 
 
 def _param_layout(cfg: EncoderConfig, vocab_size: int, n_classes: Mapping[str, int]):
-    """Name, shape and initial fill of every parameter, in creation order."""
+    """The parameters' total size, and an iterator over the name, shape and
+    initial fill of each, in creation order. The size is known before any
+    layer's entries are listed."""
     if vocab_size < 1:
         raise ConfigError("vocab_size must be positive")
     h, f = cfg.hidden_dim, cfg.ffn_dim
-    layout = [("tok_emb", (vocab_size, h), "uniform"),
-              ("pos_emb", (cfg.max_len, h), "uniform")]
-    for i in range(cfg.layers):
-        p = f"layer{i}"
-        layout += [(f"{p}.attn.{name}", (h, h), "uniform") for name in ("wq", "wk", "wv", "wo")]
-        layout += [(f"{p}.attn.{name}", (h,), "zeros") for name in ("bq", "bk", "bv", "bo")]
-        layout += [
-            (f"{p}.ln1.gain", (h,), "ones"),
-            (f"{p}.ln1.bias", (h,), "zeros"),
-            (f"{p}.ffn.w1", (h, f), "uniform"),
-            (f"{p}.ffn.b1", (f,), "zeros"),
-            (f"{p}.ffn.w2", (f, h), "uniform"),
-            (f"{p}.ffn.b2", (h,), "zeros"),
-            (f"{p}.ln2.gain", (h,), "ones"),
-            (f"{p}.ln2.bias", (h,), "zeros"),
-        ]
-    layout += [("token_head.w", (h, N_BIO), "uniform"), ("token_head.b", (N_BIO,), "zeros")]
+    embed = [("tok_emb", (vocab_size, h), "uniform"), ("pos_emb", (cfg.max_len, h), "uniform")]
+    layer = [(f"attn.{name}", (h, h), "uniform") for name in ("wq", "wk", "wv", "wo")]
+    layer += [(f"attn.{name}", (h,), "zeros") for name in ("bq", "bk", "bv", "bo")]
+    layer += [
+        ("ln1.gain", (h,), "ones"),
+        ("ln1.bias", (h,), "zeros"),
+        ("ffn.w1", (h, f), "uniform"),
+        ("ffn.b1", (f,), "zeros"),
+        ("ffn.w2", (f, h), "uniform"),
+        ("ffn.b2", (h,), "zeros"),
+        ("ln2.gain", (h,), "ones"),
+        ("ln2.bias", (h,), "zeros"),
+    ]
+    heads = [("token_head.w", (h, N_BIO), "uniform"), ("token_head.b", (N_BIO,), "zeros")]
     for task in sorted(n_classes):
         n = n_classes[task]
         if n < 1:
             raise ConfigError(f"task {task!r} needs at least one class")
-        layout += [(f"seq_head.{task}.w", (3 * h, n), "uniform"),
-                   (f"seq_head.{task}.b", (n,), "zeros")]
-    return layout
+        heads += [(f"seq_head.{task}.w", (3 * h, n), "uniform"),
+                  (f"seq_head.{task}.b", (n,), "zeros")]
+    size = sum(math.prod(shape) for _, shape, _ in (*embed, *heads))
+    size += cfg.layers * sum(math.prod(shape) for _, shape, _ in layer)
+    layers = ((f"layer{i}.{name}", shape, fill)
+              for i in range(cfg.layers) for name, shape, fill in layer)
+    return size, chain(embed, layers, heads)
 
 
 def param_shapes(
@@ -186,7 +196,7 @@ def param_shapes(
 ) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter `init_model(cfg, vocab_size, n_classes)`
     creates."""
-    layout = _param_layout(cfg, vocab_size, dict(n_classes or {}))
+    _, layout = _param_layout(cfg, vocab_size, dict(n_classes or {}))
     return {name: shape for name, shape, _ in layout}
 
 
@@ -194,17 +204,22 @@ def init_model(
     cfg: EncoderConfig, vocab_size: int, n_classes: Mapping[str, int] | None = None
 ) -> EncoderModel:
     """Build a model over a `vocab_size`-piece vocabulary with seeded
-    uniform(-0.02, 0.02) weights, zero biases, and unit layer-norm gains."""
-    n_classes = dict(n_classes or {})
+    uniform(-0.02, 0.02) weights, zero biases, and unit layer-norm gains.
+    A model too large to allocate is a ConfigError."""
+    size, layout = _param_layout(cfg, vocab_size, dict(n_classes or {}))
     rng = np.random.default_rng(cfg.seed)
-    layout = _param_layout(cfg, vocab_size, n_classes)
-    params = FlatParams.zeros([(name, shape) for name, shape, _ in layout], cfg.dtype)
-    for name, shape, fill in layout:
-        if fill == "uniform":
-            params[name][...] = rng.uniform(-0.02, 0.02, size=shape)
-        elif fill == "ones":
-            params[name][...] = 1.0
-    return EncoderModel(config=cfg, params=params, task_classes=n_classes)
+    try:
+        flat = np.zeros(size, cfg.dtype)  # before the layout is listed, so a huge one fails fast
+        layout = list(layout)
+        params = FlatParams(flat, [(name, shape) for name, shape, _ in layout])
+        for name, shape, fill in layout:
+            if fill == "uniform":
+                params[name][...] = rng.uniform(-0.02, 0.02, size=shape)
+            elif fill == "ones":
+                params[name][...] = 1.0
+    except MemoryError:
+        raise ConfigError(f"a model of {size:,} parameters does not fit in memory") from None
+    return EncoderModel(config=cfg, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +546,10 @@ def _head(model, hidden, task):
     `Packed.head_pos`, (B, 3, H), and that task's sequence head reads
     their concatenation, concat(hidden[CLS], hidden[S], hidden[E]).
     """
-    if task is None:
-        feat = hidden
-    else:
-        if task not in model.task_classes:
-            raise ConfigError(f"model has no head for task {task!r}")
-        feat = hidden.reshape(*hidden.shape[:-2], -1)
     name = _head_name(task)
+    if f"{name}.w" not in model.params:
+        raise ConfigError(f"model has no head for task {task!r}")
+    feat = hidden if task is None else hidden.reshape(*hidden.shape[:-2], -1)
     return feat @ model.params[f"{name}.w"] + model.params[f"{name}.b"], feat
 
 
@@ -592,8 +604,7 @@ def stack_models(models: Mapping[str, EncoderModel]) -> EncoderModel:
     for task, m in models.items():
         name = _head_name(task)
         params[f"{name}.w"], params[f"{name}.b"] = m.params[f"{name}.w"], m.params[f"{name}.b"]
-    return EncoderModel(first.config, params,
-                        {task: m.task_classes[task] for task, m in models.items()})
+    return EncoderModel(first.config, params)
 
 
 def predict_batch(

@@ -2,8 +2,9 @@
 context classification for Disposition mentions.
 
 Every entry point runs one staged path over all the documents it is given,
-so each stage batches across documents. The gold-span evaluators enter it
-at the marker-example stage, with gold spans.
+so each stage batches across documents. The gold-span evaluators skip
+extraction: they classify the marker examples `context.gold_examples`
+builds from gold mentions.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .context import (
-    ClassifierBundle,
+    CONTEXT_STACK,
+    EVENT_TASK,
     TASKS,
+    ClassifierBundle,
+    gold_examples,
     mention_examples,
     predict_contexts,
     predict_events,
@@ -112,14 +116,10 @@ def classify_gold_events(
     A gold mention outside any one sentence is skipped with a warning, so
     it scores as missed.
     """
-    spans = [[m.span for m in d.mentions] for d in docs]
-    keys, seqs = mention_examples(docs, (split_text(d.text) for d in docs), spans,
-                                  bundle.vocab, bundle.max_len)
+    gold, seqs = gold_examples(docs, EVENT_TASK, bundle.vocab, bundle.max_len)
     out: dict[str, list[MedicationMention]] = {d.doc_id: [] for d in docs}
-    for (d, j), event in zip(keys, predict_events(bundle, seqs)):
-        span = spans[d][j]
-        surface = docs[d].text[span.start : span.end]
-        out[docs[d].doc_id].append(MedicationMention(span, surface, event))
+    for (doc_id, m), event in zip(gold, predict_events(bundle, seqs)):
+        out[doc_id].append(MedicationMention(m.span, m.surface, event))
     return out
 
 
@@ -131,12 +131,6 @@ def classify_gold_context(
     A gold mention outside any one sentence is skipped with a warning, so
     it scores as wrong in every dimension.
     """
-    spans = [
-        [m.span for m in d.mentions if m.event is EventLabel.DISPOSITION] for d in docs
-    ]
-    keys, seqs = mention_examples(docs, (split_text(d.text) for d in docs), spans,
-                                  bundle.vocab, bundle.max_len)
-    return {
-        (docs[d].doc_id, spans[d][j].start, spans[d][j].end): context
-        for (d, j), context in zip(keys, predict_contexts(bundle, seqs))
-    }
+    gold, seqs = gold_examples(docs, CONTEXT_STACK, bundle.vocab, bundle.max_len)
+    return {(doc_id, m.span.start, m.span.end): context
+            for (doc_id, m), context in zip(gold, predict_contexts(bundle, seqs))}

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from rxtract.artifacts import BLOB, MANIFEST, load_artifact, save_artifact
-from rxtract.context import TASKS, ClassifierBundle, train_task
+from rxtract.context import (
+    TASKS,
+    ClassifierBundle,
+    collect_task_examples,
+    predict_events,
+    train_task,
+)
 from rxtract.encoder import EncoderConfig, TrainConfig
 from rxtract.errors import CompatibilityError, CorruptionError
 from rxtract.ner import predict_ner, train_ner
@@ -115,6 +121,20 @@ class TestClassifierArtifact:
             assert np.array_equal(loaded.tasks["Event"].model.params[k], tm.model.params[k])
         assert loaded.tasks["Event"].model.task_classes == {"Event": 3}
 
+    def test_manifest_with_task_classes_line_loads(self, tmp_path, event_bundle, tiny_setup):
+        """Head widths come from the tensor index; an older manifest's
+        `task_classes=` line is ignored."""
+        result, vocab = tiny_setup
+        save_artifact(event_bundle, tmp_path / "ev")
+        manifest = (tmp_path / "ev" / MANIFEST).read_text(encoding="utf-8")
+        assert not re.search(r"^task_classes=", manifest, flags=re.M)
+        _edit_manifest(tmp_path / "ev", r"^(history=.*)$", r"\1\ntask_classes=Event:3")
+        loaded = load_artifact(tmp_path / "ev")
+        examples = collect_task_examples(result.corpus.dev + result.corpus.test,
+                                         TASKS["Event"], vocab, ENC.max_len)
+        assert examples
+        assert predict_events(loaded, examples) == predict_events(event_bundle, examples)
+
     def test_multi_task_bundle_is_refused(self, tmp_path, tiny):
         _, pipeline = tiny
         with pytest.raises(TypeError):
@@ -153,10 +173,11 @@ class TestMalformedManifest:
             (r"^config\.max_len=.*$", "config.max_len=4"),
             (r"^vocab_size=.*$", "vocab_size=7"),
             (r"^tensor_0=(.*)\ntensor_1=(.*)$", r"tensor_0=\2\ntensor_1=\1"),
+            (r"^(tensor_\d+=seq_head\.Event\.b) 3$", r"\1 4"),
         ],
         ids=["tensor_shape", "config_value", "vocab_size", "missing_config_key",
              "heads_not_dividing_hidden", "hidden_dim_vs_tensors", "max_len_below_floor",
-             "config_vocab_size_vs_vocab", "tensors_reordered"],
+             "config_vocab_size_vs_vocab", "tensors_reordered", "head_bias_vs_weight"],
     )
     def test_parse_failure_is_corruption(self, tmp_path, event_bundle, pattern, replacement):
         save_artifact(event_bundle, tmp_path / "ev")

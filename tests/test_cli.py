@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,29 @@ class TestConfigValues:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert line.split("=")[0] in err and "finite" in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+    @pytest.mark.parametrize("flag", ["--layers", "--max-len"])
+    def test_model_too_large_to_allocate_is_one_error_line(self, tmp_path, data_dir, flag):
+        # A child with a 1.5 GB address-space cap, so the refused allocation
+        # cannot take the machine's memory.
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+                  "from rxtract.cli import run_command\n"
+                  "sys.exit(run_command(sys.argv[1:]))\n")
+        src = str(Path(rxtract.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        start = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-c", script, "train", "--task", "ner", "--data", str(data_dir),
+             "--out", str(tmp_path / "m"), flag, "100000000"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        assert time.perf_counter() - start < 5
+        assert child.returncode == 1, child.stderr
+        assert re.fullmatch(r"error: a model of [\d,]+ parameters does not fit in memory\n",
+                            child.stderr)
         assert not (tmp_path / "m").exists()
 
     def test_non_finite_loss_is_one_line_naming_its_example(self, tmp_path, capsys):

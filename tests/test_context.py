@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rxtract import context
+from rxtract import context, pipeline
 from rxtract.context import (
     CONTEXT_STACK,
     DIMENSION_TASKS,
@@ -21,6 +21,7 @@ from rxtract.context import (
 from rxtract.corpus import AnnotatedDocument, CharSpan, EventLabel, parse_standoff
 from rxtract.encoder import EncoderConfig, TrainConfig, init_model
 from rxtract.errors import ConfigError, SpanRangeError
+from rxtract.pipeline import classify_gold_context, classify_gold_events
 from rxtract.preproc import (
     CLS_ID,
     E_MARK_ID,
@@ -154,6 +155,31 @@ class TestTaskInventories:
         got = collect_task_examples(docs, TASKS[task], vocab)
         assert calls == [d.text for d in covered]
         assert got == want and all(s.label is not None for s in got)
+
+    @pytest.mark.parametrize("task", ["Event", "Action"])
+    def test_gold_span_evaluators_split_only_covered_documents(self, task, tiny, monkeypatch):
+        corpus, pipe = tiny
+        no_disposition = parse_standoff("pt started lisinopril",
+                                        "T1\tDrug 11 21\tlisinopril\nE1\tNoDisposition:T1\n",
+                                        doc_id="no_disposition")
+        docs = [*corpus.dev[:4], AnnotatedDocument("quiet", "no changes today.", []),
+                no_disposition]
+        covered = [d for d in docs if any(
+            task == "Event" or m.event is EventLabel.DISPOSITION for m in d.mentions)]
+        assert docs[4] not in covered and (no_disposition in covered) == (task == "Event")
+        classify = classify_gold_events if task == "Event" else classify_gold_context
+        want = classify(pipe.classifiers, covered)
+        assert want
+        calls = []
+        for module in (context, pipeline):
+            split = module.split_text
+            monkeypatch.setattr(module, "split_text",
+                                lambda text, split=split: calls.append(text) or split(text))
+        got = classify(pipe.classifiers, docs)
+        assert calls == [d.text for d in covered]
+        if task == "Event":
+            want = {d.doc_id: want.get(d.doc_id, []) for d in docs}
+        assert got == want
 
 
 def _zero_head_bundle(texts):
