@@ -177,7 +177,7 @@ def cmd_synth(args) -> int:
             if entry.context is not None:
                 record["context"] = entry.context.as_dict()
             fh.write(json.dumps(record) + "\n")
-    for split, st in result.stats.items():
+    for split, st in corpus_stats(result.corpus).items():
         _log(f"{split}: {st.documents} docs, {st.medications} mentions")
     return 0
 

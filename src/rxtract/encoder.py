@@ -279,9 +279,19 @@ def _gelu_grad(x, t):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
 
 
-def _dropout_mask(rng, shape, rate, dtype):
+def _dropout(x, rng, rate):
+    """`x` with inverted dropout at `rate`, and the mask that scaled it.
+    With no `rng` or a rate of 0 nothing is drawn and the mask is None."""
+    if rng is None or rate == 0:
+        return x, None
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(dtype) / dtype.type(keep)
+    mask = (rng.random(x.shape) < keep).astype(x.dtype) / x.dtype.type(keep)
+    return x * mask, mask
+
+
+def _undrop(d, mask):
+    """The gradient `d` through the dropout that applied `mask`."""
+    return d if mask is None else d * mask
 
 
 @dataclass
@@ -359,7 +369,6 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
     nh = cfg.heads
     dk = h // nh
     scale = dt.type(1.0 / math.sqrt(dk))
-    rate = cfg.dropout_rate if rng is not None else 0.0
     lead = p["tok_emb"].shape[:-2]  # () for one model, (M,) for a stack
 
     def vec(name):  # a vector parameter, broadcast over each model's rows
@@ -369,10 +378,7 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
     # per model.
     emb = np.take(p["tok_emb"], ids, axis=-2) + p["pos_emb"][..., None, :length, :]
     x = emb.reshape(*lead, b * length, h)
-    emb_mask = None
-    if rate > 0:
-        emb_mask = _dropout_mask(rng, x.shape, rate, dt)
-        x = x * emb_mask
+    x, emb_mask = _dropout(x, rng, cfg.dropout_rate)
 
     key_keep = mask[:, None, None, :] > 0  # (B,1,1,L)
     layers = []
@@ -388,11 +394,7 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
         v = heads(x_in @ p[f"{pre}.attn.wv"] + vec(f"{pre}.attn.bv"))
         scores = np.where(key_keep, (q @ k.swapaxes(-1, -2)) * scale, dt.type(NEG_INF))
         probs = _softmax(scores)
-        attn_mask_drop = None
-        probs_used = probs
-        if rate > 0:
-            attn_mask_drop = _dropout_mask(rng, probs.shape, rate, dt)
-            probs_used = probs * attn_mask_drop
+        probs_used, attn_drop = _dropout(probs, rng, cfg.dropout_rate)
         resid = x_in
         if rows is not None and i == cfg.layers - 1:
             # Each position's output reads only its own query row from here
@@ -409,11 +411,7 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
 
         a = y @ p[f"{pre}.ffn.w1"] + vec(f"{pre}.ffn.b1")
         g, gelu_tanh = _gelu(a)
-        ffn_mask = None
-        g_used = g
-        if rate > 0:
-            ffn_mask = _dropout_mask(rng, g.shape, rate, dt)
-            g_used = g * ffn_mask
+        g_used, ffn_drop = _dropout(g, rng, cfg.dropout_rate)
         fout = g_used @ p[f"{pre}.ffn.w2"] + vec(f"{pre}.ffn.b2")
         res2 = y + fout
         x, ln2_cache = _layernorm_fwd(res2, vec(f"{pre}.ln2.gain"), vec(f"{pre}.ln2.bias"))
@@ -421,8 +419,8 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
         if keep_cache:
             layers.append(
                 dict(x_in=x_in, q=q, k=k, v=v, probs=probs, probs_used=probs_used,
-                     attn_drop=attn_mask_drop, ctx=ctx, ln1=ln1_cache, y=y, a=a,
-                     gelu_tanh=gelu_tanh, g_used=g_used, ffn_drop=ffn_mask, ln2=ln2_cache)
+                     attn_drop=attn_drop, ctx=ctx, ln1=ln1_cache, y=y, a=a,
+                     gelu_tanh=gelu_tanh, g_used=g_used, ffn_drop=ffn_drop, ln2=ln2_cache)
             )
 
     hidden = x.reshape(*lead, b, -1, h)
@@ -455,9 +453,7 @@ def _backward_batch(model, cache, d_hidden, grads):
 
         grads[f"{pre}.ffn.w2"] += c["g_used"].T @ dfout
         grads[f"{pre}.ffn.b2"] += dfout.sum(axis=0)
-        dg = dfout @ p[f"{pre}.ffn.w2"].T
-        if c["ffn_drop"] is not None:
-            dg = dg * c["ffn_drop"]
+        dg = _undrop(dfout @ p[f"{pre}.ffn.w2"].T, c["ffn_drop"])
         da = dg * _gelu_grad(c["a"], c["gelu_tanh"])
         grads[f"{pre}.ffn.w1"] += c["y"].T @ da
         grads[f"{pre}.ffn.b1"] += da.sum(axis=0)
@@ -473,10 +469,9 @@ def _backward_batch(model, cache, d_hidden, grads):
         grads[f"{pre}.attn.bo"] += dattn_out.sum(axis=0)
         dctx = (dattn_out @ p[f"{pre}.attn.wo"].T).reshape(b, length, nh, dk).transpose(0, 2, 1, 3)
 
-        probs_used, probs = c["probs_used"], c["probs"]
-        dprobs_used = dctx @ c["v"].transpose(0, 1, 3, 2)
-        dv = probs_used.transpose(0, 1, 3, 2) @ dctx
-        dprobs = dprobs_used if c["attn_drop"] is None else dprobs_used * c["attn_drop"]
+        probs = c["probs"]
+        dprobs = _undrop(dctx @ c["v"].transpose(0, 1, 3, 2), c["attn_drop"])
+        dv = c["probs_used"].transpose(0, 1, 3, 2) @ dctx
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
         dq = (dscores @ c["k"]) * scale
         dk_ = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * scale
@@ -493,9 +488,7 @@ def _backward_batch(model, cache, d_hidden, grads):
 
         dx = dx_in
 
-    if cache["emb_mask"] is not None:
-        dx = dx * cache["emb_mask"]
-    dx = dx.reshape(b, length, h)
+    dx = _undrop(dx, cache["emb_mask"]).reshape(b, length, h)
     np.add.at(grads["tok_emb"], cache["ids"], dx)
     grads["pos_emb"][:length] += dx.sum(axis=0)
 
@@ -828,7 +821,7 @@ def grad_check(
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         if rel > worst:
             worst = rel
-            worst_name = f"{name}{list(idx)}"
+            worst_name = f"{name}[{', '.join(map(str, idx))}]"
     return GradCheckReport(max_rel_error=worst, n_checked=count, worst_param=worst_name)
 
 
@@ -915,10 +908,19 @@ def fit(
     head trained, as in `loss_and_grads`. One rng seeded with `tc.seed`
     draws each epoch's order and the dropout masks. Each epoch's `log`
     line gives the mean loss, the dev score, the largest global gradient
-    norm and how many of the epoch's steps were clipped.
+    norm and how many of the epoch's steps were clipped. Running out of
+    memory on the way, for the optimizer state or a step, is a ConfigError.
     """
     if not examples:
         raise DataError("no training examples")
+    try:
+        return _fit(model, examples, tc, eval_fn, task, log)
+    except MemoryError:
+        raise ConfigError(f"training a model of {model.params.flat.size:,} parameters "
+                          "does not fit in memory") from None
+
+
+def _fit(model, examples, tc, eval_fn, task, log) -> FitResult:
     rng = np.random.default_rng(tc.seed)
     state = OptimizerState.for_model(model)
     best_flat = model.params.flat.copy()

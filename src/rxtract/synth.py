@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .corpus import (
@@ -22,7 +23,6 @@ from .corpus import (
     Corpus,
     EventLabel,
     MedicationMention,
-    SplitStats,
 )
 from .errors import ConfigError
 
@@ -81,8 +81,13 @@ _NAME_SUFFIXES = (
     "amab", "inib", "opril", "olol", "arin", "izole", "ivir", "omycin",
     "utide", "axine",
 )
-_MODIFIERS = ("depot", "xr", "forte")
-MAX_LEXICON_SIZE = len(_NAME_PREFIXES) * len(_NAME_SUFFIXES)
+# Every third name of the grid wears this second word.
+_MODIFIER = "forte"
+_NAMES = tuple(
+    f"{pre}{suf} {_MODIFIER}" if i % 3 == 2 else pre + suf
+    for i, (suf, pre) in enumerate(product(_NAME_SUFFIXES, _NAME_PREFIXES))
+)
+MAX_LEXICON_SIZE = len(_NAMES)
 
 # Dose-form words reserved for dev/test mentions (never in training data),
 # so extraction faces genuinely novel mention boundaries.
@@ -90,22 +95,11 @@ NOVEL_MODIFIERS = ("retard", "sr", "hfa")
 
 
 def default_lexicon(size: int) -> tuple[str, ...]:
-    """The first `size` fictional drug names; roughly a third get a second
+    """The first `size` fictional drug names; every third gets a second
     word. `size` must lie in [1, MAX_LEXICON_SIZE]."""
     if not (1 <= size <= MAX_LEXICON_SIZE):
         raise ConfigError(f"lexicon_size must lie in [1, {MAX_LEXICON_SIZE}], got {size}")
-    names = []
-    i = 0
-    for suf in _NAME_SUFFIXES:
-        for pre in _NAME_PREFIXES:
-            name = pre + suf
-            if i % 3 == 2:
-                name = f"{name} {_MODIFIERS[i % len(_MODIFIERS)]}"
-            names.append(name)
-            i += 1
-            if len(names) == size:
-                return tuple(names)
-    return tuple(names)
+    return _NAMES[:size]
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,6 @@ class LedgerEntry:
 class SynthResult:
     corpus: Corpus
     ledger: list[LedgerEntry]
-    stats: dict[str, SplitStats]  # the generator's own emission counts
 
 
 def _quota_labels(targets: dict[str, float], total: int, rng: random.Random) -> list[str]:
@@ -177,6 +170,15 @@ def _cue(dim: str, attrs: ContextAttributes, spec: GeneratorSpec, rng: random.Ra
     return table[getattr(attrs, CONTEXT_DIMENSIONS[dim][1]).value]
 
 
+# The cue-less sentence of each other event: (mention prefixes, ending).
+_PLAIN_TEMPLATES = {
+    EventLabel.NO_DISPOSITION: (("med list shows ", "home regimen keeps "),
+                                "continues unchanged."),
+    EventLabel.UNDETERMINED: (("note mentioned ", "chart reviewed regarding "),
+                              "without clear plan."),
+}
+
+
 def _render_sentence(
     event: EventLabel,
     context: Optional[ContextAttributes],
@@ -199,117 +201,72 @@ def _render_sentence(
         )
         prefix = f"{actor} {neg} {action} "
         sentence = f"{prefix}{drug} {dose} {temp} {cert}."
-    elif display is EventLabel.NO_DISPOSITION:
-        variant = rng.randrange(2)
-        if variant == 0:
-            prefix = "med list shows "
-            sentence = f"{prefix}{drug} {dose} continues unchanged."
-        else:
-            prefix = "home regimen keeps "
-            sentence = f"{prefix}{drug} {dose} continues unchanged."
     else:
-        variant = rng.randrange(2)
-        if variant == 0:
-            prefix = "note mentioned "
-            sentence = f"{prefix}{drug} {dose} without clear plan."
-        else:
-            prefix = "chart reviewed regarding "
-            sentence = f"{prefix}{drug} {dose} without clear plan."
+        prefixes, ending = _PLAIN_TEMPLATES[display]
+        prefix = rng.choice(prefixes)
+        sentence = f"{prefix}{drug} {dose} {ending}"
     return sentence, len(prefix)
 
 
 def gen_corpus(spec: GeneratorSpec) -> SynthResult:
-    """Generate a corpus with an exact emission ledger; deterministic per seed."""
+    """Generate a corpus with an exact emission ledger; deterministic per seed.
+    `corpus_stats` of the corpus gives its per-split counts."""
     rng = random.Random(spec.seed)
     lexicon = default_lexicon(spec.lexicon_size)
 
     corpus = Corpus()
     ledger: list[LedgerEntry] = []
-    stats: dict[str, SplitStats] = {}
 
     for split, n_docs in (("train", spec.n_train), ("dev", spec.n_dev), ("test", spec.n_test)):
         # Structure first: which sentences carry a mention.
         plans = []
-        total_mentions = 0
-        for d in range(n_docs):
+        for _ in range(n_docs):
             n_sent = rng.randint(spec.min_sentences, spec.max_sentences)
             has_mention = [rng.random() < spec.mention_prob for _ in range(n_sent)]
             if not any(has_mention):
                 has_mention[0] = True  # every note names at least one drug
             plans.append(has_mention)
-            total_mentions += sum(has_mention)
 
-        events = [EventLabel(v) for v in _quota_labels(EVENT_TARGETS, total_mentions, rng)]
-        n_disp = sum(1 for e in events if e is EventLabel.DISPOSITION)
-        dim_labels = {
-            dim: _quota_labels(DIMENSION_TARGETS[dim], n_disp, rng) for dim in CONTEXT_DIMENSIONS
-        }
-
-        split_events = {e.value: 0 for e in EventLabel}
-        split_dims = {
-            dim: {v.value: 0 for v in enum_cls}
+        # Then the labels, handed out to the mentions in order.
+        event_list = [
+            EventLabel(v) for v in _quota_labels(EVENT_TARGETS, sum(map(sum, plans)), rng)
+        ]
+        n_disp = event_list.count(EventLabel.DISPOSITION)
+        dim_labels = [
+            [enum_cls(v) for v in _quota_labels(DIMENSION_TARGETS[dim], n_disp, rng)]
             for dim, (enum_cls, _) in CONTEXT_DIMENSIONS.items()
-        }
-        split_total = 0
-        docs = corpus.split(split)
-        mention_idx = 0
-        disp_idx = 0
+        ]
+        attrs = [attr for _, attr in CONTEXT_DIMENSIONS.values()]
+        events = iter(event_list)
+        contexts = iter([ContextAttributes(**dict(zip(attrs, row))) for row in zip(*dim_labels)])
 
+        docs = corpus.split(split)
+        novel_forms = split != "train" and spec.novel_form_rate > 0
         for d, has_mention in enumerate(plans):
             doc_id = f"{split}{d:04d}"
-            parts: list[str] = []
-            offset = 0
+            text = ""
             mentions: list[MedicationMention] = []
             for s, carries in enumerate(has_mention):
+                if s:
+                    text += "\n" if s % 4 == 0 else " "
                 if carries:
-                    event = events[mention_idx]
-                    mention_idx += 1
-                    context = None
-                    if event is EventLabel.DISPOSITION:
-                        kwargs = {}
-                        for dim, (enum_cls, attr) in CONTEXT_DIMENSIONS.items():
-                            kwargs[attr] = enum_cls(dim_labels[dim][disp_idx])
-                        disp_idx += 1
-                        context = ContextAttributes(**kwargs)
+                    event = next(events)
+                    context = next(contexts) if event is EventLabel.DISPOSITION else None
                     drug = rng.choice(lexicon)
-                    if (
-                        split != "train"
-                        and spec.novel_form_rate > 0
-                        and " " not in drug
-                        and rng.random() < spec.novel_form_rate
-                    ):
+                    if novel_forms and " " not in drug and rng.random() < spec.novel_form_rate:
                         drug = f"{drug} {rng.choice(NOVEL_MODIFIERS)}"
                     sentence, drug_offset = _render_sentence(event, context, drug, spec, rng)
-                    start = offset + drug_offset
+                    start = len(text) + drug_offset
                     span = CharSpan(start, start + len(drug))
                     mentions.append(
                         MedicationMention(span=span, surface=drug, event=event, context=context)
                     )
-                    ledger.append(
-                        LedgerEntry(doc_id, split, span, drug, event, context)
-                    )
-                    split_total += 1
-                    split_events[event.value] += 1
-                    if context is not None:
-                        for dim, (_, attr) in CONTEXT_DIMENSIONS.items():
-                            split_dims[dim][getattr(context, attr).value] += 1
+                    ledger.append(LedgerEntry(doc_id, split, span, drug, event, context))
                 else:
                     sentence = rng.choice(FILLER_SENTENCES)
-                sep = "\n" if (s + 1) % 4 == 0 else " "
-                parts.append(sentence)
-                offset += len(sentence)
-                if s + 1 < len(has_mention):
-                    parts.append(sep)
-                    offset += len(sep)
-            doc = AnnotatedDocument(doc_id=doc_id, text="".join(parts), mentions=mentions)
+                text += sentence
+            doc = AnnotatedDocument(doc_id=doc_id, text=text, mentions=mentions)
             doc.validate()
             docs.append(doc)
 
-        stats[split] = SplitStats(
-            documents=n_docs,
-            medications=split_total,
-            events=split_events,
-            dimensions=split_dims,
-        )
-
-    return SynthResult(corpus=corpus, ledger=ledger, stats=stats)
+    return SynthResult(corpus=corpus, ledger=ledger)

@@ -13,6 +13,7 @@ import pytest
 
 import rxtract
 from rxtract.cli import run_command
+from rxtract.corpus import corpus_stats, load_corpus
 
 FAST_FLAGS = [
     "--layers", "1", "--hidden-dim", "16", "--heads", "2", "--ffn-dim", "32",
@@ -135,6 +136,22 @@ def _run(capsys, argv):
     return code, capsys.readouterr().err
 
 
+def _train_capped(cap_mb, data_dir, out, *flags):
+    """`rxtract train --task ner` in a child whose address space is capped at
+    `cap_mb` MB, so a refused allocation cannot take the machine's memory."""
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({cap_mb} << 20, {cap_mb} << 20))\n"
+              "from rxtract.cli import run_command\n"
+              "sys.exit(run_command(sys.argv[1:]))\n")
+    src = str(Path(rxtract.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, "train", "--task", "ner", "--data", str(data_dir),
+         "--out", str(out), *flags],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+
+
 def _one_line(err, prefix, path):
     return err.startswith(prefix) and err.count("\n") == 1 and str(path) in err
 
@@ -233,24 +250,22 @@ class TestConfigValues:
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
     @pytest.mark.parametrize("flag", ["--layers", "--max-len"])
     def test_model_too_large_to_allocate_is_one_error_line(self, tmp_path, data_dir, flag):
-        # A child with a 1.5 GB address-space cap, so the refused allocation
-        # cannot take the machine's memory.
-        script = ("import resource, sys\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
-                  "from rxtract.cli import run_command\n"
-                  "sys.exit(run_command(sys.argv[1:]))\n")
-        src = str(Path(rxtract.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         start = time.perf_counter()
-        child = subprocess.run(
-            [sys.executable, "-c", script, "train", "--task", "ner", "--data", str(data_dir),
-             "--out", str(tmp_path / "m"), flag, "100000000"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        child = _train_capped(1536, data_dir, tmp_path / "m", flag, "100000000")
         assert time.perf_counter() - start < 5
         assert child.returncode == 1, child.stderr
         assert re.fullmatch(r"error: a model of [\d,]+ parameters does not fit in memory\n",
                             child.stderr)
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+    def test_model_too_large_to_train_is_one_error_line(self, tmp_path, data_dir):
+        # About 40M parameters: the model fits under the cap, but not again
+        # for its gradients, Adam moments and best-epoch copy.
+        child = _train_capped(700, data_dir, tmp_path / "m", "--layers", "300")
+        assert child.returncode == 1, child.stderr
+        assert re.fullmatch(r"error: training a model of [\d,]+ parameters "
+                            r"does not fit in memory\n", child.stderr)
         assert not (tmp_path / "m").exists()
 
     def test_non_finite_loss_is_one_line_naming_its_example(self, tmp_path, capsys):
@@ -283,6 +298,16 @@ class TestConfigValues:
             texts[rate] = [p.read_text(encoding="utf-8")
                            for p in sorted((out / "train").glob("*.txt"))]
         assert texts["0"] != texts["0.9"]
+
+    def test_synth_counts_are_those_of_the_written_corpus(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        code, err = _run(capsys, ["synth", "--seed", "3", "--out", str(out),
+                                  "--train", "6", "--dev", "2", "--test", "2"])
+        assert code == 0
+        assert err.splitlines() == [
+            f"{split}: {st.documents} docs, {st.medications} mentions"
+            for split, st in corpus_stats(load_corpus(out)).items()
+        ]
 
     def test_synth_difficulty_is_usage_error(self, tmp_path):
         out = tmp_path / "c"

@@ -723,6 +723,12 @@ class TestGradCheck:
         report = grad_check(model, batch, task="Event", n_samples=220, seed=10)
         assert report.max_rel_error < 1e-4
 
+    def test_worst_param_indices_are_plain_ints(self):
+        model = init_model(TOY, VOCAB)
+        batch = toy_examples("token", VOCAB, n=4, length=16, seed=1)
+        report = grad_check(model, batch, n_samples=50, seed=9)
+        assert re.fullmatch(r"[\w.]+\[\d+(, \d+)*\]", report.worst_param), report.worst_param
+
     def test_zero_analytic_and_numeric_counts_as_pass(self):
         cfg = EncoderConfig(layers=1, hidden_dim=8, heads=2, ffn_dim=16,
                             max_len=16, dropout_rate=0.0,

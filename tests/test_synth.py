@@ -84,9 +84,6 @@ class TestTables:
 
 
 class TestLedger:
-    def test_stats_equal_ledger_counts(self, small_result):
-        assert corpus_stats(small_result.corpus) == small_result.stats
-
     def test_every_mention_in_ledger(self, small_result):
         from_ledger = {
             (e.doc_id, e.span.start, e.span.end, e.event, e.context)
