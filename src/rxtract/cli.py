@@ -303,21 +303,22 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = EncoderConfig(
-        layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=32,
-        dropout_rate=0.0, seed=args.seed, precision=64,
-    )
     vocab_size = 64
     ok = True
-    for kind, task in (("token", None), ("sequence", "Event")):
-        model = init_model(cfg, vocab_size, {"Event": 3} if task else {})
-        batch = toy_examples(kind, vocab_size, n=4, length=16, seed=args.seed)
-        report = grad_check(model, batch, task=task, seed=args.seed)
-        _log(
-            f"{kind}: max relative error {report.max_rel_error:.3e} over "
-            f"{report.n_checked} parameters (worst: {report.worst_param})"
+    for rate in (0.0, 0.1):
+        cfg = EncoderConfig(
+            layers=2, hidden_dim=16, heads=2, ffn_dim=32, max_len=32,
+            dropout_rate=rate, seed=args.seed, precision=64,
         )
-        ok = ok and report.max_rel_error < 1e-4
+        for kind, task in (("token", None), ("sequence", "Event")):
+            model = init_model(cfg, vocab_size, {"Event": 3} if task else {})
+            batch = toy_examples(kind, vocab_size, n=4, length=16, seed=args.seed)
+            report = grad_check(model, batch, task=task, seed=args.seed)
+            _log(
+                f"{kind}, dropout {rate}: max relative error {report.max_rel_error:.3e} "
+                f"over {report.n_checked} parameters (worst: {report.worst_param})"
+            )
+            ok = ok and report.max_rel_error < 1e-4
     return 0 if ok else 1
 
 

@@ -4,7 +4,12 @@ Everything numerical lives here: the forward pass, hand-written
 reverse-mode gradients, the adaptive-moment optimizer, and the
 finite-difference gradient verification harness. Arrays are plain numpy;
 no autodiff framework is involved, so the gradient check is a genuinely
-independent second route.
+independent second route. An encoder layer is two sub-layers, each a
+forward/backward pair (`_attention_fwd`/`_attention_bwd`,
+`_ffn_fwd`/`_ffn_bwd`): the forward returns its output and, if asked to
+keep it, a cache that only its backward reads (else None, so that
+inference holds no activations); the backward adds its weights' gradients
+into `grads` and returns its input's gradient.
 
 A model's parameters are one contiguous buffer (`FlatParams.flat`) with
 every tensor a named view into it, in `_param_layout` order; gradients and
@@ -120,11 +125,6 @@ class EncoderModel:
 
     config: EncoderConfig
     params: FlatParams  # a dict of stacked views for a `stack_models` stack
-
-    @property
-    def task_classes(self) -> dict[str, int]:
-        """Each sequence head's class count, by task."""
-        return head_widths((name, w.shape) for name, w in self.params.items())
 
 
 def head_widths(shapes: Iterable[tuple[str, tuple[int, ...]]]) -> dict[str, int]:
@@ -342,155 +342,150 @@ def pack_batch(seqs: Sequence[LabeledSequence], model: EncoderModel) -> Packed:
     return Packed(ids, mask, loss_mask, tags, labels, head_pos, [s.origin for s in seqs])
 
 
+def _vec(p, name):
+    """A vector parameter, broadcast over each model's rows."""
+    return p[name][..., None, :]
+
+
+def _attention_fwd(p, pre, cfg, x, key_keep, rng, rows=None, keep=False):
+    """Layer `pre`'s self-attention, output projection, residual and `ln1`
+    over (..., B*L, H) rows, with dropout on the attention probabilities.
+    `key_keep` is (B, 1, 1, L), true at real keys; the weights and `x` may
+    carry a leading model axis (`stack_models`).
+
+    Given `rows`, a (B, R) array of positions, the output is (..., B*R, H):
+    every position is still attended over, but only those query rows are
+    kept from the attention probabilities on, so all that follows runs on
+    R rows per sequence. Only inference passes `rows`, at the last layer:
+    the backward pass needs every position.
+    """
+    b, length = key_keep.shape[0], key_keep.shape[-1]
+    dk = x.shape[-1] // cfg.heads
+    scale = x.dtype.type(1.0 / math.sqrt(dk))
+
+    def split(m):  # (..., B*L, H) -> (..., B, nh, L, dk)
+        return m.reshape(*m.shape[:-2], b, length, cfg.heads, dk).swapaxes(-3, -2)
+
+    q = split(x @ p[f"{pre}.attn.wq"] + _vec(p, f"{pre}.attn.bq"))
+    k = split(x @ p[f"{pre}.attn.wk"] + _vec(p, f"{pre}.attn.bk"))
+    v = split(x @ p[f"{pre}.attn.wv"] + _vec(p, f"{pre}.attn.bv"))
+    scores = np.where(key_keep, (q @ k.swapaxes(-1, -2)) * scale, x.dtype.type(NEG_INF))
+    probs = _softmax(scores)
+    probs_used, drop = _dropout(probs, rng, cfg.dropout_rate)
+    resid = x
+    if rows is not None:
+        # Picking the rows after the softmax, not before the Q projection,
+        # keeps q @ k.T's GEMM, and its rounding, whole.
+        batch = np.arange(b)[:, None]
+        probs_used = probs_used[..., batch[:, None], np.arange(cfg.heads)[:, None],
+                                rows[:, None], :]  # (..., B, nh, R, L)
+        resid = x[..., (batch * length + rows).ravel(), :]
+    ctx = (probs_used @ v).swapaxes(-3, -2).reshape(resid.shape)
+    out, ln = _layernorm_fwd(resid + (ctx @ p[f"{pre}.attn.wo"] + _vec(p, f"{pre}.attn.bo")),
+                             _vec(p, f"{pre}.ln1.gain"), _vec(p, f"{pre}.ln1.bias"))
+    return out, (dict(x=x, q=q, k=k, v=v, scale=scale, probs=probs, probs_used=probs_used,
+                      drop=drop, ctx=ctx, ln=ln) if keep else None)
+
+
+def _attention_bwd(p, pre, dout, c, grads):
+    """`_attention_fwd`'s backward, for one model and no `rows`."""
+    b, nh, length, dk = c["q"].shape
+    # `dres` is also the residual's gradient: Q, K and V add into it last
+    dres, dgain, dbias = _layernorm_bwd(dout, c["ln"], p[f"{pre}.ln1.gain"])
+    grads[f"{pre}.ln1.gain"] += dgain
+    grads[f"{pre}.ln1.bias"] += dbias
+    grads[f"{pre}.attn.wo"] += c["ctx"].T @ dres
+    grads[f"{pre}.attn.bo"] += dres.sum(axis=0)
+    dctx = (dres @ p[f"{pre}.attn.wo"].T).reshape(b, length, nh, dk).transpose(0, 2, 1, 3)
+
+    probs = c["probs"]
+    dprobs = _undrop(dctx @ c["v"].transpose(0, 1, 3, 2), c["drop"])
+    dv = c["probs_used"].transpose(0, 1, 3, 2) @ dctx
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dq = (dscores @ c["k"]) * c["scale"]
+    dk_ = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * c["scale"]
+
+    for name, dmat in (("wq", dq), ("wk", dk_), ("wv", dv)):
+        dm = dmat.transpose(0, 2, 1, 3).reshape(b * length, nh * dk)
+        grads[f"{pre}.attn.{name}"] += c["x"].T @ dm
+        grads[f"{pre}.attn.b{name[1]}"] += dm.sum(axis=0)
+        dres += dm @ p[f"{pre}.attn.{name}"].T
+    return dres
+
+
+def _ffn_fwd(p, pre, cfg, y, rng, keep=False):
+    """Layer `pre`'s feed-forward block, residual and `ln2` over (..., N, H)
+    rows, with dropout on the GELU's output."""
+    a = y @ p[f"{pre}.ffn.w1"] + _vec(p, f"{pre}.ffn.b1")
+    g, gelu_tanh = _gelu(a)
+    g_used, drop = _dropout(g, rng, cfg.dropout_rate)
+    out, ln = _layernorm_fwd(y + (g_used @ p[f"{pre}.ffn.w2"] + _vec(p, f"{pre}.ffn.b2")),
+                             _vec(p, f"{pre}.ln2.gain"), _vec(p, f"{pre}.ln2.bias"))
+    return out, (dict(y=y, a=a, gelu_tanh=gelu_tanh, g_used=g_used, drop=drop, ln=ln)
+                 if keep else None)
+
+
+def _ffn_bwd(p, pre, dout, c, grads):
+    """`_ffn_fwd`'s backward, for one model."""
+    # `dres` is also the residual's gradient: the FFN's adds into it last
+    dres, dgain, dbias = _layernorm_bwd(dout, c["ln"], p[f"{pre}.ln2.gain"])
+    grads[f"{pre}.ln2.gain"] += dgain
+    grads[f"{pre}.ln2.bias"] += dbias
+    grads[f"{pre}.ffn.w2"] += c["g_used"].T @ dres
+    grads[f"{pre}.ffn.b2"] += dres.sum(axis=0)
+    dg = _undrop(dres @ p[f"{pre}.ffn.w2"].T, c["drop"])
+    da = dg * _gelu_grad(c["a"], c["gelu_tanh"])
+    grads[f"{pre}.ffn.w1"] += c["y"].T @ da
+    grads[f"{pre}.ffn.b1"] += da.sum(axis=0)
+    dres += da @ p[f"{pre}.ffn.w1"].T
+    return dres
+
+
 def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
     """Run the encoder stack; returns final hidden states plus, with
-    `keep_cache`, the intermediate cache the backward pass consumes (else
-    None).
+    `keep_cache`, the cache the backward pass consumes (else None).
 
     Dropout runs at the model's rate exactly when `rng` is given; at rate 0
     nothing is drawn from it. The weights may carry a leading model axis
     (`stack_models`); the hidden states then carry it too, and model `m`'s
-    slice is bit for bit what model `m` gives alone.
-
-    Given `rows`, a (B, R) array of positions, the hidden states are
-    (..., B, R, H), those positions' rows only: the last layer still
-    attends over every position, but takes only those query rows from its
-    attention probabilities on, so its output projection, layer norms and
-    FFN run on R rows per sequence. Only inference passes `rows`: the
-    backward pass needs every position.
+    slice is bit for bit what model `m` gives alone. Given `rows`, the last
+    layer runs at those (B, R) positions alone (`_attention_fwd`).
     """
     cfg = model.config
     p = model.params
-    dt = cfg.dtype
     b, length = ids.shape
     if length > cfg.max_len:
         raise SequenceLengthError(f"sequence length {length} > max_len {cfg.max_len}")
-    h = cfg.hidden_dim
-    nh = cfg.heads
-    dk = h // nh
-    scale = dt.type(1.0 / math.sqrt(dk))
-    lead = p["tok_emb"].shape[:-2]  # () for one model, (M,) for a stack
-
-    def vec(name):  # a vector parameter, broadcast over each model's rows
-        return p[name][..., None, :]
 
     # Activations are (..., B*L, H) rows, so each weight product is one GEMM
     # per model.
     emb = np.take(p["tok_emb"], ids, axis=-2) + p["pos_emb"][..., None, :length, :]
-    x = emb.reshape(*lead, b * length, h)
+    x = emb.reshape(*emb.shape[:-3], b * length, cfg.hidden_dim)
     x, emb_mask = _dropout(x, rng, cfg.dropout_rate)
 
-    key_keep = mask[:, None, None, :] > 0  # (B,1,1,L)
-    layers = []
+    key_keep = mask[:, None, None, :] > 0
+    cache = dict(ids=ids, emb_mask=emb_mask, layers=[]) if keep_cache else None
     for i in range(cfg.layers):
         pre = f"layer{i}"
-        x_in = x
-
-        def heads(m):  # (..., B*L, H) -> (..., B, nh, L, dk)
-            return m.reshape(*lead, b, length, nh, dk).swapaxes(-3, -2)
-
-        q = heads(x_in @ p[f"{pre}.attn.wq"] + vec(f"{pre}.attn.bq"))
-        k = heads(x_in @ p[f"{pre}.attn.wk"] + vec(f"{pre}.attn.bk"))
-        v = heads(x_in @ p[f"{pre}.attn.wv"] + vec(f"{pre}.attn.bv"))
-        scores = np.where(key_keep, (q @ k.swapaxes(-1, -2)) * scale, dt.type(NEG_INF))
-        probs = _softmax(scores)
-        probs_used, attn_drop = _dropout(probs, rng, cfg.dropout_rate)
-        resid = x_in
-        if rows is not None and i == cfg.layers - 1:
-            # Each position's output reads only its own query row from here
-            # on. Picking the rows after the softmax, not before the Q
-            # projection, keeps q @ k.T's GEMM, and its rounding, whole.
-            batch = np.arange(b)[:, None]
-            probs_used = probs_used[..., batch[:, None], np.arange(nh)[:, None],
-                                    rows[:, None], :]  # (..., B, nh, R, L)
-            resid = x_in[..., (batch * length + rows).ravel(), :]
-        ctx = (probs_used @ v).swapaxes(-3, -2).reshape(resid.shape)
-        attn_out = ctx @ p[f"{pre}.attn.wo"] + vec(f"{pre}.attn.bo")
-        res1 = resid + attn_out
-        y, ln1_cache = _layernorm_fwd(res1, vec(f"{pre}.ln1.gain"), vec(f"{pre}.ln1.bias"))
-
-        a = y @ p[f"{pre}.ffn.w1"] + vec(f"{pre}.ffn.b1")
-        g, gelu_tanh = _gelu(a)
-        g_used, ffn_drop = _dropout(g, rng, cfg.dropout_rate)
-        fout = g_used @ p[f"{pre}.ffn.w2"] + vec(f"{pre}.ffn.b2")
-        res2 = y + fout
-        x, ln2_cache = _layernorm_fwd(res2, vec(f"{pre}.ln2.gain"), vec(f"{pre}.ln2.bias"))
-
-        if keep_cache:
-            layers.append(
-                dict(x_in=x_in, q=q, k=k, v=v, probs=probs, probs_used=probs_used,
-                     attn_drop=attn_drop, ctx=ctx, ln1=ln1_cache, y=y, a=a,
-                     gelu_tanh=gelu_tanh, g_used=g_used, ffn_drop=ffn_drop, ln2=ln2_cache)
-            )
-
-    hidden = x.reshape(*lead, b, -1, h)
-    if not keep_cache:
-        return hidden, None
-    return hidden, dict(ids=ids, length=length, emb_mask=emb_mask, layers=layers,
-                        key_keep=key_keep, scale=scale)
+        last_rows = rows if i == cfg.layers - 1 else None
+        x, attn = _attention_fwd(p, pre, cfg, x, key_keep, rng, last_rows, keep_cache)
+        x, ffn = _ffn_fwd(p, pre, cfg, x, rng, keep_cache)
+        if cache is not None:
+            cache["layers"].append((attn, ffn))
+    return x.reshape(*x.shape[:-2], b, -1, cfg.hidden_dim), cache
 
 
 def _backward_batch(model, cache, d_hidden, grads):
-    cfg = model.config
     p = model.params
-    b = cache["ids"].shape[0]
-    length = cache["length"]
-    h = cfg.hidden_dim
-    nh = cfg.heads
-    dk = h // nh
-    scale = cache["scale"]
-    dx = d_hidden.reshape(b * length, h)
+    ids = cache["ids"]
+    dx = d_hidden.reshape(ids.size, -1)
+    for i, (attn, ffn) in reversed(list(enumerate(cache["layers"]))):
+        dx = _ffn_bwd(p, f"layer{i}", dx, ffn, grads)
+        dx = _attention_bwd(p, f"layer{i}", dx, attn, grads)
 
-    for i in reversed(range(cfg.layers)):
-        pre = f"layer{i}"
-        c = cache["layers"][i]
-
-        dres2, dg2, db2 = _layernorm_bwd(dx, c["ln2"], p[f"{pre}.ln2.gain"])
-        grads[f"{pre}.ln2.gain"] += dg2
-        grads[f"{pre}.ln2.bias"] += db2
-        # `dy` aliases `dfout`: its `+=` below comes after dfout's last read
-        dy = dfout = dres2
-
-        grads[f"{pre}.ffn.w2"] += c["g_used"].T @ dfout
-        grads[f"{pre}.ffn.b2"] += dfout.sum(axis=0)
-        dg = _undrop(dfout @ p[f"{pre}.ffn.w2"].T, c["ffn_drop"])
-        da = dg * _gelu_grad(c["a"], c["gelu_tanh"])
-        grads[f"{pre}.ffn.w1"] += c["y"].T @ da
-        grads[f"{pre}.ffn.b1"] += da.sum(axis=0)
-        dy += da @ p[f"{pre}.ffn.w1"].T
-
-        dres1, dg1, db1 = _layernorm_bwd(dy, c["ln1"], p[f"{pre}.ln1.gain"])
-        grads[f"{pre}.ln1.gain"] += dg1
-        grads[f"{pre}.ln1.bias"] += db1
-        # `dx_in` aliases `dattn_out`: its `+=` below comes after dattn_out's last read
-        dx_in = dattn_out = dres1
-
-        grads[f"{pre}.attn.wo"] += c["ctx"].T @ dattn_out
-        grads[f"{pre}.attn.bo"] += dattn_out.sum(axis=0)
-        dctx = (dattn_out @ p[f"{pre}.attn.wo"].T).reshape(b, length, nh, dk).transpose(0, 2, 1, 3)
-
-        probs = c["probs"]
-        dprobs = _undrop(dctx @ c["v"].transpose(0, 1, 3, 2), c["attn_drop"])
-        dv = c["probs_used"].transpose(0, 1, 3, 2) @ dctx
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        dq = (dscores @ c["k"]) * scale
-        dk_ = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * scale
-
-        def merge(m):  # (B,nh,L,dk) -> (B*L,H)
-            return m.transpose(0, 2, 1, 3).reshape(b * length, h)
-
-        x_in_t = c["x_in"].T
-        for name, dmat in (("wq", dq), ("wk", dk_), ("wv", dv)):
-            dm = merge(dmat)
-            grads[f"{pre}.attn.{name}"] += x_in_t @ dm
-            grads[f"{pre}.attn.b{name[1]}"] += dm.sum(axis=0)
-            dx_in += dm @ p[f"{pre}.attn.{name}"].T
-
-        dx = dx_in
-
-    dx = _undrop(dx, cache["emb_mask"]).reshape(b, length, h)
-    np.add.at(grads["tok_emb"], cache["ids"], dx)
-    grads["pos_emb"][:length] += dx.sum(axis=0)
+    dx = _undrop(dx, cache["emb_mask"]).reshape(*ids.shape, -1)
+    np.add.at(grads["tok_emb"], ids, dx)
+    grads["pos_emb"][: ids.shape[1]] += dx.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +641,6 @@ def loss_and_grads(
 
 
 def _loss_grads_packed(model, packed, task, rng, want_grads):
-    cfg = model.config
     # a non-finite loss raises NumericError below, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hidden, cache = _forward_batch(model, packed.ids, packed.mask, rng,
@@ -674,7 +668,7 @@ def _loss_grads_packed(model, packed, task, rng, want_grads):
 
     dlogits = np.exp(logp) - (np.arange(logits.shape[-1]) == target[..., None])
     if task is None:
-        dlogits *= m[..., None].astype(cfg.dtype) / cfg.dtype.type(n)
+        dlogits *= m[..., None].astype(dlogits.dtype) / dlogits.dtype.type(n)
     else:
         dlogits /= n
     name = _head_name(task)
@@ -786,13 +780,19 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients to central finite differences.
 
-    Requires 64-bit precision; dropout is off on both routes. The relative
-    error denominator is floored so that zero-against-zero counts as a pass.
+    Requires 64-bit precision. Dropout runs at the model's rate, from a
+    generator seeded with `seed` anew for every pass, so each pass draws
+    the same masks. The relative error denominator is floored so that
+    zero-against-zero counts as a pass.
     """
     if model.config.precision != 64:
         raise ConfigError("grad_check requires a 64-bit model")
     packed = pack_batch(batch, model)
-    _, analytic = _loss_grads_packed(model, packed, task, None, want_grads=True)
+
+    def loss(want_grads):
+        return _loss_grads_packed(model, packed, task, np.random.default_rng(seed), want_grads)
+
+    _, analytic = loss(True)
 
     names = sorted(model.params)
     sizes = np.array([model.params[n].size for n in names])
@@ -806,15 +806,14 @@ def grad_check(
     worst_name = ""
     for flat in flat_choices:
         pi = int(np.searchsorted(bounds, flat, side="right"))
-        offset = int(flat - (bounds[pi - 1] if pi > 0 else 0))
         name = names[pi]
         param = model.params[name]
-        idx = np.unravel_index(offset, param.shape)
+        idx = np.unravel_index(int(flat - bounds[pi] + param.size), param.shape)
         orig = param[idx]
         param[idx] = orig + step
-        up, _ = _loss_grads_packed(model, packed, task, None, False)
+        up, _ = loss(False)
         param[idx] = orig - step
-        down, _ = _loss_grads_packed(model, packed, task, None, False)
+        down, _ = loss(False)
         param[idx] = orig
         numeric = (up - down) / (2.0 * step)
         a = float(analytic[name][idx])

@@ -14,7 +14,7 @@ from rxtract.context import (
     predict_events,
     train_task,
 )
-from rxtract.encoder import EncoderConfig, TrainConfig
+from rxtract.encoder import EncoderConfig, TrainConfig, head_widths
 from rxtract.errors import CompatibilityError, CorruptionError
 from rxtract.ner import predict_ner, train_ner
 from rxtract.pipeline import PipelineBundle, run_pipeline
@@ -119,7 +119,8 @@ class TestClassifierArtifact:
         assert set(loaded.tasks) == {"Event"}
         for k in tm.model.params:
             assert np.array_equal(loaded.tasks["Event"].model.params[k], tm.model.params[k])
-        assert loaded.tasks["Event"].model.task_classes == {"Event": 3}
+        params = loaded.tasks["Event"].model.params
+        assert head_widths((name, w.shape) for name, w in params.items()) == {"Event": 3}
 
     def test_manifest_with_task_classes_line_loads(self, tmp_path, event_bundle, tiny_setup):
         """Head widths come from the tensor index; an older manifest's

@@ -398,8 +398,10 @@ class TestGoldenFlow:
 
     def test_gradcheck_passes(self, capsys):
         assert run_command(["gradcheck", "--seed", "1"]) == 0
-        err = capsys.readouterr().err
-        assert "token" in err and "sequence" in err
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "token, dropout 0.0", "sequence, dropout 0.0",
+            "token, dropout 0.1", "sequence, dropout 0.1"]
 
 
 class TestSingleClassifierFlow:

@@ -19,7 +19,7 @@ from rxtract.context import (
     train_task,
 )
 from rxtract.corpus import AnnotatedDocument, CharSpan, EventLabel, parse_standoff
-from rxtract.encoder import EncoderConfig, TrainConfig, init_model
+from rxtract.encoder import EncoderConfig, TrainConfig, head_widths, init_model
 from rxtract.errors import ConfigError, SpanRangeError
 from rxtract.pipeline import classify_gold_context, classify_gold_events
 from rxtract.preproc import (
@@ -321,7 +321,8 @@ class TestStackedContexts:
     def test_stack_is_the_classifiers_own_memory(self, tiny):
         bundle = tiny[1].classifiers
         stack = bundle.contexts
-        assert list(stack.task_classes) == [task.name for task in CONTEXT_STACK.tasks]
+        widths = head_widths((name, w.shape) for name, w in stack.params.items())
+        assert list(widths) == [task.name for task in CONTEXT_STACK.tasks]
         for i, task in enumerate(DIMENSION_TASKS):
             params = bundle.tasks[task.name].model.params
             for name, w in stack.params.items():

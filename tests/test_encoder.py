@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rxtract import encoder
 from rxtract.artifacts import load_artifact, save_artifact
@@ -26,6 +28,7 @@ from rxtract.encoder import (
     fit,
     forward_batch,
     grad_check,
+    head_widths,
     init_model,
     loss_and_grads,
     optimizer_step,
@@ -133,14 +136,82 @@ def _plain_seq(ids, n_words=None, tags=None, label=None):
     )
 
 
+REF_VOCAB = 16
+
+
+def _reference_hidden(params, cfg, ids, n_real):
+    """Hidden states of one packed row of piece `ids`, whose first `n_real`
+    positions are real, in plain float arithmetic: one position and one
+    head at a time, attending to the real keys alone."""
+    p = {k: v.tolist() for k, v in params.items()}
+    dk = cfg.hidden_dim // cfg.heads
+
+    def affine(x, w, b):
+        return [sum(x[i] * w[i][j] for i in range(len(x))) + b[j] for j in range(len(b))]
+
+    def add(a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    def layer_norm(x, gain, bias):
+        mu = sum(x) / len(x)
+        var = sum((v - mu) ** 2 for v in x) / len(x)
+        inv = 1.0 / math.sqrt(var + 1e-5)
+        return [(v - mu) * inv * g + b for v, g, b in zip(x, gain, bias)]
+
+    def gelu(v):
+        inner = math.sqrt(2.0 / math.pi) * (v + 0.044715 * v**3)
+        return 0.5 * v * (1.0 + math.tanh(inner))
+
+    xs = [add(p["tok_emb"][t], p["pos_emb"][i]) for i, t in enumerate(ids)]
+    for layer in range(cfg.layers):
+        pre = f"layer{layer}."
+        w = {name[len(pre):]: val for name, val in p.items() if name.startswith(pre)}
+        q, k, v = ([affine(x, w[f"attn.w{c}"], w[f"attn.b{c}"]) for x in xs] for c in "qkv")
+        out = []
+        for i, x in enumerate(xs):
+            ctx = []
+            for head in range(cfg.heads):
+                cols = range(head * dk, (head + 1) * dk)
+                scores = [sum(q[i][c] * k[j][c] for c in cols) / math.sqrt(dk)
+                          for j in range(n_real)]
+                e = [math.exp(sc - max(scores)) for sc in scores]
+                ctx += [sum(e[j] * v[j][c] for j in range(n_real)) / sum(e) for c in cols]
+            y = layer_norm(add(x, affine(ctx, w["attn.wo"], w["attn.bo"])),
+                           w["ln1.gain"], w["ln1.bias"])
+            g = [gelu(a) for a in affine(y, w["ffn.w1"], w["ffn.b1"])]
+            out.append(layer_norm(add(y, affine(g, w["ffn.w2"], w["ffn.b2"])),
+                                  w["ln2.gain"], w["ln2.bias"]))
+        xs = out
+    return xs
+
+
+@st.composite
+def _reference_cases(draw):
+    """A 64-bit config, a batch of piece lists of mixed lengths (so that
+    the batch is padded), (B, R) rows for the last layer or None, and 1 or
+    2 models."""
+    heads = draw(st.sampled_from([1, 2]))
+    cfg = EncoderConfig(layers=draw(st.integers(1, 3)), hidden_dim=4 * heads, heads=heads,
+                        ffn_dim=draw(st.sampled_from([4, 8])), max_len=8, dropout_rate=0.0,
+                        seed=draw(st.integers(0, 99)), precision=64)
+    seqs = draw(st.lists(st.lists(st.integers(1, REF_VOCAB - 1), min_size=1, max_size=8),
+                         min_size=1, max_size=3))
+    rows = None
+    if draw(st.booleans()):
+        width, r = max(map(len, seqs)), draw(st.integers(1, 3))
+        rows = np.array([draw(st.lists(st.integers(0, width - 1), min_size=r, max_size=r))
+                         for _ in seqs])
+    return cfg, seqs, rows, draw(st.sampled_from([1, 2]))
+
+
 class TestForward:
     def test_attention_probs_sum_to_one(self):
         model = init_model(TOY, VOCAB)
         batch = toy_examples("token", VOCAB, n=3, length=16, seed=0)
         packed = pack_batch(batch, model)
         _, cache = _forward_batch(model, packed.ids, packed.mask, keep_cache=True)
-        for layer in cache["layers"]:
-            sums = layer["probs"].sum(axis=-1)
+        for attn, _ in cache["layers"]:
+            sums = attn["probs"].sum(axis=-1)
             assert np.allclose(sums, 1.0, atol=1e-6)
 
     def test_pad_tail_content_is_inert(self):
@@ -165,16 +236,26 @@ class TestForward:
         with pytest.raises(SequenceLengthError):
             forward_batch(model, [seq])
 
-    def test_single_position_matches_scalar_recomputation(self):
-        cfg = EncoderConfig(layers=1, hidden_dim=4, heads=2, ffn_dim=8,
-                            max_len=8, dropout_rate=0.0,
-                            seed=11, precision=64)
-        model = init_model(cfg, 16)
-        tok = 9
-        seq = LabeledSequence([tok], [1], [0])
-        got = _hidden(model, seq)[0]
-        want = _scalar_one_layer(model, tok)
-        assert np.allclose(got, want, atol=1e-9)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_reference_cases())
+    @example(case=(EncoderConfig(layers=1, hidden_dim=4, heads=2, ffn_dim=8, max_len=8,
+                                 dropout_rate=0.0, seed=11, precision=64), [[9]], None, 1))
+    def test_matches_float64_reference(self, case):
+        """`_forward_batch` against `_reference_hidden`, on padded batches,
+        with and without trimmed rows, for one model and each slice of a
+        two-model stack."""
+        cfg, seqs, rows, n_models = case
+        models = {f"T{m}": init_model(replace(cfg, seed=cfg.seed + m), REF_VOCAB, {f"T{m}": 2})
+                  for m in range(n_models)}
+        model = stack_models(models) if n_models > 1 else models["T0"]
+        packed = pack_batch([LabeledSequence(s, [1] * len(s), [-1] * len(s)) for s in seqs], model)
+        hidden, _ = _forward_batch(model, packed.ids, packed.mask, rows=rows)
+        for m, got in zip(models.values(), hidden if n_models > 1 else [hidden]):
+            for i, s in enumerate(seqs):
+                want = np.array(_reference_hidden(m.params, cfg, packed.ids[i].tolist(), len(s)))
+                if rows is not None:
+                    want = want[rows[i]]
+                assert np.abs(got[i] - want).max() <= 1e-10
 
 
 class TestPackBatch:
@@ -214,38 +295,6 @@ class TestPackBatch:
 def _ids_mask(model, seq):
     packed = pack_batch([seq], model)
     return packed.ids, packed.mask
-
-
-def _scalar_one_layer(model, tok):
-    """Re-derive a length-1 forward pass with plain Python arithmetic."""
-    p = {k: v.tolist() for k, v in model.params.items()}
-    h = model.config.hidden_dim
-
-    def vec_mat(x, w):
-        return [sum(x[i] * w[i][j] for i in range(len(x))) for j in range(len(w[0]))]
-
-    def add(a, b):
-        return [x + y for x, y in zip(a, b)]
-
-    def layer_norm(x, gain, bias):
-        mu = sum(x) / len(x)
-        var = sum((v - mu) ** 2 for v in x) / len(x)
-        inv = 1.0 / math.sqrt(var + 1e-5)
-        return [(v - mu) * inv * g + b for v, g, b in zip(x, gain, bias)]
-
-    def gelu(v):
-        inner = math.sqrt(2.0 / math.pi) * (v + 0.044715 * v**3)
-        return 0.5 * v * (1.0 + math.tanh(inner))
-
-    x = add(p["tok_emb"][tok], p["pos_emb"][0])
-    # one key only: attention probabilities are exactly 1, context = value
-    v = add(vec_mat(x, p["layer0.attn.wv"]), p["layer0.attn.bv"])
-    attn_out = add(vec_mat(v, p["layer0.attn.wo"]), p["layer0.attn.bo"])
-    y = layer_norm(add(x, attn_out), p["layer0.ln1.gain"], p["layer0.ln1.bias"])
-    a = add(vec_mat(y, p["layer0.ffn.w1"]), p["layer0.ffn.b1"])
-    g = [gelu(val) for val in a]
-    f = add(vec_mat(g, p["layer0.ffn.w2"]), p["layer0.ffn.b2"])
-    return layer_norm(add(y, f), p["layer0.ln2.gain"], p["layer0.ln2.bias"])
 
 
 class TestGelu:
@@ -426,7 +475,7 @@ class TestStack:
                     assert np.array_equal(w[i], m.params[name])
             for part in ("w", "b"):
                 assert np.shares_memory(stack.params[f"seq_head.{task}.{part}"], m.params.flat)
-        assert stack.task_classes == STACK_TASKS
+        assert head_widths((name, w.shape) for name, w in stack.params.items()) == STACK_TASKS
         models["C"].params["layer1.ffn.w2"][0, 0] = 7.0
         assert stack.params["layer1.ffn.w2"][2, 0, 0] == 7.0
 
@@ -626,7 +675,8 @@ def _assert_one_buffer(model):
     """Every parameter is a view of one contiguous buffer, in layout order."""
     flat = model.params.flat
     assert flat.ndim == 1 and flat.flags.c_contiguous and flat.dtype == model.config.dtype
-    shapes = param_shapes(model.config, model.params["tok_emb"].shape[0], model.task_classes)
+    widths = head_widths((name, w.shape) for name, w in model.params.items())
+    shapes = param_shapes(model.config, model.params["tok_emb"].shape[0], widths)
     assert list(model.params) == list(shapes)
     start = flat.__array_interface__["data"][0]
     offset = 0
@@ -739,6 +789,16 @@ class TestGradCheck:
         report = grad_check(model, batch,
                             n_samples=model.params.flat.size, seed=11)
         assert report.n_checked == model.params.flat.size
+        assert report.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3])
+    @pytest.mark.parametrize("kind,task", [("token", None), ("sequence", "Event")])
+    def test_dropout_on(self, rate, kind, task):
+        """The backward through all three dropout sites, against differences
+        taken under the same masks."""
+        model = init_model(replace(TOY, dropout_rate=rate), VOCAB, {"Event": 3} if task else {})
+        batch = toy_examples(kind, VOCAB, n=4, length=16, seed=2)
+        report = grad_check(model, batch, task=task, n_samples=220, seed=10)
         assert report.max_rel_error < 1e-4
 
     def test_requires_64_bit(self):

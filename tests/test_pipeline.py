@@ -13,7 +13,7 @@ from rxtract.corpus import (
     EventLabel,
     MedicationMention,
 )
-from rxtract.encoder import EncoderConfig, TrainConfig, init_model
+from rxtract.encoder import EncoderConfig, TrainConfig, head_widths, init_model
 from rxtract.ner import NerModelBundle, predict_ner
 from rxtract.errors import ConfigError
 from rxtract.pipeline import (
@@ -154,8 +154,9 @@ class TestBundleValidation:
         p = _toy_pipeline(["took plavix today"])
         tasks = dict(p.classifiers.tasks)
         actor = tasks["Actor"].model
+        widths = head_widths((name, w.shape) for name, w in actor.params.items())
         tasks["Actor"] = TaskModel(init_model(replace(actor.config, max_len=32),
-                                              len(p.classifiers.vocab), actor.task_classes),
+                                              len(p.classifiers.vocab), widths),
                                    TrainConfig(), [])
         with pytest.raises(ConfigError, match="classifier Actor has max_len 32"):
             ClassifierBundle(tasks=tasks, vocab=p.classifiers.vocab)
