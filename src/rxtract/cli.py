@@ -342,6 +342,10 @@ def run_command(argv: Sequence[str]) -> int:
     except (RxtractError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # report it below, once the failed call's frames have let go of their memory
+    print(f"error: {args.command} ran out of memory", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

@@ -9,7 +9,9 @@ forward/backward pair (`_attention_fwd`/`_attention_bwd`,
 `_ffn_fwd`/`_ffn_bwd`): the forward returns its output and, if asked to
 keep it, a cache that only its backward reads (else None, so that
 inference holds no activations); the backward adds its weights' gradients
-into `grads` and returns its input's gradient.
+into `grads` and returns its input's gradient. A sequence head reads three
+rows per sequence, so for one the last layer runs at those rows alone
+from its attention probabilities on, in training as at inference.
 
 A model's parameters are one contiguous buffer (`FlatParams.flat`) with
 every tensor a named view into it, in `_param_layout` order; gradients and
@@ -279,13 +281,19 @@ def _gelu_grad(x, t):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
 
 
-def _dropout(x, rng, rate):
+def _dropout(x, rng, rate, trim=None):
     """`x` with inverted dropout at `rate`, and the mask that scaled it.
-    With no `rng` or a rate of 0 nothing is drawn and the mask is None."""
+    With no `rng` or a rate of 0 nothing is drawn and the mask is None.
+    Given `trim`, an (n, idx) pair, `x` holds rows `idx` of n: the mask is
+    drawn for all n rows and then cut, so the generator moves as it would
+    for the whole array."""
     if rng is None or rate == 0:
         return x, None
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.dtype) / x.dtype.type(keep)
+    drawn = rng.random(x.shape if trim is None else (trim[0], *x.shape[1:])) < keep
+    if trim is not None:
+        drawn = drawn[trim[1]]
+    mask = drawn.astype(x.dtype) / x.dtype.type(keep)
     return x * mask, mask
 
 
@@ -356,8 +364,8 @@ def _attention_fwd(p, pre, cfg, x, key_keep, rng, rows=None, keep=False):
     Given `rows`, a (B, R) array of positions, the output is (..., B*R, H):
     every position is still attended over, but only those query rows are
     kept from the attention probabilities on, so all that follows runs on
-    R rows per sequence. Only inference passes `rows`, at the last layer:
-    the backward pass needs every position.
+    R rows per sequence. The cache then holds the R query rows of `q`,
+    `probs` and the dropout mask, and the flat positions of the rows.
     """
     b, length = key_keep.shape[0], key_keep.shape[-1]
     dk = x.shape[-1] // cfg.heads
@@ -372,31 +380,48 @@ def _attention_fwd(p, pre, cfg, x, key_keep, rng, rows=None, keep=False):
     scores = np.where(key_keep, (q @ k.swapaxes(-1, -2)) * scale, x.dtype.type(NEG_INF))
     probs = _softmax(scores)
     probs_used, drop = _dropout(probs, rng, cfg.dropout_rate)
-    resid = x
+    resid, pick = x, None
     if rows is not None:
         # Picking the rows after the softmax, not before the Q projection,
         # keeps q @ k.T's GEMM, and its rounding, whole.
         batch = np.arange(b)[:, None]
-        probs_used = probs_used[..., batch[:, None], np.arange(cfg.heads)[:, None],
-                                rows[:, None], :]  # (..., B, nh, R, L)
-        resid = x[..., (batch * length + rows).ravel(), :]
+
+        def query_rows(m):  # (..., B, nh, L, n) -> (..., B, nh, R, n)
+            return m[..., batch[:, None], np.arange(cfg.heads)[:, None], rows[:, None], :]
+
+        probs_used = query_rows(probs_used)
+        pick = (batch * length + rows).ravel()
+        resid = x[..., pick, :]
+        if keep:
+            q, probs = query_rows(q), query_rows(probs)
+            drop = None if drop is None else query_rows(drop)
     ctx = (probs_used @ v).swapaxes(-3, -2).reshape(resid.shape)
     out, ln = _layernorm_fwd(resid + (ctx @ p[f"{pre}.attn.wo"] + _vec(p, f"{pre}.attn.bo")),
                              _vec(p, f"{pre}.ln1.gain"), _vec(p, f"{pre}.ln1.bias"))
-    return out, (dict(x=x, q=q, k=k, v=v, scale=scale, probs=probs, probs_used=probs_used,
-                      drop=drop, ctx=ctx, ln=ln) if keep else None)
+    return out, (dict(x=x, rows=pick, q=q, k=k, v=v, scale=scale, probs=probs,
+                      probs_used=probs_used, drop=drop, ctx=ctx, ln=ln) if keep else None)
 
 
 def _attention_bwd(p, pre, dout, c, grads):
-    """`_attention_fwd`'s backward, for one model and no `rows`."""
-    b, nh, length, dk = c["q"].shape
+    """`_attention_fwd`'s backward, for one model. With `rows`, `dout` is
+    the gradient at those B*R rows alone: `ln1`, `wo` and the Q projection
+    run at them, K and V at every position, and the input's gradient
+    comes back at all B*L rows."""
+    b, nh, r, dk = c["q"].shape
+
+    def proj_bwd(name, x, dmat):  # the gradient of `x @ w + b`, given (B, nh, N, dk)
+        dm = dmat.transpose(0, 2, 1, 3).reshape(-1, nh * dk)
+        grads[f"{pre}.attn.w{name}"] += x.T @ dm
+        grads[f"{pre}.attn.b{name}"] += dm.sum(axis=0)
+        return dm @ p[f"{pre}.attn.w{name}"].T
+
     # `dres` is also the residual's gradient: Q, K and V add into it last
     dres, dgain, dbias = _layernorm_bwd(dout, c["ln"], p[f"{pre}.ln1.gain"])
     grads[f"{pre}.ln1.gain"] += dgain
     grads[f"{pre}.ln1.bias"] += dbias
     grads[f"{pre}.attn.wo"] += c["ctx"].T @ dres
     grads[f"{pre}.attn.bo"] += dres.sum(axis=0)
-    dctx = (dres @ p[f"{pre}.attn.wo"].T).reshape(b, length, nh, dk).transpose(0, 2, 1, 3)
+    dctx = (dres @ p[f"{pre}.attn.wo"].T).reshape(b, r, nh, dk).transpose(0, 2, 1, 3)
 
     probs = c["probs"]
     dprobs = _undrop(dctx @ c["v"].transpose(0, 1, 3, 2), c["drop"])
@@ -405,20 +430,25 @@ def _attention_bwd(p, pre, dout, c, grads):
     dq = (dscores @ c["k"]) * c["scale"]
     dk_ = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * c["scale"]
 
-    for name, dmat in (("wq", dq), ("wk", dk_), ("wv", dv)):
-        dm = dmat.transpose(0, 2, 1, 3).reshape(b * length, nh * dk)
-        grads[f"{pre}.attn.{name}"] += c["x"].T @ dm
-        grads[f"{pre}.attn.b{name[1]}"] += dm.sum(axis=0)
-        dres += dm @ p[f"{pre}.attn.{name}"].T
+    x, pick = c["x"], c["rows"]
+    dres += proj_bwd("q", x if pick is None else x[pick], dq)
+    if pick is not None:  # a row without markers reads position 0 three times
+        dx = np.zeros_like(x)
+        np.add.at(dx, pick, dres)
+        dres = dx
+    dres += proj_bwd("k", x, dk_)
+    dres += proj_bwd("v", x, dv)
     return dres
 
 
-def _ffn_fwd(p, pre, cfg, y, rng, keep=False):
+def _ffn_fwd(p, pre, cfg, y, rng, keep=False, trim=None):
     """Layer `pre`'s feed-forward block, residual and `ln2` over (..., N, H)
-    rows, with dropout on the GELU's output."""
+    rows, with dropout on the GELU's output. Given `trim`, an (n, idx)
+    pair, `y` holds rows `idx` of the layer's n, and the dropout mask is
+    drawn at the full width (`_dropout`)."""
     a = y @ p[f"{pre}.ffn.w1"] + _vec(p, f"{pre}.ffn.b1")
     g, gelu_tanh = _gelu(a)
-    g_used, drop = _dropout(g, rng, cfg.dropout_rate)
+    g_used, drop = _dropout(g, rng, cfg.dropout_rate, trim)
     out, ln = _layernorm_fwd(y + (g_used @ p[f"{pre}.ffn.w2"] + _vec(p, f"{pre}.ffn.b2")),
                              _vec(p, f"{pre}.ln2.gain"), _vec(p, f"{pre}.ln2.bias"))
     return out, (dict(y=y, a=a, gelu_tanh=gelu_tanh, g_used=g_used, drop=drop, ln=ln)
@@ -449,7 +479,8 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
     nothing is drawn from it. The weights may carry a leading model axis
     (`stack_models`); the hidden states then carry it too, and model `m`'s
     slice is bit for bit what model `m` gives alone. Given `rows`, the last
-    layer runs at those (B, R) positions alone (`_attention_fwd`).
+    layer runs at those (B, R) positions alone (`_attention_fwd`), with and
+    without the cache, and the hidden states are (..., B, R, H).
     """
     cfg = model.config
     p = model.params
@@ -464,21 +495,25 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
     x, emb_mask = _dropout(x, rng, cfg.dropout_rate)
 
     key_keep = mask[:, None, None, :] > 0
+    trim = None if rows is None else (b * length, (np.arange(b)[:, None] * length + rows).ravel())
     cache = dict(ids=ids, emb_mask=emb_mask, layers=[]) if keep_cache else None
     for i in range(cfg.layers):
         pre = f"layer{i}"
-        last_rows = rows if i == cfg.layers - 1 else None
-        x, attn = _attention_fwd(p, pre, cfg, x, key_keep, rng, last_rows, keep_cache)
-        x, ffn = _ffn_fwd(p, pre, cfg, x, rng, keep_cache)
+        last = i == cfg.layers - 1
+        x, attn = _attention_fwd(p, pre, cfg, x, key_keep, rng, rows if last else None,
+                                 keep_cache)
+        x, ffn = _ffn_fwd(p, pre, cfg, x, rng, keep_cache, trim if last else None)
         if cache is not None:
             cache["layers"].append((attn, ffn))
     return x.reshape(*x.shape[:-2], b, -1, cfg.hidden_dim), cache
 
 
 def _backward_batch(model, cache, d_hidden, grads):
+    """Add into `grads` the gradients that `d_hidden`, shaped like
+    `_forward_batch`'s hidden states, sends back through its `cache`."""
     p = model.params
     ids = cache["ids"]
-    dx = d_hidden.reshape(ids.size, -1)
+    dx = d_hidden.reshape(-1, d_hidden.shape[-1])
     for i, (attn, ffn) in reversed(list(enumerate(cache["layers"]))):
         dx = _ffn_bwd(p, f"layer{i}", dx, ffn, grads)
         dx = _attention_bwd(p, f"layer{i}", dx, attn, grads)
@@ -644,9 +679,8 @@ def _loss_grads_packed(model, packed, task, rng, want_grads):
     # a non-finite loss raises NumericError below, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         hidden, cache = _forward_batch(model, packed.ids, packed.mask, rng,
-                                       keep_cache=want_grads)
-        read = (np.arange(len(packed.ids))[:, None], packed.head_pos)  # a sequence head's rows
-        logits, feat = _head(model, hidden if task is None else hidden[read], task)
+                                       None if task is None else packed.head_pos, want_grads)
+        logits, feat = _head(model, hidden, task)
         logp = _log_softmax(logits)
     target = packed.tags if task is None else packed.labels
     picked = np.take_along_axis(logp, target[..., None], axis=-1)[..., 0]
@@ -676,13 +710,7 @@ def _loss_grads_packed(model, packed, task, rng, want_grads):
     grads = model.params.zeros_like()
     grads[f"{name}.w"] += feat.reshape(-1, w.shape[0]).T @ dlogits.reshape(-1, w.shape[1])
     grads[f"{name}.b"] += dlogits.sum(axis=tuple(range(dlogits.ndim - 1)))
-    d_feat = dlogits @ w.T
-    if task is None:
-        d_hidden = d_feat
-    else:  # scatter back to the rows `_head` read
-        d_hidden = np.zeros_like(hidden)
-        np.add.at(d_hidden, read, d_feat.reshape(n, 3, -1))
-    _backward_batch(model, cache, d_hidden, grads)
+    _backward_batch(model, cache, (dlogits @ w.T).reshape(hidden.shape), grads)
     return loss, grads
 
 

@@ -67,6 +67,23 @@ def build_ner_examples(
     return examples
 
 
+def _align_untagged(
+    vocab: Vocabulary, sentences: Sequence[Sequence[Sentence]], max_len: int
+) -> list[LabeledSequence]:
+    """Every document's sentences, in order, aligned with all-O tags."""
+    return [align_to_subtokens(s, [BioTag.O] * len(s.tokens), vocab, max_len)
+            for doc in sentences for s in doc]
+
+
+def _decode_aligned(
+    model: EncoderModel, sentences: Sequence[Sequence[Sentence]], seqs: list[LabeledSequence]
+) -> list[list[CharSpan]]:
+    """Each document's predicted spans, given `_align_untagged`'s `seqs`."""
+    tag_ids = predict_batch(model, seqs)  # ties: B < I < O
+    per_sentence = map(decode_bio, seqs, tag_ids, (s for doc in sentences for s in doc))
+    return [[span for _ in doc for span in next(per_sentence)] for doc in sentences]
+
+
 def predict_ner_batch(
     model: EncoderModel, vocab: Vocabulary, sentences: Sequence[Sequence[Sentence]]
 ) -> list[list[CharSpan]]:
@@ -75,14 +92,8 @@ def predict_ner_batch(
     The sentences of all documents share length-ordered batches; each
     document's spans come back sorted and non-overlapping.
     """
-    flat = [sent for doc in sentences for sent in doc]
-    seqs = [
-        align_to_subtokens(s, [BioTag.O] * len(s.tokens), vocab, model.config.max_len)
-        for s in flat
-    ]
-    tag_ids = predict_batch(model, seqs)  # ties: B < I < O
-    per_sentence = map(decode_bio, seqs, tag_ids, flat)
-    return [[span for _ in doc for span in next(per_sentence)] for doc in sentences]
+    return _decode_aligned(model, sentences,
+                           _align_untagged(vocab, sentences, model.config.max_len))
 
 
 def predict_ner(bundle: NerModelBundle, text: str) -> list[CharSpan]:
@@ -106,9 +117,10 @@ def train_ner(
 
     dev_ids = [doc.doc_id for doc in corpus.dev]
     dev_sentences = [split_text(doc.text) for doc in corpus.dev]
+    dev_seqs = _align_untagged(vocab, dev_sentences, enc_cfg.max_len)  # once, for every epoch
 
     def dev_f1(m: EncoderModel) -> float:
-        preds = dict(zip(dev_ids, predict_ner_batch(m, vocab, dev_sentences)))
+        preds = dict(zip(dev_ids, _decode_aligned(m, dev_sentences, dev_seqs)))
         return ner_metrics(corpus.dev, preds).micro.f1
 
     result = fit(model, examples, train_cfg, dev_f1, log=log)

@@ -1,7 +1,10 @@
-"""Fixtures shared across test modules."""
+"""Fixtures shared across test modules, and the run's BLAS kernel in its header."""
 
+import ctypes
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rxtract.context import train_all_tasks
@@ -10,6 +13,30 @@ from rxtract.ner import train_ner
 from rxtract.pipeline import PipelineBundle
 from rxtract.preproc import build_vocab
 from rxtract.synth import GeneratorSpec, gen_corpus
+
+
+def _openblas_core() -> str:
+    """The kernel that numpy's bundled OpenBLAS picked, or "unknown"."""
+    root = Path(np.__file__).resolve().parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                       *root.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    return f"openblas kernel: {_openblas_core()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if not terminalreporter.showheader:  # -q hides the header: name the kernel last
+        terminalreporter.write_line(f"openblas kernel: {_openblas_core()}")
+
 
 TINY_SPEC = GeneratorSpec(seed=11, n_train=60, n_dev=10, n_test=16,
                           novel_form_rate=0.05)

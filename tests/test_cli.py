@@ -136,8 +136,8 @@ def _run(capsys, argv):
     return code, capsys.readouterr().err
 
 
-def _train_capped(cap_mb, data_dir, out, *flags):
-    """`rxtract train --task ner` in a child whose address space is capped at
+def _run_capped(cap_mb, *argv):
+    """An `rxtract` command in a child whose address space is capped at
     `cap_mb` MB, so a refused allocation cannot take the machine's memory."""
     script = ("import resource, sys\n"
               f"resource.setrlimit(resource.RLIMIT_AS, ({cap_mb} << 20, {cap_mb} << 20))\n"
@@ -146,10 +146,15 @@ def _train_capped(cap_mb, data_dir, out, *flags):
     src = str(Path(rxtract.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", script, "train", "--task", "ner", "--data", str(data_dir),
-         "--out", str(out), *flags],
+        [sys.executable, "-c", script, *map(str, argv)],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+
+
+def _train_capped(cap_mb, data_dir, out, *flags):
+    """`rxtract train --task ner` under `_run_capped`."""
+    return _run_capped(cap_mb, "train", "--task", "ner", "--data", data_dir, "--out", out,
+                       *flags)
 
 
 def _one_line(err, prefix, path):
@@ -464,6 +469,18 @@ class TestPipelineFlow:
         err = capsys.readouterr().err
         for dim in ("Action", "Negation", "Temporality", "Certainty", "Actor"):
             assert dim in err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+    def test_note_too_large_for_memory_is_one_error_line(self, tmp_path, data_dir,
+                                                         pipeline_dir):
+        text = (data_dir / "test" / "test0000.txt").read_text(encoding="utf-8")
+        note = tmp_path / "big.txt"
+        note.write_text(text * (4_700_000 // len(text)), encoding="utf-8")
+        child = _run_capped(350, "pipeline", "--model", pipeline_dir, "--in", note,
+                            "--out", tmp_path / "preds.jsonl")
+        assert child.returncode == 1, child.stderr
+        assert child.stderr == "error: pipeline ran out of memory\n"
+        assert not (tmp_path / "preds.jsonl").exists()
 
     def test_classifier_of_another_width_is_one_error_line(self, tmp_path, data_dir,
                                                            pipeline_dir, capsys):

@@ -139,15 +139,17 @@ def _plain_seq(ids, n_words=None, tags=None, label=None):
 REF_VOCAB = 16
 
 
+def _affine(x, w, b):
+    """`x @ w + b` over plain lists, one sum at a time."""
+    return [sum(x[i] * w[i][j] for i in range(len(x))) + b[j] for j in range(len(b))]
+
+
 def _reference_hidden(params, cfg, ids, n_real):
     """Hidden states of one packed row of piece `ids`, whose first `n_real`
     positions are real, in plain float arithmetic: one position and one
     head at a time, attending to the real keys alone."""
     p = {k: v.tolist() for k, v in params.items()}
     dk = cfg.hidden_dim // cfg.heads
-
-    def affine(x, w, b):
-        return [sum(x[i] * w[i][j] for i in range(len(x))) + b[j] for j in range(len(b))]
 
     def add(a, b):
         return [x + y for x, y in zip(a, b)]
@@ -166,7 +168,7 @@ def _reference_hidden(params, cfg, ids, n_real):
     for layer in range(cfg.layers):
         pre = f"layer{layer}."
         w = {name[len(pre):]: val for name, val in p.items() if name.startswith(pre)}
-        q, k, v = ([affine(x, w[f"attn.w{c}"], w[f"attn.b{c}"]) for x in xs] for c in "qkv")
+        q, k, v = ([_affine(x, w[f"attn.w{c}"], w[f"attn.b{c}"]) for x in xs] for c in "qkv")
         out = []
         for i, x in enumerate(xs):
             ctx = []
@@ -176,10 +178,10 @@ def _reference_hidden(params, cfg, ids, n_real):
                           for j in range(n_real)]
                 e = [math.exp(sc - max(scores)) for sc in scores]
                 ctx += [sum(e[j] * v[j][c] for j in range(n_real)) / sum(e) for c in cols]
-            y = layer_norm(add(x, affine(ctx, w["attn.wo"], w["attn.bo"])),
+            y = layer_norm(add(x, _affine(ctx, w["attn.wo"], w["attn.bo"])),
                            w["ln1.gain"], w["ln1.bias"])
-            g = [gelu(a) for a in affine(y, w["ffn.w1"], w["ffn.b1"])]
-            out.append(layer_norm(add(y, affine(g, w["ffn.w2"], w["ffn.b2"])),
+            g = [gelu(a) for a in _affine(y, w["ffn.w1"], w["ffn.b1"])]
+            out.append(layer_norm(add(y, _affine(g, w["ffn.w2"], w["ffn.b2"])),
                                   w["ln2.gain"], w["ln2.bias"]))
         xs = out
     return xs
@@ -240,22 +242,37 @@ class TestForward:
     @given(case=_reference_cases())
     @example(case=(EncoderConfig(layers=1, hidden_dim=4, heads=2, ffn_dim=8, max_len=8,
                                  dropout_rate=0.0, seed=11, precision=64), [[9]], None, 1))
+    @example(case=(EncoderConfig(layers=1, hidden_dim=4, heads=2, ffn_dim=8, max_len=8,
+                                 dropout_rate=0.0, seed=5, precision=64),
+                   [[CLS_ID, S_MARK_ID, 9, E_MARK_ID, SEP_ID]], np.array([[0, 1, 3]]), 1))
     def test_matches_float64_reference(self, case):
-        """`_forward_batch` against `_reference_hidden`, on padded batches,
-        with and without trimmed rows, for one model and each slice of a
-        two-model stack."""
+        """`_forward_batch` and the head that reads its rows against
+        `_reference_hidden` and plain sums over it, on padded batches, with
+        and without trimmed rows, for one model and each slice of a
+        two-model stack. Without rows the token head is checked at every
+        real position; with three rows, the sequence head over them."""
         cfg, seqs, rows, n_models = case
         models = {f"T{m}": init_model(replace(cfg, seed=cfg.seed + m), REF_VOCAB, {f"T{m}": 2})
                   for m in range(n_models)}
         model = stack_models(models) if n_models > 1 else models["T0"]
         packed = pack_batch([LabeledSequence(s, [1] * len(s), [-1] * len(s)) for s in seqs], model)
         hidden, _ = _forward_batch(model, packed.ids, packed.mask, rows=rows)
-        for m, got in zip(models.values(), hidden if n_models > 1 else [hidden]):
+        for (task, m), got in zip(models.items(), hidden if n_models > 1 else [hidden]):
             for i, s in enumerate(seqs):
-                want = np.array(_reference_hidden(m.params, cfg, packed.ids[i].tolist(), len(s)))
+                want = _reference_hidden(m.params, cfg, packed.ids[i].tolist(), len(s))
                 if rows is not None:
-                    want = want[rows[i]]
-                assert np.abs(got[i] - want).max() <= 1e-10
+                    want = [want[r] for r in rows[i]]
+                assert np.abs(got[i] - np.array(want)).max() <= 1e-10
+                if rows is None:  # the token head, at every real position
+                    name, feats = "token_head", want[: len(s)]
+                    logits = _head(m, got[i], None)[0][: len(s)]
+                elif len(rows[i]) == 3:  # a sequence head, reading the rows as (CLS, S, E)
+                    name, feats = f"seq_head.{task}", [sum(want, [])]
+                    logits = _head(m, got[i], task)[0][None]
+                else:
+                    continue
+                w, b = (m.params[f"{name}.{part}"].tolist() for part in "wb")
+                assert np.abs(logits - np.array([_affine(f, w, b) for f in feats])).max() <= 1e-10
 
 
 class TestPackBatch:
@@ -353,22 +370,6 @@ class TestHeads:
             seq.label = (seq.label + 1) % 3
         after = _logits(model, batch, "Event")
         assert np.array_equal(before, after)
-
-    def test_sequence_head_scalar_recomputation(self):
-        cfg = EncoderConfig(layers=1, hidden_dim=4, heads=2, ffn_dim=8,
-                            max_len=8, dropout_rate=0.0,
-                            seed=5, precision=64)
-        model = init_model(cfg, 16, {"flag": 2})
-        seq = LabeledSequence([2, 4, 9, 5, 3], [1] * 5, [-1, -1, 0, -1, -1])
-        hidden = _hidden(model, seq)
-        logits = _logits(model, [seq], "flag")[0]
-        feat = list(hidden[0]) + list(hidden[1]) + list(hidden[3])
-        w = model.params["seq_head.flag.w"].tolist()
-        b = model.params["seq_head.flag.b"].tolist()
-        want = [
-            sum(feat[i] * w[i][j] for i in range(len(feat))) + b[j] for j in range(2)
-        ]
-        assert np.allclose(logits, want, atol=1e-10)
 
 
 class TestPredictBatch:
@@ -510,8 +511,30 @@ def _edge_sequences():
     return seqs
 
 
+def _full_width_grads(model, packed, task, rng):
+    """A sequence head's loss gradients with the last layer run at every
+    position: the head's rows gathered from the full hidden states, and
+    their gradient scattered back into a zero array before the backward."""
+    hidden, cache = _forward_batch(model, packed.ids, packed.mask, rng, keep_cache=True)
+    read = (np.arange(len(packed.ids))[:, None], packed.head_pos)
+    logits, feat = _head(model, hidden[read], task)
+    n = len(packed.labels)
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    dlogits = (probs - (np.arange(logits.shape[-1]) == packed.labels[:, None])) / n
+    w = model.params[f"seq_head.{task}.w"]
+    grads = model.params.zeros_like()
+    grads[f"seq_head.{task}.w"] += feat.T @ dlogits
+    grads[f"seq_head.{task}.b"] += dlogits.sum(axis=0)
+    d_hidden = np.zeros_like(hidden)
+    np.add.at(d_hidden, read, (dlogits @ w.T).reshape(n, 3, -1))
+    encoder._backward_batch(model, cache, d_hidden, grads)
+    return grads
+
+
 class TestTrimmedLastLayer:
-    """A sequence head's inference forward runs the last layer at its rows alone."""
+    """A sequence head runs the last layer at its rows alone, at inference
+    and in training."""
 
     @pytest.fixture(params=["one", "stack"])
     def model_and_task(self, request):
@@ -541,6 +564,23 @@ class TestTrimmedLastLayer:
         else:
             best = np.argmax(_head(model, want, task)[0], axis=-1)
         assert predict_batch(model, seqs, task) == best.tolist()
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradients_match_the_full_width_backward(self, rate, layers, seed):
+        model = init_model(replace(TOY, layers=layers, dropout_rate=rate, seed=seed), VOCAB,
+                           {"Event": 3})
+        seqs = _edge_sequences()
+        for s in seqs:
+            s.label = (len(s) + seed) % 3
+        packed = pack_batch(seqs, model)
+        rng_full, rng_trim = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _full_width_grads(model, packed, "Event", rng_full)
+        _, got = loss_and_grads(model, seqs, "Event", rng_trim)
+        # the same draws: the trimmed rows' dropout masks are cut from full-width ones
+        assert rng_trim.bit_generator.state == rng_full.bit_generator.state
+        assert np.abs(got.flat - want.flat).max() <= 1e-12 * np.abs(want.flat).max()
 
     def test_inference_keeps_no_cache(self, model_and_task):
         model, _ = model_and_task

@@ -1,13 +1,16 @@
 """Extraction example building, training behavior, and span prediction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from rxtract import ner
 from rxtract.corpus import AnnotatedDocument, CharSpan, EventLabel, MedicationMention
 from rxtract.encoder import EncoderConfig, TrainConfig, fit, init_model
 from rxtract.errors import DataError
 from rxtract.ner import NerModelBundle, build_ner_examples, predict_ner, train_ner
-from rxtract.preproc import BioTag, build_vocab, tokenize
+from rxtract.preproc import BioTag, build_vocab, split_text, tokenize
 from rxtract.synth import GeneratorSpec, gen_corpus
 
 SMALL_ENC = EncoderConfig(
@@ -131,3 +134,18 @@ class TestTraining:
         bundle = train_ner(result.corpus, SMALL_ENC, tc, _train_vocab(result.corpus))
         assert len(bundle.history) == 2
         assert all(0.0 <= h <= 1.0 for h in bundle.history)
+
+    def test_each_sentence_aligned_once(self, monkeypatch):
+        result = gen_corpus(GeneratorSpec(seed=5, n_train=8, n_dev=3, n_test=2))
+        tc = TrainConfig(learning_rate=1e-3, max_epochs=3, patience=3, seed=1)
+        aligned, align = Counter(), ner.align_to_subtokens
+
+        def counting(sent, *args, **kwargs):
+            aligned[sent] += 1
+            return align(sent, *args, **kwargs)
+
+        monkeypatch.setattr(ner, "align_to_subtokens", counting)
+        bundle = train_ner(result.corpus, SMALL_ENC, tc, _train_vocab(result.corpus))
+        assert len(bundle.history) == 3
+        docs = result.corpus.train + result.corpus.dev
+        assert aligned == Counter(s for d in docs for s in split_text(d.text))

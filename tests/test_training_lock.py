@@ -55,7 +55,7 @@ TC = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=4, patience=3,
 
 FIT_DIGESTS = {  # under OPENBLAS_CORETYPE=Haswell
     None: "c4eb5fb9985906034d49618adc30b69104fc0d0d951ccef51802ddb69f326ff7",
-    "Event": "001e094df85fd8d925649be65a183e39565f7382b8c8b4640490ef72c91e810d",
+    "Event": "3565ebb5fb30227245f4f41c9ef69bb117287f093e6aa38f1a2d4327c1474405",
 }
 FIT_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 STEP_DIGESTS = {
