@@ -141,15 +141,17 @@ def _read_model_dir(
         history = [float(x) for x in entries.get("history", "").split()]
     with _manifest_value("vocab_size"):
         vocab_size = int(entries["vocab_size"])
-    pieces = []
+    key_of: dict[str, str] = {}  # each piece's manifest key, in id order
     for i in range(NUM_SPECIALS, vocab_size):
         key = f"piece_{i}"
         with _manifest_value(key):
             piece = json.loads(entries[key])
             if not isinstance(piece, str):
                 raise ValueError(key)
-        pieces.append(piece)
-    vocab = Vocabulary.from_pieces(pieces)
+        if piece in key_of:
+            raise CorruptionError(f"manifest {key_of[piece]} and {key} are the same piece")
+        key_of[piece] = key
+    vocab = Vocabulary.from_pieces(list(key_of))
 
     tensors: list[tuple[str, tuple[int, ...]]] = []
     for key, spec in ordered:

@@ -11,7 +11,7 @@ keep it, a cache that only its backward reads (else None, so that
 inference holds no activations); the backward adds its weights' gradients
 into `grads` and returns its input's gradient. A sequence head reads three
 rows per sequence, so for one the last layer runs at those rows alone
-from its attention probabilities on, in training as at inference.
+from its Q projection on, in training as at inference.
 
 A model's parameters are one contiguous buffer (`FlatParams.flat`) with
 every tensor a named view into it, in `_param_layout` order; gradients and
@@ -281,19 +281,13 @@ def _gelu_grad(x, t):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
 
 
-def _dropout(x, rng, rate, trim=None):
+def _dropout(x, rng, rate):
     """`x` with inverted dropout at `rate`, and the mask that scaled it.
-    With no `rng` or a rate of 0 nothing is drawn and the mask is None.
-    Given `trim`, an (n, idx) pair, `x` holds rows `idx` of n: the mask is
-    drawn for all n rows and then cut, so the generator moves as it would
-    for the whole array."""
+    With no `rng` or a rate of 0 nothing is drawn and the mask is None."""
     if rng is None or rate == 0:
         return x, None
     keep = 1.0 - rate
-    drawn = rng.random(x.shape if trim is None else (trim[0], *x.shape[1:])) < keep
-    if trim is not None:
-        drawn = drawn[trim[1]]
-    mask = drawn.astype(x.dtype) / x.dtype.type(keep)
+    mask = (rng.random(x.shape) < keep).astype(x.dtype) / x.dtype.type(keep)
     return x * mask, mask
 
 
@@ -355,58 +349,43 @@ def _vec(p, name):
     return p[name][..., None, :]
 
 
-def _attention_fwd(p, pre, cfg, x, key_keep, rng, rows=None, keep=False):
+def _attention_fwd(p, pre, cfg, x, key_keep, rng, pick=None, keep=False):
     """Layer `pre`'s self-attention, output projection, residual and `ln1`
     over (..., B*L, H) rows, with dropout on the attention probabilities.
     `key_keep` is (B, 1, 1, L), true at real keys; the weights and `x` may
     carry a leading model axis (`stack_models`).
 
-    Given `rows`, a (B, R) array of positions, the output is (..., B*R, H):
-    every position is still attended over, but only those query rows are
-    kept from the attention probabilities on, so all that follows runs on
-    R rows per sequence. The cache then holds the R query rows of `q`,
-    `probs` and the dropout mask, and the flat positions of the rows.
+    Given `pick`, the flat positions of R rows per sequence (B*R of them),
+    only those rows query: every position is still a key and a value, and
+    the output is (..., B*R, H), so all that follows runs on R rows per
+    sequence. The cache's `q`, `probs` and dropout mask then have R rows.
     """
-    b, length = key_keep.shape[0], key_keep.shape[-1]
+    b = key_keep.shape[0]
     dk = x.shape[-1] // cfg.heads
     scale = x.dtype.type(1.0 / math.sqrt(dk))
 
-    def split(m):  # (..., B*L, H) -> (..., B, nh, L, dk)
-        return m.reshape(*m.shape[:-2], b, length, cfg.heads, dk).swapaxes(-3, -2)
+    def split(m):  # (..., B*N, H) -> (..., B, nh, N, dk)
+        return m.reshape(*m.shape[:-2], b, -1, cfg.heads, dk).swapaxes(-3, -2)
 
-    q = split(x @ p[f"{pre}.attn.wq"] + _vec(p, f"{pre}.attn.bq"))
+    resid = x if pick is None else x[..., pick, :]
+    q = split(resid @ p[f"{pre}.attn.wq"] + _vec(p, f"{pre}.attn.bq"))
     k = split(x @ p[f"{pre}.attn.wk"] + _vec(p, f"{pre}.attn.bk"))
     v = split(x @ p[f"{pre}.attn.wv"] + _vec(p, f"{pre}.attn.bv"))
     scores = np.where(key_keep, (q @ k.swapaxes(-1, -2)) * scale, x.dtype.type(NEG_INF))
     probs = _softmax(scores)
     probs_used, drop = _dropout(probs, rng, cfg.dropout_rate)
-    resid, pick = x, None
-    if rows is not None:
-        # Picking the rows after the softmax, not before the Q projection,
-        # keeps q @ k.T's GEMM, and its rounding, whole.
-        batch = np.arange(b)[:, None]
-
-        def query_rows(m):  # (..., B, nh, L, n) -> (..., B, nh, R, n)
-            return m[..., batch[:, None], np.arange(cfg.heads)[:, None], rows[:, None], :]
-
-        probs_used = query_rows(probs_used)
-        pick = (batch * length + rows).ravel()
-        resid = x[..., pick, :]
-        if keep:
-            q, probs = query_rows(q), query_rows(probs)
-            drop = None if drop is None else query_rows(drop)
     ctx = (probs_used @ v).swapaxes(-3, -2).reshape(resid.shape)
     out, ln = _layernorm_fwd(resid + (ctx @ p[f"{pre}.attn.wo"] + _vec(p, f"{pre}.attn.bo")),
                              _vec(p, f"{pre}.ln1.gain"), _vec(p, f"{pre}.ln1.bias"))
-    return out, (dict(x=x, rows=pick, q=q, k=k, v=v, scale=scale, probs=probs,
+    return out, (dict(x=x, pick=pick, q=q, k=k, v=v, scale=scale, probs=probs,
                       probs_used=probs_used, drop=drop, ctx=ctx, ln=ln) if keep else None)
 
 
 def _attention_bwd(p, pre, dout, c, grads):
-    """`_attention_fwd`'s backward, for one model. With `rows`, `dout` is
-    the gradient at those B*R rows alone: `ln1`, `wo` and the Q projection
-    run at them, K and V at every position, and the input's gradient
-    comes back at all B*L rows."""
+    """`_attention_fwd`'s backward, for one model. With `pick`, `dout` is
+    the gradient at those B*R rows alone: `ln1`, `wo`, the Q projection
+    and the softmax run at them, K and V at every position, and the
+    input's gradient comes back at all B*L rows."""
     b, nh, r, dk = c["q"].shape
 
     def proj_bwd(name, x, dmat):  # the gradient of `x @ w + b`, given (B, nh, N, dk)
@@ -430,7 +409,7 @@ def _attention_bwd(p, pre, dout, c, grads):
     dq = (dscores @ c["k"]) * c["scale"]
     dk_ = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * c["scale"]
 
-    x, pick = c["x"], c["rows"]
+    x, pick = c["x"], c["pick"]
     dres += proj_bwd("q", x if pick is None else x[pick], dq)
     if pick is not None:  # a row without markers reads position 0 three times
         dx = np.zeros_like(x)
@@ -441,14 +420,12 @@ def _attention_bwd(p, pre, dout, c, grads):
     return dres
 
 
-def _ffn_fwd(p, pre, cfg, y, rng, keep=False, trim=None):
+def _ffn_fwd(p, pre, cfg, y, rng, keep=False):
     """Layer `pre`'s feed-forward block, residual and `ln2` over (..., N, H)
-    rows, with dropout on the GELU's output. Given `trim`, an (n, idx)
-    pair, `y` holds rows `idx` of the layer's n, and the dropout mask is
-    drawn at the full width (`_dropout`)."""
+    rows, with dropout on the GELU's output."""
     a = y @ p[f"{pre}.ffn.w1"] + _vec(p, f"{pre}.ffn.b1")
     g, gelu_tanh = _gelu(a)
-    g_used, drop = _dropout(g, rng, cfg.dropout_rate, trim)
+    g_used, drop = _dropout(g, rng, cfg.dropout_rate)
     out, ln = _layernorm_fwd(y + (g_used @ p[f"{pre}.ffn.w2"] + _vec(p, f"{pre}.ffn.b2")),
                              _vec(p, f"{pre}.ln2.gain"), _vec(p, f"{pre}.ln2.bias"))
     return out, (dict(y=y, a=a, gelu_tanh=gelu_tanh, g_used=g_used, drop=drop, ln=ln)
@@ -495,14 +472,14 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
     x, emb_mask = _dropout(x, rng, cfg.dropout_rate)
 
     key_keep = mask[:, None, None, :] > 0
-    trim = None if rows is None else (b * length, (np.arange(b)[:, None] * length + rows).ravel())
+    pick = None if rows is None else (np.arange(b)[:, None] * length + rows).ravel()
     cache = dict(ids=ids, emb_mask=emb_mask, layers=[]) if keep_cache else None
     for i in range(cfg.layers):
         pre = f"layer{i}"
         last = i == cfg.layers - 1
-        x, attn = _attention_fwd(p, pre, cfg, x, key_keep, rng, rows if last else None,
+        x, attn = _attention_fwd(p, pre, cfg, x, key_keep, rng, pick if last else None,
                                  keep_cache)
-        x, ffn = _ffn_fwd(p, pre, cfg, x, rng, keep_cache, trim if last else None)
+        x, ffn = _ffn_fwd(p, pre, cfg, x, rng, keep_cache)
         if cache is not None:
             cache["layers"].append((attn, ffn))
     return x.reshape(*x.shape[:-2], b, -1, cfg.hidden_dim), cache

@@ -109,6 +109,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "heads" in err and "Traceback" not in err
 
+    def test_repeated_vocabulary_piece_is_clean_error(self, tmp_path, ner_model_dir, capsys):
+        # piece_41 made equal to piece_40
+        code, err = _predict_with_edited_manifest(
+            tmp_path, ner_model_dir, capsys, r"^(piece_40=(.*)\npiece_41=).*$", r"\1\2")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "piece_40 and piece_41" in err and "Traceback" not in err
+
 
 def _predict_with_edited_manifest(tmp_path, model_dir, capsys, pattern, replacement):
     """Run `predict` on a copy of the model with one manifest line edited;

@@ -511,14 +511,57 @@ def _edge_sequences():
     return seqs
 
 
-def _full_width_grads(model, packed, task, rng):
+class _Recorded:
+    """A generator that keeps every `random` draw it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def random(self, shape):
+        self.draws.append(self.rng.random(shape))
+        return self.draws[-1]
+
+
+class _Replayed:
+    """A generator that hands out the given draws, in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self, shape):
+        drawn = next(self.draws)
+        assert drawn.shape == tuple(shape)
+        return drawn
+
+
+def _widen(draws, pos, r, length):
+    """The draws of a trimmed sequence-head run, with its last layer's two
+    (attention, FFN), made at 3 rows per sequence, spread over all L rows:
+    row `r`'s values go to each sequence's `pos[:, r]`, and every other
+    row draws 0, which keeps (that row reaches no loss)."""
+    *early, attn, ffn = draws
+    b, nh = attn.shape[:2]
+    wide_attn = np.zeros((b, nh, length, length))
+    wide_attn[np.arange(b), :, pos[:, r]] = attn[:, :, r]
+    wide_ffn = np.zeros((b * length, ffn.shape[-1]))
+    wide_ffn[np.arange(b) * length + pos[:, r]] = ffn.reshape(b, 3, -1)[:, r]
+    return [*early, wide_attn, wide_ffn]
+
+
+def _full_width_grads(model, packed, task, draws):
     """A sequence head's loss gradients with the last layer run at every
-    position: the head's rows gathered from the full hidden states, and
-    their gradient scattered back into a zero array before the backward."""
-    hidden, cache = _forward_batch(model, packed.ids, packed.mask, rng, keep_cache=True)
-    read = (np.arange(len(packed.ids))[:, None], packed.head_pos)
-    logits, feat = _head(model, hidden[read], task)
-    n = len(packed.labels)
+    position, once for each of the three rows the head reads: run `r`
+    replays a trimmed run's `draws` (`_widen`), its hidden states are read
+    at `head_pos[:, r]`, and the head's gradient at row r is scattered
+    back there into a zero array before that run's backward."""
+    n, length = packed.ids.shape
+    seq = np.arange(n)
+    runs = [_forward_batch(model, packed.ids, packed.mask,
+                           _Replayed(_widen(draws, packed.head_pos, r, length)) if draws
+                           else None, keep_cache=True) for r in range(3)]
+    read = np.stack([hidden[seq, packed.head_pos[:, r]] for r, (hidden, _) in enumerate(runs)],
+                    axis=1)
+    logits, feat = _head(model, read, task)
     probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
     dlogits = (probs - (np.arange(logits.shape[-1]) == packed.labels[:, None])) / n
@@ -526,9 +569,11 @@ def _full_width_grads(model, packed, task, rng):
     grads = model.params.zeros_like()
     grads[f"seq_head.{task}.w"] += feat.T @ dlogits
     grads[f"seq_head.{task}.b"] += dlogits.sum(axis=0)
-    d_hidden = np.zeros_like(hidden)
-    np.add.at(d_hidden, read, (dlogits @ w.T).reshape(n, 3, -1))
-    encoder._backward_batch(model, cache, d_hidden, grads)
+    d_read = (dlogits @ w.T).reshape(n, 3, -1)
+    for r, (hidden, cache) in enumerate(runs):
+        d_hidden = np.zeros_like(hidden)
+        d_hidden[seq, packed.head_pos[:, r]] = d_read[:, r]
+        encoder._backward_batch(model, cache, d_hidden, grads)
     return grads
 
 
@@ -574,13 +619,25 @@ class TestTrimmedLastLayer:
         seqs = _edge_sequences()
         for s in seqs:
             s.label = (len(s) + seed) % 3
-        packed = pack_batch(seqs, model)
-        rng_full, rng_trim = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = _full_width_grads(model, packed, "Event", rng_full)
-        _, got = loss_and_grads(model, seqs, "Event", rng_trim)
-        # the same draws: the trimmed rows' dropout masks are cut from full-width ones
-        assert rng_trim.bit_generator.state == rng_full.bit_generator.state
+        rng = _Recorded(np.random.default_rng(seed))
+        _, got = loss_and_grads(model, seqs, "Event", rng)
+        # the same draws: each full-width run replays the trimmed run's
+        want = _full_width_grads(model, pack_batch(seqs, model), "Event", rng.draws)
         assert np.abs(got.flat - want.flat).max() <= 1e-12 * np.abs(want.flat).max()
+
+    def test_dropout_masks_are_drawn_at_the_rows_they_scale(self):
+        model = init_model(replace(TOY, dropout_rate=0.3), VOCAB, {"Event": 3})
+        seqs = _edge_sequences()
+        rng, want = np.random.default_rng(0), np.random.default_rng(0)
+        loss_and_grads(model, seqs, "Event", rng)
+        b, length = pack_batch(seqs, model).ids.shape
+        nh, h, f = TOY.heads, TOY.hidden_dim, TOY.ffn_dim
+        shapes = [(b * length, h)]
+        shapes += [(b, nh, length, length), (b * length, f)] * (TOY.layers - 1)
+        shapes += [(b, nh, 3, length), (b * 3, f)]
+        for shape in shapes:
+            want.random(shape)
+        assert rng.bit_generator.state == want.bit_generator.state
 
     def test_inference_keeps_no_cache(self, model_and_task):
         model, _ = model_and_task

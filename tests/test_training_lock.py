@@ -55,7 +55,7 @@ TC = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=4, patience=3,
 
 FIT_DIGESTS = {  # under OPENBLAS_CORETYPE=Haswell
     None: "c4eb5fb9985906034d49618adc30b69104fc0d0d951ccef51802ddb69f326ff7",
-    "Event": "3565ebb5fb30227245f4f41c9ef69bb117287f093e6aa38f1a2d4327c1474405",
+    "Event": "960e31af646f3fcc8d45e555db51259389c14ebd47cadb2a674c273bd2b9e89a",
 }
 FIT_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 STEP_DIGESTS = {
