@@ -35,7 +35,6 @@ from .encoder import (
 from .errors import ConfigError, DataError, SpanRangeError
 from .preproc import (
     CLS_ID,
-    DEFAULT_MAX_LEN,
     E_MARK_ID,
     NO_WORD,
     S_MARK_ID,
@@ -79,7 +78,7 @@ def build_classification_example(
     sent: Sentence,
     mention: CharSpan,
     vocab: Vocabulary,
-    max_len: int = DEFAULT_MAX_LEN,
+    max_len: int,
     doc_id: str = "",
 ) -> LabeledSequence:
     """Marker-bracketed sequence for one mention, at most max_len long.
@@ -135,7 +134,6 @@ def build_classification_example(
 
     return LabeledSequence(
         subtoken_ids=ids,
-        attention_mask=[1] * len(ids),
         word_index=word_index,
         origin=(doc_id, sent.span),
     )
@@ -189,7 +187,7 @@ def mention_examples(
     sentences: Iterable[Sequence[Sentence]],
     spans: Iterable[Sequence[CharSpan]],
     vocab: Vocabulary,
-    max_len: int = DEFAULT_MAX_LEN,
+    max_len: int,
 ) -> tuple[list[tuple[int, int]], list[LabeledSequence]]:
     """The marker example of every mention, built in the sentence holding it.
 
@@ -220,7 +218,7 @@ def gold_examples(
     docs: Sequence[AnnotatedDocument],
     task: ClassificationTask | TaskStack,
     vocab: Vocabulary,
-    max_len: int = DEFAULT_MAX_LEN,
+    max_len: int,
 ) -> tuple[list[tuple[str, MedicationMention]], list[LabeledSequence]]:
     """The marker example of every gold mention `task` covers, with its
     (doc_id, mention), as `mention_examples` orders and skips them. Event
@@ -241,7 +239,7 @@ def collect_task_examples(
     docs: Sequence[AnnotatedDocument],
     task: ClassificationTask,
     vocab: Vocabulary,
-    max_len: int = DEFAULT_MAX_LEN,
+    max_len: int,
 ) -> list[LabeledSequence]:
     """Labeled examples for one task, over the gold mentions it covers."""
     gold, seqs = gold_examples(docs, task, vocab, max_len)

@@ -34,7 +34,6 @@ from .preproc import (
     E_MARK_ID,
     NO_WORD,
     S_MARK_ID,
-    DEFAULT_MAX_LEN,
     BioTag,
     LabeledSequence,
 )
@@ -55,7 +54,7 @@ class EncoderConfig:
     hidden_dim: int = 128
     heads: int = 4
     ffn_dim: int = 256
-    max_len: int = DEFAULT_MAX_LEN
+    max_len: int = 256
     dropout_rate: float = 0.1
     seed: int = 0
     precision: int = 32  # 32 or 64
@@ -301,7 +300,7 @@ class Packed:
     """A minibatch packed to the longest real length it contains."""
 
     ids: np.ndarray          # (B, L) int64
-    mask: np.ndarray         # (B, L) model dtype, 1 real / 0 pad
+    mask: np.ndarray         # (B, L) bool, true at each row's first len(seq) positions
     loss_mask: np.ndarray    # (B, L) bool, real non-special positions
     tags: np.ndarray         # (B, L) int64, token-head targets
     labels: np.ndarray       # (B,) int64, sequence-head targets
@@ -309,7 +308,7 @@ class Packed:
     origins: list
 
 
-def pack_batch(seqs: Sequence[LabeledSequence], model: EncoderModel) -> Packed:
+def pack_batch(seqs: Sequence[LabeledSequence]) -> Packed:
     """Stack sequences into arrays as wide as the longest one.
 
     This is the one place that writes padding. Padding positions are
@@ -318,12 +317,12 @@ def pack_batch(seqs: Sequence[LabeledSequence], model: EncoderModel) -> Packed:
     """
     if not seqs:
         raise DataError("empty batch")
-    dt = model.config.dtype
-    width = max(1, max(len(s) for s in seqs))
+    lengths = np.array([len(s) for s in seqs])
+    width = max(1, int(lengths.max()))
 
     b = len(seqs)
     ids = np.zeros((b, width), dtype=np.int64)
-    mask = np.zeros((b, width), dtype=dt)
+    mask = np.arange(width) < lengths[:, None]
     loss_mask = np.zeros((b, width), dtype=bool)
     tags = np.full((b, width), int(BioTag.O), dtype=np.int64)
     labels = np.zeros(b, dtype=np.int64)
@@ -333,7 +332,6 @@ def pack_batch(seqs: Sequence[LabeledSequence], model: EncoderModel) -> Packed:
         row = s.subtoken_ids
         n = len(row)
         ids[i, :n] = row
-        mask[i, :n] = s.attention_mask
         loss_mask[i, :n] = [w != NO_WORD for w in s.word_index]
         if s.tags is not None:
             tags[i, :n] = s.tags
@@ -471,7 +469,7 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
     x = emb.reshape(*emb.shape[:-3], b * length, cfg.hidden_dim)
     x, emb_mask = _dropout(x, rng, cfg.dropout_rate)
 
-    key_keep = mask[:, None, None, :] > 0
+    key_keep = mask[:, None, None, :]
     pick = None if rows is None else (np.arange(b)[:, None] * length + rows).ravel()
     cache = dict(ids=ids, emb_mask=emb_mask, layers=[]) if keep_cache else None
     for i in range(cfg.layers):
@@ -528,7 +526,7 @@ def forward_batch(
     states at its `head_pos`, (..., B, 3, H), the last layer computed at
     those rows alone.
     """
-    packed = pack_batch(seqs, model)
+    packed = pack_batch(seqs)
     rows = None if task is None else packed.head_pos
     hidden, _ = _forward_batch(model, packed.ids, packed.mask, rows=rows)
     return hidden, packed
@@ -649,7 +647,7 @@ def loss_and_grads(
     examples. Dropout draws from `rng` when one is given; without one the
     result is deterministic.
     """
-    return _loss_grads_packed(model, pack_batch(batch, model), task, rng, want_grads=True)
+    return _loss_grads_packed(model, pack_batch(batch), task, rng, want_grads=True)
 
 
 def _loss_grads_packed(model, packed, task, rng, want_grads):
@@ -787,46 +785,44 @@ def grad_check(
 
     Requires 64-bit precision. Dropout runs at the model's rate, from a
     generator seeded with `seed` anew for every pass, so each pass draws
-    the same masks. The relative error denominator is floored so that
+    the same masks. Entries of `model.params.flat` are sampled and
+    perturbed in place. The relative error denominator is floored so that
     zero-against-zero counts as a pass.
     """
     if model.config.precision != 64:
         raise ConfigError("grad_check requires a 64-bit model")
-    packed = pack_batch(batch, model)
+    packed = pack_batch(batch)
 
     def loss(want_grads):
         return _loss_grads_packed(model, packed, task, np.random.default_rng(seed), want_grads)
 
     _, analytic = loss(True)
 
-    names = sorted(model.params)
-    sizes = np.array([model.params[n].size for n in names])
-    total = int(sizes.sum())
-    rng = np.random.default_rng(seed)
-    count = min(n_samples, total)
-    flat_choices = np.sort(rng.choice(total, size=count, replace=False))
-    bounds = np.cumsum(sizes)
-
-    worst = 0.0
-    worst_name = ""
-    for flat in flat_choices:
-        pi = int(np.searchsorted(bounds, flat, side="right"))
-        name = names[pi]
-        param = model.params[name]
-        idx = np.unravel_index(int(flat - bounds[pi] + param.size), param.shape)
-        orig = param[idx]
-        param[idx] = orig + step
+    flat = model.params.flat
+    count = min(n_samples, flat.size)
+    worst, worst_at = 0.0, None
+    for i in np.random.default_rng(seed).choice(flat.size, size=count, replace=False):
+        orig = flat[i]
+        flat[i] = orig + step
         up, _ = loss(False)
-        param[idx] = orig - step
+        flat[i] = orig - step
         down, _ = loss(False)
-        param[idx] = orig
+        flat[i] = orig
         numeric = (up - down) / (2.0 * step)
-        a = float(analytic[name][idx])
+        a = float(analytic.flat[i])
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         if rel > worst:
-            worst = rel
-            worst_name = f"{name}[{', '.join(map(str, idx))}]"
+            worst, worst_at = rel, int(i)
+    worst_name = "" if worst_at is None else _entry_name(model.params.layout, worst_at)
     return GradCheckReport(max_rel_error=worst, n_checked=count, worst_param=worst_name)
+
+
+def _entry_name(layout, i):
+    """`name[index]` of entry `i` of a buffer laid out as `layout`."""
+    for name, shape in layout:
+        if i < math.prod(shape):
+            return f"{name}[{', '.join(map(str, np.unravel_index(i, shape)))}]"
+        i -= math.prod(shape)
 
 
 def toy_examples(
@@ -875,7 +871,6 @@ def toy_examples(
         out.append(
             LabeledSequence(
                 subtoken_ids=ids,
-                attention_mask=[1] * real,
                 word_index=word_index,
                 tags=tags,
                 label=label,
@@ -892,7 +887,6 @@ def toy_examples(
 @dataclass
 class FitResult:
     history: list[float]
-    best_score: float
     best_epoch: int
 
 
@@ -963,4 +957,4 @@ def _fit(model, examples, tc, eval_fn, task, log) -> FitResult:
                 break
 
     model.params.flat[...] = best_flat
-    return FitResult(history=history, best_score=best_score, best_epoch=best_epoch)
+    return FitResult(history=history, best_epoch=best_epoch)

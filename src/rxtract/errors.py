@@ -34,7 +34,8 @@ class MissingPairError(RxtractError):
 
 
 class DuplicateDocIdError(RxtractError):
-    """The same document id appears more than once across corpus splits."""
+    """The same document id appears more than once across corpus splits, or
+    among the documents one prediction call keys by id."""
 
 
 class CapacityError(RxtractError):

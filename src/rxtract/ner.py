@@ -19,7 +19,6 @@ from .encoder import (
 from .errors import DataError
 from .evaluation import ner_metrics
 from .preproc import (
-    DEFAULT_MAX_LEN,
     BioTag,
     LabeledSequence,
     Sentence,
@@ -43,7 +42,7 @@ class NerModelBundle:
 def build_ner_examples(
     docs: Sequence[AnnotatedDocument],
     vocab: Vocabulary,
-    max_len: int = DEFAULT_MAX_LEN,
+    max_len: int,
 ) -> list[LabeledSequence]:
     """One tagged sequence per sentence; sentences without mentions are kept
     as all-O examples."""

@@ -4,7 +4,8 @@ context classification for Disposition mentions.
 Every entry point runs one staged path over all the documents it is given,
 so each stage batches across documents. The gold-span evaluators skip
 extraction: they classify the marker examples `context.gold_examples`
-builds from gold mentions.
+builds from gold mentions. Results are keyed by doc_id, so documents given
+together sharing one are a DuplicateDocIdError, raised before any stage.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .corpus import (
     MedicationMention,
     normalize_newlines,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DuplicateDocIdError
 from .evaluation import MentionKey
 from .ner import NerModelBundle, predict_ner_batch
 from .preproc import split_text
@@ -52,9 +53,19 @@ class PipelineBundle:
             raise ConfigError(f"missing components: {' '.join(missing)}")
 
 
+def _check_unique_ids(docs: Sequence[AnnotatedDocument]) -> None:
+    """Predictions are keyed by doc_id, so two documents may not share one."""
+    seen = set()
+    for doc in docs:
+        if doc.doc_id in seen:
+            raise DuplicateDocIdError(f"duplicate doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+
+
 def _run_staged(
     p: PipelineBundle, docs: Sequence[AnnotatedDocument]
 ) -> list[AnnotatedDocument]:
+    _check_unique_ids(docs)
     docs = [AnnotatedDocument(d.doc_id, normalize_newlines(d.text)) for d in docs]
     sentences = [split_text(d.text) for d in docs]
     spans = predict_ner_batch(p.ner.model, p.ner.vocab, sentences)
@@ -116,6 +127,7 @@ def classify_gold_events(
     A gold mention outside any one sentence is skipped with a warning, so
     it scores as missed.
     """
+    _check_unique_ids(docs)
     gold, seqs = gold_examples(docs, EVENT_TASK, bundle.vocab, bundle.max_len)
     out: dict[str, list[MedicationMention]] = {d.doc_id: [] for d in docs}
     for (doc_id, m), event in zip(gold, predict_events(bundle, seqs)):
@@ -131,6 +143,7 @@ def classify_gold_context(
     A gold mention outside any one sentence is skipped with a warning, so
     it scores as wrong in every dimension.
     """
+    _check_unique_ids(docs)
     gold, seqs = gold_examples(docs, CONTEXT_STACK, bundle.vocab, bundle.max_len)
     return {(doc_id, m.span.start, m.span.end): context
             for (doc_id, m), context in zip(gold, predict_contexts(bundle, seqs))}

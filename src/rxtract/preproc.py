@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .corpus import CharSpan, check_disjoint
-from .errors import CapacityError, ConflictError
+from .errors import CapacityError, ConfigError, ConflictError
 
 PAD_ID = 0
 UNK_ID = 1
@@ -34,7 +34,6 @@ NUM_SPECIALS = len(SPECIAL_PIECES)
 # Sentinel word index for special tokens and padding positions.
 NO_WORD = -1
 
-DEFAULT_MAX_LEN = 256
 DEFAULT_VOCAB_SIZE = 4096
 
 
@@ -52,8 +51,12 @@ class Token:
 
 @dataclass(frozen=True)
 class Sentence:
-    span: CharSpan
     tokens: tuple[Token, ...]
+    span: CharSpan = field(init=False)  # first token's start to last token's end
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "span", CharSpan(self.tokens[0].span.start, self.tokens[-1].span.end))
 
 
 # A maximal run of alphanumerics, or one other non-space character.
@@ -83,8 +86,7 @@ def split_sentences(text: str, tokens: Sequence[Token]) -> list[Sentence]:
 
     def flush():
         if current:
-            span = CharSpan(current[0].span.start, current[-1].span.end)
-            sentences.append(Sentence(span=span, tokens=tuple(current)))
+            sentences.append(Sentence(tuple(current)))
             current.clear()
 
     for idx, tok in enumerate(tokens):
@@ -109,20 +111,24 @@ def split_text(text: str) -> list[Sentence]:
 class Vocabulary:
     """Subword piece inventory; index in `pieces` is the piece id.
 
-    Ids 0-5 are reserved for the special tokens. Every single character of
-    the corpus it was built from is a piece, so segmentation never fails.
+    Ids 0-5 are reserved for the special tokens, which `pieces` starts with.
+    Every character of the corpus it was built from is a piece, so segmentation never fails.
     """
 
     pieces: tuple[str, ...]
-    piece_to_id: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
-    max_piece_len: int = field(compare=False, default=1)
+    piece_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    max_piece_len: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if tuple(self.pieces[:NUM_SPECIALS]) != SPECIAL_PIECES:
+            raise ConfigError(f"a vocabulary's pieces must start with {SPECIAL_PIECES}")
+        text = self.pieces[NUM_SPECIALS:]
+        object.__setattr__(self, "piece_to_id", {p: i for i, p in enumerate(text, NUM_SPECIALS)})
+        object.__setattr__(self, "max_piece_len", max(map(len, text), default=1))
 
     @staticmethod
     def from_pieces(text_pieces: Sequence[str]) -> "Vocabulary":
-        pieces = SPECIAL_PIECES + tuple(text_pieces)
-        lookup = {p: i for i, p in enumerate(text_pieces, start=NUM_SPECIALS)}
-        max_len = max((len(p) for p in text_pieces), default=1)
-        return Vocabulary(pieces=pieces, piece_to_id=lookup, max_piece_len=max_len)
+        return Vocabulary(SPECIAL_PIECES + tuple(text_pieces))
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -267,37 +273,44 @@ class LabeledSequence:
     """
 
     subtoken_ids: list[int]
-    attention_mask: list[int]
     word_index: list[int]
     tags: Optional[list[BioTag]] = None
     label: Optional[int] = None
-    origin: tuple[str, CharSpan] = ("", CharSpan(0, 1))
+    origin: Optional[tuple[str, Optional[CharSpan]]] = None
 
     def __len__(self) -> int:
         return len(self.subtoken_ids)
+
+    @property
+    def attention_mask(self) -> list[int]:  # all real; read only by perfbench's tracer
+        return [1] * len(self)
 
 
 def align_to_subtokens(
     sent: Sentence,
     word_tags: Sequence[BioTag],
     vocab: Vocabulary,
-    max_len: int = DEFAULT_MAX_LEN,
+    max_len: int,
     doc_id: str = "",
 ) -> LabeledSequence:
     """Project word-level BIO tags onto subword pieces as [CLS] ... [SEP].
 
     A B-tagged word contributes B on its first piece and I on the rest; an
-    I word contributes I throughout; O words stay O. If the sequence would
+    I word contributes I throughout; O words stay O. A word of more than
+    `max_len - 2` pieces fits in no sequence, so it contributes no pieces;
+    later words keep their own word indices. If the sequence would still
     exceed max_len, whole trailing words are dropped, never leaving a
     mention cut at the boundary.
     """
     if len(word_tags) != len(sent.tokens):
         raise ValueError("word_tags length must equal token count")
 
+    room = max_len - 2
     piece_lists = [subword_encode(tok.text, vocab) for tok in sent.tokens]
+    piece_lists = [p if len(p) <= room else [] for p in piece_lists]
     ends = list(accumulate(map(len, piece_lists)))  # pieces through each word
 
-    keep = bisect_right(ends, max_len - 2)
+    keep = bisect_right(ends, room)
     while 0 < keep < len(sent.tokens) and word_tags[keep] is BioTag.I:
         keep -= 1
 
@@ -306,6 +319,8 @@ def align_to_subtokens(
     tags = [BioTag.O]
     for w in range(keep):
         pieces, tag = piece_lists[w], word_tags[w]
+        if not pieces:
+            continue
         ids += pieces
         word_index += [w] * len(pieces)
         tags.append(tag)
@@ -316,7 +331,6 @@ def align_to_subtokens(
 
     return LabeledSequence(
         subtoken_ids=ids,
-        attention_mask=[1] * len(ids),
         word_index=word_index,
         tags=tags,
         origin=(doc_id, sent.span),

@@ -61,7 +61,6 @@ class TestBuildExample:
         pieces = sum(len(subword_encode(t.text, vocab)) for t in sent.tokens)
         assert len(seq) == 4 + pieces <= 64  # [CLS] [S] [E] [SEP] + every word
         assert PAD_ID not in ids
-        assert seq.attention_mask == [1] * len(seq)
 
     def test_mention_spanning_whole_sentence(self):
         text = "insulin glargine"
@@ -82,8 +81,7 @@ class TestBuildExample:
         mention = sent.tokens[290].span
         seq = build_classification_example(sent, mention, vocab, max_len=256)
         ids = seq.subtoken_ids
-        assert len(seq) == 256
-        assert sum(seq.attention_mask) == 256  # filled to the brim
+        assert len(seq) == 256  # filled to the brim
         s, e = ids.index(S_MARK_ID), ids.index(E_MARK_ID)
         assert ids[s + 1 : e] == subword_encode("zlatokril", vocab)
 
@@ -93,10 +91,9 @@ class TestBuildExample:
         vocab = build_vocab([text], 64)
         seq = build_classification_example(sent, sent.tokens[0].span, vocab, max_len=40)
         pieces = sum(len(subword_encode(t.text, vocab)) for t in sent.tokens)
-        assert len(seq.subtoken_ids) == len(seq.attention_mask) == len(seq.word_index)
+        assert len(seq.subtoken_ids) == len(seq.word_index)
         assert len(seq) == 4 + pieces <= 40  # real positions only, never padded
         assert PAD_ID not in seq.subtoken_ids
-        assert seq.attention_mask == [1] * len(seq)
 
     def test_over_long_word_closes_only_its_own_side(self):
         long_word = "q" * 100
@@ -117,7 +114,7 @@ class TestBuildExample:
         sents = split_sentences(text, tokenize(text))
         with pytest.raises(SpanRangeError):
             build_classification_example(
-                sents[0], sents[1].tokens[0].span, build_vocab([text], 64)
+                sents[0], sents[1].tokens[0].span, build_vocab([text], 64), 256
             )
 
 
@@ -137,8 +134,8 @@ class TestTaskInventories:
         ann = "T1\tDrug 11 21\tlisinopril\nE1\tNoDisposition:T1\n"
         doc = parse_standoff(text, ann)
         vocab = build_vocab([text], 128)
-        assert collect_task_examples([doc], TASKS["Action"], vocab) == []
-        assert len(collect_task_examples([doc], TASKS["Event"], vocab)) == 1
+        assert collect_task_examples([doc], TASKS["Action"], vocab, 256) == []
+        assert len(collect_task_examples([doc], TASKS["Event"], vocab, 256)) == 1
 
     @pytest.mark.parametrize("task", ["Event", "Action"])
     def test_only_documents_with_a_covered_mention_are_split(self, task, monkeypatch):
@@ -148,11 +145,11 @@ class TestTaskInventories:
         covered = [d for d in docs if any(
             task == "Event" or m.event is EventLabel.DISPOSITION for m in d.mentions)]
         assert 0 < len(covered) < len(docs)
-        want = collect_task_examples(covered, TASKS[task], vocab)
+        want = collect_task_examples(covered, TASKS[task], vocab, 256)
         calls = []
         split = context.split_text
         monkeypatch.setattr(context, "split_text", lambda text: calls.append(text) or split(text))
-        got = collect_task_examples(docs, TASKS[task], vocab)
+        got = collect_task_examples(docs, TASKS[task], vocab, 256)
         assert calls == [d.text for d in covered]
         assert got == want and all(s.label is not None for s in got)
 
@@ -215,11 +212,11 @@ class TestMentionExamples:
         spans = [[CharSpan(5, 13), CharSpan(6, 13)], [CharSpan(5, 11)]]
         vocab = build_vocab(texts, 256)
         with pytest.warns(UserWarning, match="not contained in a sentence"):
-            keys, seqs = mention_examples(docs, sentences, spans, vocab)
+            keys, seqs = mention_examples(docs, sentences, spans, vocab, 256)
         assert keys == [(0, 1), (1, 0)]
         assert [s.origin[0] for s in seqs] == ["d0", "d1"]
         for (d, j), seq in zip(keys, seqs):
-            want = build_classification_example(sentences[d][-1], spans[d][j], vocab,
+            want = build_classification_example(sentences[d][-1], spans[d][j], vocab, 256,
                                                 doc_id=docs[d].doc_id)
             assert seq.subtoken_ids == want.subtoken_ids
 
@@ -259,7 +256,7 @@ class TestTrainTask:
         with pytest.warns(UserWarning, match="constant classifier"):
             tm = train_task(corpus, TASKS["Actor"], SMALL_ENC,
                             TrainConfig(max_epochs=1), vocab)
-        examples = collect_task_examples(corpus.dev, TASKS["Actor"], vocab)
+        examples = collect_task_examples(corpus.dev, TASKS["Actor"], vocab, SMALL_ENC.max_len)
         preds = classify_batch(tm.model, TASKS["Actor"], examples)
         assert all(TASKS["Actor"].classes[p] == "Physician" for p in preds)
 
@@ -292,7 +289,8 @@ class TestTrainTask:
         vocab = build_vocab([d.text for d in result.corpus.train], 512)
         tc = TrainConfig(learning_rate=2e-3, max_epochs=10, patience=10, seed=0)
         tm = train_task(result.corpus, TASKS["Event"], SMALL_ENC, tc, vocab)
-        examples = collect_task_examples(result.corpus.train, TASKS["Event"], vocab)
+        examples = collect_task_examples(result.corpus.train, TASKS["Event"], vocab,
+                                         SMALL_ENC.max_len)
         preds = classify_batch(tm.model, TASKS["Event"], examples[:20])
         agree = sum(p == s.label for p, s in zip(preds, examples[:20]))
         assert agree >= 18

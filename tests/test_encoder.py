@@ -124,18 +124,6 @@ class TestInitModel:
         assert np.all(model.params["layer0.attn.bq"] == 0.0)
 
 
-def _plain_seq(ids, n_words=None, tags=None, label=None):
-    length = len(ids)
-    mask = [1 if i != 0 else 0 for i in ids]
-    word_index = list(range(length)) if n_words is None else (
-        list(range(n_words)) + [-1] * (length - n_words)
-    )
-    return LabeledSequence(
-        subtoken_ids=ids, attention_mask=mask, word_index=word_index,
-        tags=tags, label=label, origin=("t", None),
-    )
-
-
 REF_VOCAB = 16
 
 
@@ -210,20 +198,20 @@ class TestForward:
     def test_attention_probs_sum_to_one(self):
         model = init_model(TOY, VOCAB)
         batch = toy_examples("token", VOCAB, n=3, length=16, seed=0)
-        packed = pack_batch(batch, model)
+        packed = pack_batch(batch)
         _, cache = _forward_batch(model, packed.ids, packed.mask, keep_cache=True)
         for attn, _ in cache["layers"]:
             sums = attn["probs"].sum(axis=-1)
             assert np.allclose(sums, 1.0, atol=1e-6)
 
     def test_pad_tail_content_is_inert(self):
+        """Whatever ids sit where the mask is false, the real rows agree."""
         model = init_model(TOY, VOCAB)
-        ids = [2, 7, 8, 9, 3, 0, 0, 0]
-        seq_a = LabeledSequence(ids, [1] * 5 + [0] * 3, [-1, 0, 1, 2, -1, -1, -1, -1])
-        ids_b = [2, 7, 8, 9, 3, 13, 14, 15]  # junk in the padding tail
-        seq_b = LabeledSequence(ids_b, [1] * 5 + [0] * 3, [-1, 0, 1, 2, -1, -1, -1, -1])
-        ha = _forward_batch(model, *_ids_mask(model, seq_a))[0]
-        hb = _forward_batch(model, *_ids_mask(model, seq_b))[0]
+        mask = np.array([[True] * 5 + [False] * 3])
+        ids_a = np.array([[2, 7, 8, 9, 3, 0, 0, 0]])
+        ids_b = np.array([[2, 7, 8, 9, 3, 13, 14, 15]])  # junk in the padding tail
+        ha = _forward_batch(model, ids_a, mask)[0]
+        hb = _forward_batch(model, ids_b, mask)[0]
         assert np.array_equal(ha[0, :5], hb[0, :5])
 
     def test_inference_deterministic(self):
@@ -234,7 +222,7 @@ class TestForward:
     def test_sequence_too_long(self):
         model = init_model(TOY, VOCAB)
         ids = [2] + [7] * TOY.max_len + [3]
-        seq = LabeledSequence(ids, [1] * len(ids), [-1] * len(ids))
+        seq = LabeledSequence(ids, [-1] * len(ids))
         with pytest.raises(SequenceLengthError):
             forward_batch(model, [seq])
 
@@ -255,7 +243,7 @@ class TestForward:
         models = {f"T{m}": init_model(replace(cfg, seed=cfg.seed + m), REF_VOCAB, {f"T{m}": 2})
                   for m in range(n_models)}
         model = stack_models(models) if n_models > 1 else models["T0"]
-        packed = pack_batch([LabeledSequence(s, [1] * len(s), [-1] * len(s)) for s in seqs], model)
+        packed = pack_batch([LabeledSequence(s, [-1] * len(s)) for s in seqs])
         hidden, _ = _forward_batch(model, packed.ids, packed.mask, rows=rows)
         for (task, m), got in zip(models.items(), hidden if n_models > 1 else [hidden]):
             for i, s in enumerate(seqs):
@@ -285,16 +273,17 @@ class TestPackBatch:
 
     def test_short_rows_get_a_padding_tail(self):
         batch = self._mixed()
-        packed = pack_batch(batch, init_model(TOY, VOCAB))
+        packed = pack_batch(batch)
         width = max(len(s) for s in batch)
-        assert packed.ids.shape == (len(batch), width)
+        assert packed.ids.shape == packed.mask.shape == (len(batch), width)
+        assert packed.mask.dtype == bool
         for i, s in enumerate(batch):
             n = len(s)
             assert packed.ids[i, :n].tolist() == s.subtoken_ids
-            assert packed.mask[i, :n].tolist() == [1.0] * n
+            assert packed.mask[i, :n].all()
             assert packed.tags[i, :n].tolist() == [int(t) for t in s.tags]
             assert np.all(packed.ids[i, n:] == PAD_ID)
-            assert np.all(packed.mask[i, n:] == 0)
+            assert not packed.mask[i, n:].any()
             assert not packed.loss_mask[i, n:].any()
             assert np.all(packed.tags[i, n:] == int(BioTag.O))
 
@@ -307,11 +296,6 @@ class TestPackBatch:
             alone = _hidden(model, s)
             assert alone.shape[0] == len(s)
             assert np.abs(hidden[i, : len(s)] - alone).max() <= 1e-12
-
-
-def _ids_mask(model, seq):
-    packed = pack_batch([seq], model)
-    return packed.ids, packed.mask
 
 
 class TestGelu:
@@ -507,7 +491,7 @@ def _edge_sequences():
     no_marker = [CLS_ID, 9, 10, 11, SEP_ID]
     e_last = [CLS_ID, 12, S_MARK_ID, 13, 14, E_MARK_ID]
     for pos, ids in ((2, no_marker), (5, e_last)):
-        seqs.insert(pos, LabeledSequence(ids, [1] * len(ids), [-1] * len(ids), label=0))
+        seqs.insert(pos, LabeledSequence(ids, [-1] * len(ids), label=0))
     return seqs
 
 
@@ -622,7 +606,7 @@ class TestTrimmedLastLayer:
         rng = _Recorded(np.random.default_rng(seed))
         _, got = loss_and_grads(model, seqs, "Event", rng)
         # the same draws: each full-width run replays the trimmed run's
-        want = _full_width_grads(model, pack_batch(seqs, model), "Event", rng.draws)
+        want = _full_width_grads(model, pack_batch(seqs), "Event", rng.draws)
         assert np.abs(got.flat - want.flat).max() <= 1e-12 * np.abs(want.flat).max()
 
     def test_dropout_masks_are_drawn_at_the_rows_they_scale(self):
@@ -630,7 +614,7 @@ class TestTrimmedLastLayer:
         seqs = _edge_sequences()
         rng, want = np.random.default_rng(0), np.random.default_rng(0)
         loss_and_grads(model, seqs, "Event", rng)
-        b, length = pack_batch(seqs, model).ids.shape
+        b, length = pack_batch(seqs).ids.shape
         nh, h, f = TOY.heads, TOY.hidden_dim, TOY.ffn_dim
         shapes = [(b * length, h)]
         shapes += [(b, nh, length, length), (b * length, f)] * (TOY.layers - 1)
@@ -641,7 +625,7 @@ class TestTrimmedLastLayer:
 
     def test_inference_keeps_no_cache(self, model_and_task):
         model, _ = model_and_task
-        packed = pack_batch(_edge_sequences(), model)
+        packed = pack_batch(_edge_sequences())
         for rows in (None, packed.head_pos):
             assert _forward_batch(model, packed.ids, packed.mask, rows=rows)[1] is None
 

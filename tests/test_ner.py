@@ -43,13 +43,13 @@ class TestBuildExamples:
 
     def test_empty_corpus(self):
         vocab = build_vocab(["x"], 64)
-        assert build_ner_examples([], vocab) == []
+        assert build_ner_examples([], vocab, 256) == []
 
     def test_b_count_equals_mention_count(self):
         result = gen_corpus(GeneratorSpec(seed=3, n_train=10, n_dev=2, n_test=2))
         docs = result.corpus.train
         vocab = build_vocab([d.text for d in docs], 512)
-        seqs = build_ner_examples(docs, vocab)
+        seqs = build_ner_examples(docs, vocab, 256)
         total_b = sum(sum(1 for t in s.tags if t is BioTag.B) for s in seqs)
         assert total_b == sum(len(d.mentions) for d in docs)
 
@@ -61,7 +61,7 @@ class TestBuildExamples:
         )
         vocab = build_vocab([text], 128)
         with pytest.warns(UserWarning, match="crosses a sentence"):
-            build_ner_examples([doc], vocab)
+            build_ner_examples([doc], vocab, 256)
 
 
 class TestPredict:
@@ -112,7 +112,7 @@ class TestTraining:
         model = init_model(SMALL_ENC, 64)
         examples = build_ner_examples(
             gen_corpus(GeneratorSpec(seed=2, n_train=4, n_dev=1, n_test=1)).corpus.train,
-            build_vocab(["a"], 64),
+            build_vocab(["a"], 64), SMALL_ENC.max_len,
         )
         # dev metric frozen at zero: never improves after the first epoch
         res = fit(model, examples,

@@ -15,7 +15,7 @@ from rxtract.corpus import (
 )
 from rxtract.encoder import EncoderConfig, TrainConfig, head_widths, init_model
 from rxtract.ner import NerModelBundle, predict_ner
-from rxtract.errors import ConfigError
+from rxtract.errors import ConfigError, DuplicateDocIdError
 from rxtract.pipeline import (
     PipelineBundle,
     classify_gold_context,
@@ -148,6 +148,16 @@ class TestBundleValidation:
         p = _toy_pipeline([d.text for d in result.corpus.train])
         preds = run_pipeline_over(p, result.corpus.train)
         assert set(preds) == {d.doc_id for d in result.corpus.train}
+
+    @pytest.mark.parametrize("run", [run_pipeline_over, classify_gold_events,
+                                     classify_gold_context])
+    def test_shared_doc_id_is_refused(self, run):
+        # predictions are keyed by doc_id: one note's would silently replace the other's
+        result = gen_corpus(GeneratorSpec(seed=3, n_train=3, n_dev=1, n_test=1))
+        p = _toy_pipeline([d.text for d in result.corpus.train])
+        docs = [replace(d, doc_id="same") for d in result.corpus.train[:2]]
+        with pytest.raises(DuplicateDocIdError, match="'same'"):
+            run(p if run is run_pipeline_over else p.classifiers, docs)
 
     def test_classifiers_disagreeing_on_max_len_rejected(self):
         # checked once, when the bundle is built, not on every run

@@ -2,10 +2,12 @@
 conftest.py: empty text, CRLF, blank-line runs, non-ASCII, a word of more
 than max_len pieces and a sentence of more than max_len pieces."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rxtract.corpus import AnnotatedDocument, normalize_newlines
+from rxtract.ner import predict_ner
 from rxtract.pipeline import run_pipeline, run_pipeline_over
 from rxtract.preproc import split_text, subword_encode
 
@@ -38,6 +40,17 @@ def test_odd_inputs_are_as_long_as_claimed(tiny):
     # the properties below see predicted mentions, not only empty outputs
     assert run_pipeline(bundle, LONG_SENTENCE).mentions
     assert run_pipeline(bundle, CLINICAL[0]).mentions
+
+
+@pytest.mark.parametrize("junk", [LONG_WORD, "ж" * 99, "q" * 100, "x" * 99, "qz" * 50],
+                         ids=["zh100", "zh99", "q100", "x99", "qz50"])
+def test_over_long_word_hides_no_later_word(tiny, junk):
+    """A word of more pieces than any sequence holds is left out of NER
+    alone; the words after it are still tagged."""
+    _, bundle = tiny
+    assert len(subword_encode(junk, bundle.ner.vocab)) > MAX_LEN - 2
+    text = f"patient duly started {junk} velamab 5mg yesterday definitely."
+    assert [text[s.start:s.end] for s in predict_ner(bundle.ner, text)] == ["velamab"]
 
 
 @settings(max_examples=60, deadline=None)

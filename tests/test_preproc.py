@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rxtract.corpus import CharSpan
-from rxtract.errors import CapacityError, ConflictError
+from rxtract.errors import CapacityError, ConfigError, ConflictError
 from rxtract.preproc import (
     CLS_ID,
     NO_WORD,
     NUM_SPECIALS,
     PAD_ID,
     SEP_ID,
+    SPECIAL_PIECES,
     UNK_ID,
     BioTag,
+    Sentence,
     Vocabulary,
     align_to_subtokens,
     build_vocab,
@@ -113,6 +115,10 @@ class TestSplitSentences:
         sents = split_sentences("plan a\n\nplan b", tokenize("plan a\n\nplan b"))
         assert len(sents) == 2
 
+    def test_span_runs_from_first_to_last_token(self):
+        tokens = tuple(tokenize("  took plavix ."))
+        assert Sentence(tokens).span == CharSpan(2, 15)
+
     @settings(max_examples=150, deadline=None)
     @given(st.text(alphabet="ab .!?\n", max_size=50))
     def test_every_token_in_exactly_one_sentence(self, text):
@@ -150,6 +156,16 @@ class TestBuildVocab:
         assert v.pieces[PAD_ID] == "[PAD]"
         assert v.pieces[CLS_ID] == "[CLS]"
         assert len(set(v.pieces)) == len(v.pieces)
+
+    def test_lookup_derived_from_pieces(self):
+        v = Vocabulary(SPECIAL_PIECES + ("ab",))
+        assert subword_encode("ab", v) == [NUM_SPECIALS]
+        assert v == Vocabulary.from_pieces(["ab"])
+
+    @pytest.mark.parametrize("pieces", [("ab",), SPECIAL_PIECES[1:] + ("ab",), ()])
+    def test_pieces_must_start_with_the_specials(self, pieces):
+        with pytest.raises(ConfigError):
+            Vocabulary(pieces)
 
 
 def _reference_build_vocab(texts, target_size):
@@ -287,7 +303,6 @@ class TestAlignToSubtokens:
         pieces = sum(len(subword_encode(t.text, v)) for t in sent.tokens)
         assert len(seq) == 2 + pieces <= 16  # [CLS] + both words + [SEP], unpadded
         assert PAD_ID not in seq.subtoken_ids
-        assert seq.attention_mask == [1] * len(seq)
         assert len(seq.word_index) == len(seq.tags) == len(seq)
         assert seq.subtoken_ids[0] == CLS_ID and seq.subtoken_ids[-1] == SEP_ID
         assert seq.word_index[0] == NO_WORD and seq.word_index[-1] == NO_WORD
@@ -309,6 +324,14 @@ class TestAlignToSubtokens:
         kept_words = {w for w in seq.word_index if w != NO_WORD}
         assert kept_words == {0}
         assert BioTag.B not in seq.tags
+
+    def test_over_long_word_contributes_no_pieces(self):
+        v = Vocabulary.from_pieces(tuple("abx"))
+        sent = _sentence("ab xxxxxxxx ab")
+        # the middle word's 8 pieces exceed max_len - 2; the words after it stay
+        seq = align_to_subtokens(sent, [BioTag.O, BioTag.O, BioTag.B], v, max_len=8)
+        assert seq.word_index == [NO_WORD, 0, 0, 2, 2, NO_WORD]
+        assert decode_bio(seq, seq.tags, sent) == [sent.tokens[2].span]
 
     def test_round_trip_through_decode(self):
         v = build_vocab(["pt started lisinopril 10mg daily"], 256)

@@ -37,7 +37,9 @@ VOCAB = build_vocab(["abcd dcba abab cdcd ab cd x y , ."], 40)
 
 
 def _reference_align(sent, word_tags, vocab, max_len, doc_id=""):
+    # A word that cannot fit between [CLS] and [SEP] contributes no pieces.
     piece_lists = [subword_encode(tok.text, vocab) for tok in sent.tokens]
+    piece_lists = [[] if 2 + len(p) > max_len else p for p in piece_lists]
 
     keep = len(sent.tokens)
     while keep > 0:
@@ -63,7 +65,6 @@ def _reference_align(sent, word_tags, vocab, max_len, doc_id=""):
 
     return LabeledSequence(
         subtoken_ids=ids,
-        attention_mask=[1] * len(ids),
         word_index=word_index,
         tags=tags,
         origin=(doc_id, sent.span),
@@ -155,7 +156,6 @@ def _reference_example(sent, mention, vocab, max_len, doc_id=""):
 
     return LabeledSequence(
         subtoken_ids=ids,
-        attention_mask=[1] * len(ids),
         word_index=word_index,
         origin=(doc_id, sent.span),
     )
@@ -174,7 +174,7 @@ def _sentences(draw):
                          max_size=len(words)))
     text = "".join(g + w for g, w in zip(gaps, words))
     tokens = tuple(tokenize(text))
-    return Sentence(CharSpan(tokens[0].span.start, tokens[-1].span.end), tokens)
+    return Sentence(tokens)
 
 
 @st.composite
