@@ -9,22 +9,24 @@ forward/backward pair (`_attention_fwd`/`_attention_bwd`,
 `_ffn_fwd`/`_ffn_bwd`): the forward returns its output and, if asked to
 keep it, a cache that only its backward reads (else None, so that
 inference holds no activations); the backward adds its weights' gradients
-into `grads` and returns its input's gradient. A sequence head reads three
-rows per sequence, so for one the last layer runs at those rows alone
+into gradient views and returns its input's gradient. A sequence head reads
+three rows per sequence, so for one the last layer runs at those rows alone
 from its Q projection on, in training as at inference.
 
 A model's parameters are one contiguous buffer (`FlatParams.flat`) with
 every tensor a named view into it, in `_param_layout` order; gradients and
 the optimizer's moments share that layout, so the optimizer and the
 best-epoch copy in `fit` run on whole buffers. Write into
-`model.params[name]`; a key cannot be rebound to a new array.
+`model.params[name]`; a key cannot be rebound to a new array. Sub-layers
+take their layer's views (`FlatParams.layers`), not names; a `stack_models`
+stack's views over its (M, W) buffer come from the same code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, takewhile
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -79,23 +81,35 @@ class EncoderConfig:
 
 
 class FlatParams(Mapping[str, np.ndarray]):
-    """Named tensors laid out back to back as views of one 1-D buffer.
+    """Named tensors laid out back to back along the last axis of one buffer.
 
-    `layout` lists (name, shape) pairs in buffer order. Every value is a
-    view into `flat`, so writing into `self[name]` writes the buffer and
-    an operation on `flat` reaches every tensor. A key cannot be rebound
-    to another array: that would cut it loose from the buffer.
+    `layout` lists (name, shape) pairs in buffer order. `flat` is a model's
+    1-D buffer, or a `stack_models` stack's (M, W) one, whose views carry
+    the model axis. Every value is a view into `flat`, so writing into
+    `self[name]` writes the buffer and an operation on `flat` reaches every
+    tensor; a key cannot be rebound. `heads` adds views of other buffers (a
+    stack's heads), which `zeros_like` and `copy` leave out. `layers[i]`
+    holds encoder layer i's views by in-layer name ("attn.wq"), vectors
+    shaped (..., 1, n) to broadcast over rows, so a layer call names no layer.
     """
 
-    def __init__(self, flat: np.ndarray, layout: Sequence[tuple[str, tuple[int, ...]]]):
+    def __init__(self, flat: np.ndarray, layout: Sequence[tuple[str, tuple[int, ...]]],
+                 heads: Iterable[tuple[str, np.ndarray]] = ()):
         self.flat = flat
         self.layout = tuple(layout)
         self._views: dict[str, np.ndarray] = {}
+        layers: dict[str, dict[str, np.ndarray]] = {}
         offset = 0
         for name, shape in self.layout:
             size = math.prod(shape)
-            self._views[name] = flat[offset : offset + size].reshape(shape)
+            view = self._views[name] = flat[..., offset : offset + size].reshape(
+                *flat.shape[:-1], *shape)
             offset += size
+            pre, _, sub = name.partition(".")
+            if pre.startswith("layer"):  # in layout order, layer0 first
+                layers.setdefault(pre, {})[sub] = view[..., None, :] if len(shape) == 1 else view
+        self._views.update(heads)
+        self.layers = list(layers.values())
 
     def zeros_like(self) -> "FlatParams":
         return FlatParams(np.zeros_like(self.flat), self.layout)
@@ -125,7 +139,7 @@ class EncoderModel:
     count of its `seq_head.<task>.w`."""
 
     config: EncoderConfig
-    params: FlatParams  # a dict of stacked views for a `stack_models` stack
+    params: FlatParams  # over a (M, W) buffer, plus each model's head, for a stack
 
 
 def head_widths(shapes: Iterable[tuple[str, tuple[int, ...]]]) -> dict[str, int]:
@@ -342,16 +356,11 @@ def pack_batch(seqs: Sequence[LabeledSequence]) -> Packed:
     return Packed(ids, mask, loss_mask, tags, labels, head_pos, [s.origin for s in seqs])
 
 
-def _vec(p, name):
-    """A vector parameter, broadcast over each model's rows."""
-    return p[name][..., None, :]
-
-
-def _attention_fwd(p, pre, cfg, x, key_keep, rng, pick=None, keep=False):
-    """Layer `pre`'s self-attention, output projection, residual and `ln1`
+def _attention_fwd(w, cfg, x, key_keep, rng, pick=None, keep=False):
+    """One layer's self-attention, output projection, residual and `ln1`
     over (..., B*L, H) rows, with dropout on the attention probabilities.
-    `key_keep` is (B, 1, 1, L), true at real keys; the weights and `x` may
-    carry a leading model axis (`stack_models`).
+    `key_keep` is (B, 1, 1, L), true at real keys; the layer's views `w`
+    and `x` may carry a leading model axis (`stack_models`).
 
     Given `pick`, the flat positions of R rows per sequence (B*R of them),
     only those rows query: every position is still a key and a value, and
@@ -366,39 +375,39 @@ def _attention_fwd(p, pre, cfg, x, key_keep, rng, pick=None, keep=False):
         return m.reshape(*m.shape[:-2], b, -1, cfg.heads, dk).swapaxes(-3, -2)
 
     resid = x if pick is None else x[..., pick, :]
-    q = split(resid @ p[f"{pre}.attn.wq"] + _vec(p, f"{pre}.attn.bq"))
-    k = split(x @ p[f"{pre}.attn.wk"] + _vec(p, f"{pre}.attn.bk"))
-    v = split(x @ p[f"{pre}.attn.wv"] + _vec(p, f"{pre}.attn.bv"))
+    q = split(resid @ w["attn.wq"] + w["attn.bq"])
+    k = split(x @ w["attn.wk"] + w["attn.bk"])
+    v = split(x @ w["attn.wv"] + w["attn.bv"])
     scores = np.where(key_keep, (q @ k.swapaxes(-1, -2)) * scale, x.dtype.type(NEG_INF))
     probs = _softmax(scores)
     probs_used, drop = _dropout(probs, rng, cfg.dropout_rate)
     ctx = (probs_used @ v).swapaxes(-3, -2).reshape(resid.shape)
-    out, ln = _layernorm_fwd(resid + (ctx @ p[f"{pre}.attn.wo"] + _vec(p, f"{pre}.attn.bo")),
-                             _vec(p, f"{pre}.ln1.gain"), _vec(p, f"{pre}.ln1.bias"))
+    out, ln = _layernorm_fwd(resid + (ctx @ w["attn.wo"] + w["attn.bo"]),
+                             w["ln1.gain"], w["ln1.bias"])
     return out, (dict(x=x, pick=pick, q=q, k=k, v=v, scale=scale, probs=probs,
                       probs_used=probs_used, drop=drop, ctx=ctx, ln=ln) if keep else None)
 
 
-def _attention_bwd(p, pre, dout, c, grads):
-    """`_attention_fwd`'s backward, for one model. With `pick`, `dout` is
-    the gradient at those B*R rows alone: `ln1`, `wo`, the Q projection
-    and the softmax run at them, K and V at every position, and the
-    input's gradient comes back at all B*L rows."""
+def _attention_bwd(w, dout, c, g):
+    """`_attention_fwd`'s backward, for one model, into gradient views `g`.
+    With `pick`, `dout` is the gradient at those B*R rows alone: `ln1`,
+    `wo`, the Q projection and the softmax run at them, K and V at every
+    position, and the input's gradient comes back at all B*L rows."""
     b, nh, r, dk = c["q"].shape
 
-    def proj_bwd(name, x, dmat):  # the gradient of `x @ w + b`, given (B, nh, N, dk)
+    def proj_bwd(wname, bname, x, dmat):  # the gradient of `x @ w + b`, given (B, nh, N, dk)
         dm = dmat.transpose(0, 2, 1, 3).reshape(-1, nh * dk)
-        grads[f"{pre}.attn.w{name}"] += x.T @ dm
-        grads[f"{pre}.attn.b{name}"] += dm.sum(axis=0)
-        return dm @ p[f"{pre}.attn.w{name}"].T
+        g[wname] += x.T @ dm
+        g[bname] += dm.sum(axis=0)
+        return dm @ w[wname].T
 
     # `dres` is also the residual's gradient: Q, K and V add into it last
-    dres, dgain, dbias = _layernorm_bwd(dout, c["ln"], p[f"{pre}.ln1.gain"])
-    grads[f"{pre}.ln1.gain"] += dgain
-    grads[f"{pre}.ln1.bias"] += dbias
-    grads[f"{pre}.attn.wo"] += c["ctx"].T @ dres
-    grads[f"{pre}.attn.bo"] += dres.sum(axis=0)
-    dctx = (dres @ p[f"{pre}.attn.wo"].T).reshape(b, r, nh, dk).transpose(0, 2, 1, 3)
+    dres, dgain, dbias = _layernorm_bwd(dout, c["ln"], w["ln1.gain"])
+    g["ln1.gain"] += dgain
+    g["ln1.bias"] += dbias
+    g["attn.wo"] += c["ctx"].T @ dres
+    g["attn.bo"] += dres.sum(axis=0)
+    dctx = (dres @ w["attn.wo"].T).reshape(b, r, nh, dk).transpose(0, 2, 1, 3)
 
     probs = c["probs"]
     dprobs = _undrop(dctx @ c["v"].transpose(0, 1, 3, 2), c["drop"])
@@ -408,41 +417,41 @@ def _attention_bwd(p, pre, dout, c, grads):
     dk_ = (dscores.transpose(0, 1, 3, 2) @ c["q"]) * c["scale"]
 
     x, pick = c["x"], c["pick"]
-    dres += proj_bwd("q", x if pick is None else x[pick], dq)
+    dres += proj_bwd("attn.wq", "attn.bq", x if pick is None else x[pick], dq)
     if pick is not None:  # a row without markers reads position 0 three times
         dx = np.zeros_like(x)
         np.add.at(dx, pick, dres)
         dres = dx
-    dres += proj_bwd("k", x, dk_)
-    dres += proj_bwd("v", x, dv)
+    dres += proj_bwd("attn.wk", "attn.bk", x, dk_)
+    dres += proj_bwd("attn.wv", "attn.bv", x, dv)
     return dres
 
 
-def _ffn_fwd(p, pre, cfg, y, rng, keep=False):
-    """Layer `pre`'s feed-forward block, residual and `ln2` over (..., N, H)
+def _ffn_fwd(w, cfg, y, rng, keep=False):
+    """One layer's feed-forward block, residual and `ln2` over (..., N, H)
     rows, with dropout on the GELU's output."""
-    a = y @ p[f"{pre}.ffn.w1"] + _vec(p, f"{pre}.ffn.b1")
+    a = y @ w["ffn.w1"] + w["ffn.b1"]
     g, gelu_tanh = _gelu(a)
     g_used, drop = _dropout(g, rng, cfg.dropout_rate)
-    out, ln = _layernorm_fwd(y + (g_used @ p[f"{pre}.ffn.w2"] + _vec(p, f"{pre}.ffn.b2")),
-                             _vec(p, f"{pre}.ln2.gain"), _vec(p, f"{pre}.ln2.bias"))
+    out, ln = _layernorm_fwd(y + (g_used @ w["ffn.w2"] + w["ffn.b2"]),
+                             w["ln2.gain"], w["ln2.bias"])
     return out, (dict(y=y, a=a, gelu_tanh=gelu_tanh, g_used=g_used, drop=drop, ln=ln)
                  if keep else None)
 
 
-def _ffn_bwd(p, pre, dout, c, grads):
+def _ffn_bwd(w, dout, c, g):
     """`_ffn_fwd`'s backward, for one model."""
     # `dres` is also the residual's gradient: the FFN's adds into it last
-    dres, dgain, dbias = _layernorm_bwd(dout, c["ln"], p[f"{pre}.ln2.gain"])
-    grads[f"{pre}.ln2.gain"] += dgain
-    grads[f"{pre}.ln2.bias"] += dbias
-    grads[f"{pre}.ffn.w2"] += c["g_used"].T @ dres
-    grads[f"{pre}.ffn.b2"] += dres.sum(axis=0)
-    dg = _undrop(dres @ p[f"{pre}.ffn.w2"].T, c["drop"])
+    dres, dgain, dbias = _layernorm_bwd(dout, c["ln"], w["ln2.gain"])
+    g["ln2.gain"] += dgain
+    g["ln2.bias"] += dbias
+    g["ffn.w2"] += c["g_used"].T @ dres
+    g["ffn.b2"] += dres.sum(axis=0)
+    dg = _undrop(dres @ w["ffn.w2"].T, c["drop"])
     da = dg * _gelu_grad(c["a"], c["gelu_tanh"])
-    grads[f"{pre}.ffn.w1"] += c["y"].T @ da
-    grads[f"{pre}.ffn.b1"] += da.sum(axis=0)
-    dres += da @ p[f"{pre}.ffn.w1"].T
+    g["ffn.w1"] += c["y"].T @ da
+    g["ffn.b1"] += da.sum(axis=0)
+    dres += da @ w["ffn.w1"].T
     return dres
 
 
@@ -472,12 +481,10 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
     key_keep = mask[:, None, None, :]
     pick = None if rows is None else (np.arange(b)[:, None] * length + rows).ravel()
     cache = dict(ids=ids, emb_mask=emb_mask, layers=[]) if keep_cache else None
-    for i in range(cfg.layers):
-        pre = f"layer{i}"
-        last = i == cfg.layers - 1
-        x, attn = _attention_fwd(p, pre, cfg, x, key_keep, rng, pick if last else None,
-                                 keep_cache)
-        x, ffn = _ffn_fwd(p, pre, cfg, x, rng, keep_cache)
+    for w in p.layers:
+        x, attn = _attention_fwd(w, cfg, x, key_keep, rng,
+                                 pick if w is p.layers[-1] else None, keep_cache)
+        x, ffn = _ffn_fwd(w, cfg, x, rng, keep_cache)
         if cache is not None:
             cache["layers"].append((attn, ffn))
     return x.reshape(*x.shape[:-2], b, -1, cfg.hidden_dim), cache
@@ -486,12 +493,12 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
 def _backward_batch(model, cache, d_hidden, grads):
     """Add into `grads` the gradients that `d_hidden`, shaped like
     `_forward_batch`'s hidden states, sends back through its `cache`."""
-    p = model.params
     ids = cache["ids"]
     dx = d_hidden.reshape(-1, d_hidden.shape[-1])
-    for i, (attn, ffn) in reversed(list(enumerate(cache["layers"]))):
-        dx = _ffn_bwd(p, f"layer{i}", dx, ffn, grads)
-        dx = _attention_bwd(p, f"layer{i}", dx, attn, grads)
+    for w, g, (attn, ffn) in reversed(list(zip(model.params.layers, grads.layers,
+                                               cache["layers"]))):
+        dx = _ffn_bwd(w, dx, ffn, g)
+        dx = _attention_bwd(w, dx, attn, g)
 
     dx = _undrop(dx, cache["emb_mask"]).reshape(*ids.shape, -1)
     np.add.at(grads["tok_emb"], ids, dx)
@@ -591,18 +598,11 @@ def stack_models(models: Mapping[str, EncoderModel]) -> EncoderModel:
     for row, size, m in zip(buf, sizes, models.values()):
         row[:size] = m.params.flat
         m.params = FlatParams(row[:size], m.params.layout)  # drops the old buffer
-    params = {}
-    offset = 0
-    for name, shape in first.params.layout:  # the seq heads come last
-        if name.startswith("seq_head."):
-            break
-        size = math.prod(shape)
-        params[name] = buf[:, offset : offset + size].reshape(len(models), *shape)
-        offset += size
-    for task, m in models.items():
-        name = _head_name(task)
-        params[f"{name}.w"], params[f"{name}.b"] = m.params[f"{name}.w"], m.params[f"{name}.b"]
-    return EncoderModel(first.config, params)
+    # the seq heads come last; the rest of the layout is every model's
+    shared = takewhile(lambda entry: not entry[0].startswith("seq_head."), first.params.layout)
+    heads = ((f"{_head_name(task)}.{part}", m.params[f"{_head_name(task)}.{part}"])
+             for task, m in models.items() for part in ("w", "b"))
+    return EncoderModel(first.config, FlatParams(buf, shared, heads))
 
 
 def predict_batch(

@@ -45,7 +45,8 @@ def build_ner_examples(
     max_len: int,
 ) -> list[LabeledSequence]:
     """One tagged sequence per sentence; sentences without mentions are kept
-    as all-O examples."""
+    as all-O examples. Unlike inference, training reads no window past a
+    sentence's first: `align_to_subtokens` drops the words that overflow."""
     examples: list[LabeledSequence] = []
     for doc in docs:
         for sent in split_text(doc.text):
@@ -66,20 +67,46 @@ def build_ner_examples(
     return examples
 
 
+def _align_windows(sent: Sentence, vocab: Vocabulary, max_len: int) -> list[LabeledSequence]:
+    """`sent` aligned with all-O tags as windows of whole words, each from
+    the word after the last one of the window before, so that every word
+    of at most `max_len - 2` pieces is in one. The windows keep the
+    sentence's word indices."""
+    tags = [BioTag.O] * len(sent.tokens)
+    windows = [align_to_subtokens(sent, tags, vocab, max_len)]
+    while len(windows[-1]) > 2 and (start := windows[-1].word_index[-2] + 1) < len(tags):
+        window = align_to_subtokens(sent, tags, vocab, max_len, start=start)
+        if len(window) == 2:  # only over-long words were left
+            break
+        windows.append(window)
+    return windows
+
+
 def _align_untagged(
     vocab: Vocabulary, sentences: Sequence[Sequence[Sentence]], max_len: int
-) -> list[LabeledSequence]:
-    """Every document's sentences, in order, aligned with all-O tags."""
-    return [align_to_subtokens(s, [BioTag.O] * len(s.tokens), vocab, max_len)
-            for doc in sentences for s in doc]
+) -> list[list[LabeledSequence]]:
+    """Every document's sentences, in order, each as its `_align_windows`."""
+    return [_align_windows(s, vocab, max_len) for doc in sentences for s in doc]
+
+
+def _decode_windows(windows, tag_ids, sent: Sentence) -> list[CharSpan]:
+    """A sentence's spans from its windows' next tags in `tag_ids`, decoded
+    as one sequence, so that a mention running on into the next window
+    stays one span."""
+    joined = LabeledSequence([i for w in windows for i in w.subtoken_ids],
+                             [i for w in windows for i in w.word_index])
+    return decode_bio(joined, [t for _ in windows for t in next(tag_ids)], sent)
 
 
 def _decode_aligned(
-    model: EncoderModel, sentences: Sequence[Sequence[Sentence]], seqs: list[LabeledSequence]
+    model: EncoderModel,
+    sentences: Sequence[Sequence[Sentence]],
+    windows: list[list[LabeledSequence]],
 ) -> list[list[CharSpan]]:
-    """Each document's predicted spans, given `_align_untagged`'s `seqs`."""
-    tag_ids = predict_batch(model, seqs)  # ties: B < I < O
-    per_sentence = map(decode_bio, seqs, tag_ids, (s for doc in sentences for s in doc))
+    """Each document's predicted spans, given `_align_untagged`'s `windows`."""
+    tag_ids = iter(predict_batch(model, [w for ws in windows for w in ws]))  # ties: B < I < O
+    per_sentence = (_decode_windows(ws, tag_ids, s)
+                    for ws, s in zip(windows, (s for doc in sentences for s in doc)))
     return [[span for _ in doc for span in next(per_sentence)] for doc in sentences]
 
 
@@ -88,7 +115,8 @@ def predict_ner_batch(
 ) -> list[list[CharSpan]]:
     """Predicted mention spans for each document's pre-split sentences.
 
-    The sentences of all documents share length-ordered batches; each
+    The sentences of all documents share length-ordered batches, a
+    sentence of more than `max_len` pieces as several windows; each
     document's spans come back sorted and non-overlapping.
     """
     return _decode_aligned(model, sentences,
@@ -116,10 +144,10 @@ def train_ner(
 
     dev_ids = [doc.doc_id for doc in corpus.dev]
     dev_sentences = [split_text(doc.text) for doc in corpus.dev]
-    dev_seqs = _align_untagged(vocab, dev_sentences, enc_cfg.max_len)  # once, for every epoch
+    dev_windows = _align_untagged(vocab, dev_sentences, enc_cfg.max_len)  # once, for every epoch
 
     def dev_f1(m: EncoderModel) -> float:
-        preds = dict(zip(dev_ids, _decode_aligned(m, dev_sentences, dev_seqs)))
+        preds = dict(zip(dev_ids, _decode_aligned(m, dev_sentences, dev_windows)))
         return ner_metrics(corpus.dev, preds).micro.f1
 
     result = fit(model, examples, train_cfg, dev_f1, log=log)

@@ -1,8 +1,9 @@
 """Offset-preserving tokenization, sentence splitting, subword vocabulary,
 BIO encoding/decoding, and word-to-subtoken tag alignment.
 
-Alignment and decoding are one pass each over a sentence: `align_to_subtokens`
-finds its cut from one prefix sum of the words' piece counts, and
+Alignment and decoding are one pass each over a sentence (or a window of
+it): `align_to_subtokens` finds its cut from one prefix sum of the words'
+piece counts, and
 `decode_bio` walks the pieces once, reading the model's integer tag ids or
 `BioTag`s alike (`BioTag` is an `IntEnum`).
 """
@@ -292,33 +293,36 @@ def align_to_subtokens(
     vocab: Vocabulary,
     max_len: int,
     doc_id: str = "",
+    start: int = 0,
 ) -> LabeledSequence:
-    """Project word-level BIO tags onto subword pieces as [CLS] ... [SEP].
+    """Project word-level BIO tags onto subword pieces as [CLS] ... [SEP],
+    from word `start` on.
 
     A B-tagged word contributes B on its first piece and I on the rest; an
     I word contributes I throughout; O words stay O. A word of more than
     `max_len - 2` pieces fits in no sequence, so it contributes no pieces;
     later words keep their own word indices. If the sequence would still
     exceed max_len, whole trailing words are dropped, never leaving a
-    mention cut at the boundary.
+    mention cut at the boundary; a `start` after the last word kept aligns
+    the next window of the sentence.
     """
     if len(word_tags) != len(sent.tokens):
         raise ValueError("word_tags length must equal token count")
 
     room = max_len - 2
-    piece_lists = [subword_encode(tok.text, vocab) for tok in sent.tokens]
+    piece_lists = [subword_encode(tok.text, vocab) for tok in sent.tokens[start:]]
     piece_lists = [p if len(p) <= room else [] for p in piece_lists]
     ends = list(accumulate(map(len, piece_lists)))  # pieces through each word
 
-    keep = bisect_right(ends, room)
-    while 0 < keep < len(sent.tokens) and word_tags[keep] is BioTag.I:
+    keep = start + bisect_right(ends, room)
+    while start < keep < len(sent.tokens) and word_tags[keep] is BioTag.I:
         keep -= 1
 
     ids = [CLS_ID]
     word_index = [NO_WORD]
     tags = [BioTag.O]
-    for w in range(keep):
-        pieces, tag = piece_lists[w], word_tags[w]
+    for w in range(start, keep):
+        pieces, tag = piece_lists[w - start], word_tags[w]
         if not pieces:
             continue
         ids += pieces

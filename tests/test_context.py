@@ -9,6 +9,7 @@ from rxtract.context import (
     DIMENSION_TASKS,
     TASKS,
     ClassifierBundle,
+    TaskModel,
     build_classification_example,
     classify_batch,
     collect_task_examples,
@@ -19,7 +20,15 @@ from rxtract.context import (
     train_task,
 )
 from rxtract.corpus import AnnotatedDocument, CharSpan, EventLabel, parse_standoff
-from rxtract.encoder import EncoderConfig, TrainConfig, head_widths, init_model
+from rxtract.encoder import (
+    EncoderConfig,
+    EncoderModel,
+    TrainConfig,
+    forward_batch,
+    head_widths,
+    init_model,
+    predict_batch,
+)
 from rxtract.errors import ConfigError, SpanRangeError
 from rxtract.pipeline import classify_gold_context, classify_gold_events
 from rxtract.preproc import (
@@ -329,6 +338,35 @@ class TestStackedContexts:
             assert np.shares_memory(stack.params[f"seq_head.{task.name}.w"], params.flat)
         assert not np.shares_memory(stack.params["tok_emb"],
                                     bundle.tasks["Event"].model.params.flat)
+
+    @pytest.mark.parametrize("task", DIMENSION_TASKS, ids=lambda t: t.name)
+    def test_write_after_stacking_reaches_both_paths(self, tiny, task):
+        """A model that `stack_models` moved keeps reading its own weights:
+        a write into them moves its own hidden states and its slice of the
+        stack's alike, and both paths equal an unstacked twin's with that
+        write, in hidden states and in predictions."""
+        corpus, pipe = tiny
+        bundle = ClassifierBundle(
+            {name: TaskModel(EncoderModel(tm.model.config, tm.model.params.copy()),
+                             tm.train_config, tm.history)
+             for name, tm in pipe.classifiers.tasks.items()}, pipe.classifiers.vocab)
+        model = bundle.tasks[task.name].model
+        twin = EncoderModel(model.config, model.params.copy())
+        seqs = self._examples(corpus, bundle)
+        before = forward_batch(model, seqs, task.name)[0]
+        write = np.random.default_rng(0).normal(size=model.params["layer0.attn.wq"].shape)
+        for m in (model, twin):
+            m.params["layer0.attn.wq"][...] = write
+        want = forward_batch(twin, seqs, task.name)[0]
+        assert not np.array_equal(want, before)
+        names = tuple(t.name for t in CONTEXT_STACK.tasks)
+        stacked = forward_batch(bundle.contexts, seqs, names)[0][names.index(task.name)]
+        assert np.array_equal(forward_batch(model, seqs, task.name)[0], want)
+        assert np.array_equal(stacked, want)
+        ids = predict_batch(twin, seqs, task.name)
+        assert predict_batch(model, seqs, task.name) == ids
+        assert [getattr(attrs, task.name.lower()).value
+                for attrs in predict_contexts(bundle, seqs)] == [task.classes[i] for i in ids]
 
     def test_bundle_without_dimensions_has_no_stack(self, tiny):
         bundle = tiny[1].classifiers

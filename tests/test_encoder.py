@@ -789,6 +789,26 @@ class TestFlatLayout:
             task="Event")
         _assert_one_buffer(model)
 
+    def test_views_over_a_stack_buffer(self):
+        """Over an (M, W) buffer each view stacks the row buffers' views, and
+        each layer's views, vectors shaped (M, 1, n), are the buffer's memory."""
+        layout = list(param_shapes(TOY, VOCAB, {"Event": 3}).items())
+        size = sum(math.prod(shape) for _, shape in layout)
+        buf = np.random.default_rng(0).random((3, size + 5))  # rows wider than the layout
+        stacked = FlatParams(buf, layout)
+        rows = [FlatParams(row, layout) for row in buf]
+        assert list(stacked) == [name for name, _ in layout]
+        for name in stacked:
+            assert np.array_equal(stacked[name], np.stack([r[name] for r in rows]))
+        assert len(stacked.layers) == TOY.layers
+        for i, layer in enumerate(stacked.layers):
+            assert list(layer) == list(rows[0].layers[i])
+            for sub, view in layer.items():
+                named = stacked[f"layer{i}.{sub}"]
+                assert view.shape == (named.shape if named.ndim > 2 else (3, 1, named.shape[1]))
+                assert np.shares_memory(view, buf) and np.shares_memory(view, named)
+                assert np.array_equal(view, np.stack([r.layers[i][sub] for r in rows]))
+
     def test_copy_params_is_independent(self):
         model = init_model(TOY, VOCAB)
         copy = model.params.copy()

@@ -1,6 +1,7 @@
 """Property tests of the pipeline on odd text, with the tiny pipeline of
 conftest.py: empty text, CRLF, blank-line runs, non-ASCII, a word of more
-than max_len pieces and a sentence of more than max_len pieces."""
+than max_len pieces and a sentence of more than max_len pieces, which
+NER reads as windows of whole words."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +52,37 @@ def test_over_long_word_hides_no_later_word(tiny, junk):
     assert len(subword_encode(junk, bundle.ner.vocab)) > MAX_LEN - 2
     text = f"patient duly started {junk} velamab 5mg yesterday definitely."
     assert [text[s.start:s.end] for s in predict_ner(bundle.ner, text)] == ["velamab"]
+
+
+def _pieces(vocab, text):
+    (sent,) = split_text(text)
+    return sum(len(subword_encode(t.text, vocab)) for t in sent.tokens)
+
+
+@pytest.mark.parametrize("junk", ["ж" * 60, "ж" * 61, "q" * 61, "x" * 60],
+                         ids=["zh60", "zh61", "q61", "x60"])
+def test_over_long_sentence_keeps_its_tail(tiny, junk):
+    """The words after a sentence's first max_len pieces are still tagged."""
+    _, bundle = tiny
+    text = f"patient duly started {junk} velamab 5mg yesterday definitely."
+    assert len(subword_encode(junk, bundle.ner.vocab)) <= MAX_LEN - 2
+    assert 2 + _pieces(bundle.ner.vocab, text) > MAX_LEN
+    assert [text[s.start:s.end] for s in predict_ner(bundle.ner, text)] == ["velamab"]
+
+
+def test_sentence_of_three_windows_yields_each_windows_mention(tiny):
+    _, bundle = tiny
+    vocab = bundle.ner.vocab
+    thirds = []
+    for third in CLINICAL:  # each padded to just under one window
+        third = third.rstrip(".")
+        while _pieces(vocab, f"{third} continues unchanged") <= MAX_LEN - 2:
+            third += " continues unchanged"
+        thirds.append(third)
+    text = " ".join(thirds)
+    assert 2 + _pieces(vocab, text) > 2.5 * MAX_LEN
+    assert [text[s.start:s.end] for s in predict_ner(bundle.ner, text)] == \
+        ["velamab", "haldinib forte", "joramab"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -325,6 +325,14 @@ class TestAlignToSubtokens:
         assert kept_words == {0}
         assert BioTag.B not in seq.tags
 
+    def test_start_aligns_the_next_window(self):
+        v = Vocabulary.from_pieces(tuple("abcdefgh"))
+        sent = _sentence("abc def gh")
+        # from word 1 on, both remaining words fit: 3 + 2 pieces <= max_len 8 - 2
+        seq = align_to_subtokens(sent, [BioTag.O, BioTag.B, BioTag.I], v, max_len=8, start=1)
+        assert seq.word_index == [NO_WORD, 1, 1, 1, 2, 2, NO_WORD]
+        assert decode_bio(seq, seq.tags, sent) == [CharSpan(4, 10)]
+
     def test_over_long_word_contributes_no_pieces(self):
         v = Vocabulary.from_pieces(tuple("abx"))
         sent = _sentence("ab xxxxxxxx ab")
