@@ -619,18 +619,30 @@ def predict_batch(
     stacked hidden states. A stacked chunk holds `INFERENCE_BATCH // M`
     rows, so its activations take no more memory than one model's chunk.
     Ties break toward the lowest id.
+
+    A row's prediction depends on its `subtoken_ids` alone, so each
+    distinct id sequence is encoded once per call, in first-seen order,
+    and every input gets its own copy of that result. Nothing is cached
+    across calls.
     """
     stacked = isinstance(task, tuple)
+    inputs: dict[tuple[int, ...], list[int]] = {}  # distinct ids -> positions in seqs
+    for i, s in enumerate(seqs):
+        inputs.setdefault(tuple(s.subtoken_ids), []).append(i)
+    groups = list(inputs.values())
+    distinct = [seqs[g[0]] for g in groups]
     out: list = [None] * len(seqs)
-    for idx in length_chunks(seqs, INFERENCE_BATCH // len(task) if stacked else INFERENCE_BATCH):
-        hidden, _ = forward_batch(model, [seqs[i] for i in idx], task)
+    for idx in length_chunks(distinct, INFERENCE_BATCH // len(task) if stacked else INFERENCE_BATCH):
+        hidden, _ = forward_batch(model, [distinct[j] for j in idx], task)
         if stacked:
             best = np.stack([np.argmax(_head(model, hid, t)[0], axis=-1)
                              for hid, t in zip(hidden, task)], axis=-1)
         else:
             best = np.argmax(_head(model, hidden, task)[0], axis=-1)
-        for i, row in zip(idx, best.tolist()):
-            out[i] = row[: len(seqs[i])] if task is None else row
+        for j, row in zip(idx, best):
+            row = row[: len(distinct[j])] if task is None else row
+            for i in groups[j]:
+                out[i] = row.tolist()  # a fresh list (or int) per input
     return out
 
 

@@ -315,15 +315,24 @@ class TestStackedContexts:
         return seqs
 
     def test_predictions_equal_one_classifier_at_a_time(self, tiny):
+        """The predictions alone barely read the weights (most dimensions
+        predict one class for every example here), so the hidden states
+        each head reads are compared too, bit for bit."""
         corpus, pipe = tiny
         bundle = pipe.classifiers
         seqs = self._examples(corpus, bundle)
         got = predict_contexts(bundle, seqs)
+        names = tuple(t.name for t in CONTEXT_STACK.tasks)
+        stacked = forward_batch(bundle.contexts, seqs, names)[0]
         for task in DIMENSION_TASKS:
-            ids = classify_batch(bundle.tasks[task.name].model, task, seqs)
+            model = bundle.tasks[task.name].model
+            ids = classify_batch(model, task, seqs)
             field = task.name.lower()
             assert [getattr(attrs, field).value for attrs in got] == \
                 [task.classes[i] for i in ids]
+            alone = forward_batch(model, seqs, task.name)[0]
+            mine = stacked[names.index(task.name)]
+            assert mine.dtype == alone.dtype and np.array_equal(mine, alone)
 
     def test_stack_is_the_classifiers_own_memory(self, tiny):
         bundle = tiny[1].classifiers

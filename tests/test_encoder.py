@@ -369,6 +369,41 @@ class TestPredictBatch:
             want.append(int(best) if task else best.tolist())
         assert predict_batch(model, batch, task) == want
 
+    @pytest.mark.parametrize("head", ["token", "task", "stack"])
+    def test_duplicates_are_encoded_once_and_answered_per_input(self, head, monkeypatch):
+        if head == "stack":
+            model, task = stack_models(_distinct_models(TOY)), tuple(STACK_TASKS)
+        else:
+            task = None if head == "token" else "Event"
+            model = init_model(TOY, VOCAB, {"Event": 3})
+        base = toy_examples("token" if head == "token" else "sequence", VOCAB,
+                            n=40, length=16, seed=22)
+        # repeats that differ only in word_index or origin, and repeated objects
+        seqs = [*base,
+                *(replace(s, word_index=[w + 1 for w in s.word_index]) for s in base[::2]),
+                *(replace(s, origin=("copy", None)) for s in base[::3]),
+                *base[:5]]
+        seqs = [seqs[i] for i in np.random.default_rng(0).permutation(len(seqs))]
+        assert len(seqs) > INFERENCE_BATCH
+        want = [predict_batch(model, [s], task)[0] for s in seqs]
+
+        seen, forward = [], encoder.forward_batch
+        monkeypatch.setattr(encoder, "forward_batch", lambda m, batch, *rest:
+                            seen.extend(tuple(s.subtoken_ids) for s in batch)
+                            or forward(m, batch, *rest))
+        got = predict_batch(model, seqs, task)
+        assert got == want
+        assert sorted(seen) == sorted(tuple(s.subtoken_ids) for s in base)  # each once
+
+        twins = [(i, j) for i in range(len(seqs)) for j in range(i + 1, len(seqs))
+                 if seqs[i].subtoken_ids == seqs[j].subtoken_ids]
+        assert len(twins) >= len(base) // 2
+        if head != "task":  # a class id is an int; rows are lists
+            for i, j in twins:
+                got[i][0] = -1
+                assert got[j] == want[j]
+                got[i][0] = want[i][0]
+
     def test_unknown_task_is_config_error(self):
         model = init_model(TOY, VOCAB, {"Event": 3})
         batch = toy_examples("sequence", VOCAB, n=2, length=12, seed=13)

@@ -149,6 +149,21 @@ class TestBundleValidation:
         preds = run_pipeline_over(p, result.corpus.train)
         assert set(preds) == {d.doc_id for d in result.corpus.train}
 
+    def test_repeated_notes_keep_their_own_offsets(self, tiny):
+        # the third note is the first one twice: its sentences share the
+        # first note's ids, so each is encoded once for all of them and its
+        # result must be decoded against each sentence's own span
+        corpus, p = tiny
+        first, second = corpus.test[:2]
+        docs = [first, second, AnnotatedDocument("twice", first.text * 2)]
+        preds = run_pipeline_over(p, docs)
+        for d in docs:
+            assert preds[d.doc_id] == run_pipeline(p, d.text, d.doc_id).mentions
+        once, shift = preds[first.doc_id], len(first.text)
+        assert once
+        assert preds["twice"] == once + [
+            replace(m, span=CharSpan(m.span.start + shift, m.span.end + shift)) for m in once]
+
     @pytest.mark.parametrize("run", [run_pipeline_over, classify_gold_events,
                                      classify_gold_context])
     def test_shared_doc_id_is_refused(self, run):
