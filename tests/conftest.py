@@ -1,4 +1,5 @@
-"""Fixtures shared across test modules, and the run's BLAS kernel in its header."""
+"""Fixtures shared across test modules, and the run's BLAS kernel and
+numpy SIMD targets in its header."""
 
 import ctypes
 import warnings
@@ -29,13 +30,30 @@ def _openblas_core() -> str:
     return "unknown"
 
 
+def _numpy_simd() -> str:
+    """The SIMD targets numpy's dispatched loops (float `tanh`, `exp`,
+    `maximum`, ...) picked on this CPU at run time, best last."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f)) or "baseline only"
+
+
+def _kernels() -> str:
+    """Both choices a golden digest depends on: BLAS for the products,
+    numpy's own SIMD loops for the elementwise math."""
+    return (f"openblas kernel: {_openblas_core()}; "
+            f"numpy {np.__version__} simd: {_numpy_simd()}")
+
+
 def pytest_report_header(config):
-    return f"openblas kernel: {_openblas_core()}"
+    return _kernels()
 
 
 def pytest_terminal_summary(terminalreporter, config):
-    if not terminalreporter.showheader:  # -q hides the header: name the kernel last
-        terminalreporter.write_line(f"openblas kernel: {_openblas_core()}")
+    if not terminalreporter.showheader:  # -q hides the header: name the kernels last
+        terminalreporter.write_line(_kernels())
 
 
 TINY_SPEC = GeneratorSpec(seed=11, n_train=60, n_dev=10, n_test=16,

@@ -1,5 +1,6 @@
 """Encoder forward/backward, heads, loss, optimizer, and gradient checks."""
 
+import copy
 import math
 import re
 from dataclasses import replace
@@ -14,6 +15,7 @@ from rxtract.artifacts import load_artifact, save_artifact
 from rxtract.encoder import (
     INFERENCE_BATCH,
     LN_EPS,
+    NEG_INF,
     EncoderConfig,
     FlatParams,
     OptimizerState,
@@ -24,6 +26,7 @@ from rxtract.encoder import (
     _head,
     _layernorm_bwd,
     _layernorm_fwd,
+    _row_max,
     check_agreement,
     fit,
     forward_batch,
@@ -303,15 +306,15 @@ class TestGelu:
 
     def test_float32_matches_float64_formula(self):
         x32 = self.GRID.astype(np.float32)
-        g32, t32 = _gelu(x32)
-        g64, _ = _gelu(x32.astype(np.float64))
+        g32, t32 = _gelu(x32, keep=True)
+        g64, _ = _gelu(x32.astype(np.float64), keep=True)
         assert g32.dtype == np.float32 and t32.dtype == np.float32
         assert np.abs(g32 - g64).max() < 1e-6
 
     def test_grad_matches_central_difference(self):
         x = self.GRID
         step = 1e-5
-        _, t = _gelu(x)
+        _, t = _gelu(x, keep=True)
         numeric = (_gelu(x + step)[0] - _gelu(x - step)[0]) / (2.0 * step)
         assert np.abs(_gelu_grad(x, t) - numeric).max() < 1e-8
 
@@ -434,10 +437,50 @@ class TestLayerNorm:
             for width in (16, 17, 32, 64, 100, 128):
                 x, dy = (rng.standard_normal((2, rows, width)) * 3 + 0.5).astype(dtype)
                 gain, bias = rng.standard_normal((2, width)).astype(dtype)
-                out, (xhat, inv) = _layernorm_fwd(x, gain, bias)
+                out, (xhat, inv) = _layernorm_fwd(x.copy(), gain, bias, keep=True)
                 dx, _, _ = _layernorm_bwd(dy, (xhat, inv), gain)
                 for got, want in zip((out, xhat, inv, dx), self._reference(x, gain, bias, dy)):
                     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def _score_arrays(draw):
+    """Arrays shaped like attention scores, ([model,] batch, heads,
+    queries, keys), with signed zeros, and keys masked to NEG_INF per
+    sequence, up to all but one key of each."""
+    keys = draw(st.one_of(st.integers(1, 32), st.integers(33, 300)))
+    models = draw(st.sampled_from([(), (1,), (5,)]))
+    heads, queries = draw(st.integers(1, 4)), draw(st.integers(1, 16))
+    cap = max(1, 40_000 // (math.prod(models) * heads * queries * keys))
+    shape = (*models, draw(st.integers(1, min(64, cap))), heads, queries, keys)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape)
+    if draw(st.booleans()):  # nothing above zero, so a zero can be the maximum
+        x = -np.abs(x)
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    batch = shape[-4]
+    keep = rng.random((batch, 1, 1, keys)) >= draw(st.sampled_from([0.0, 0.5, 1.0]))
+    keep[np.arange(batch), 0, 0, rng.integers(0, keys, batch)] = True
+    x[..., ~np.broadcast_to(keep, shape[-4:])] = NEG_INF
+    return x.astype(draw(st.sampled_from([np.float32, np.float64])))
+
+
+class TestRowMax:
+    """`_row_max` is `np.max` over the last axis, bit for bit, on both
+    sides of its choice of method."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=_score_arrays())
+    @example(x=np.zeros((64, 4, 13, 13), np.float32))  # one loop per column
+    @example(x=np.where(np.random.default_rng(3).random((5, 12, 4, 3, 17)) < 0.5, 0.0, -0.0)
+             .astype(np.float32))  # zeros of both signs, at a width where numpy's order differs
+    @example(x=np.random.default_rng(1).standard_normal((64, 4, 13, 13)).astype(np.float32))
+    @example(x=np.random.default_rng(2).standard_normal((16, 4, 120, 120)).astype(np.float32))
+    def test_bit_identical_to_np_max(self, x):
+        got, want = _row_max(x), np.max(x, axis=-1, keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 STACK_TASKS = {"A": 2, "B": 3, "C": 4, "D": 3, "E": 2}  # heads of different widths
@@ -663,6 +706,46 @@ class TestTrimmedLastLayer:
         packed = pack_batch(_edge_sequences())
         for rows in (None, packed.head_pos):
             assert _forward_batch(model, packed.ids, packed.mask, rows=rows)[1] is None
+
+
+class TestNoWriteThrough:
+    """The encoder's in-place elementwise chains write only into arrays
+    they own: never into a weight, the packed batch or the input."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_weights_batch_and_inputs_unchanged(self, stacked, rate):
+        models = _distinct_models(replace(WIDE, dropout_rate=rate))
+        for m in models.values():  # biases and gains off their initial zeros and ones
+            m.params.flat += np.random.default_rng(6).uniform(-0.1, 0.1, m.params.flat.size)
+        model = stack_models(models) if stacked else models["C"]  # 4 classes
+        task = tuple(models) if stacked else "C"
+        seqs = _edge_sequences()
+        before = copy.deepcopy(seqs)
+        packed = pack_batch(seqs)
+        ids, mask, flat = packed.ids.copy(), packed.mask.copy(), model.params.flat.copy()
+        for rows in (None, packed.head_pos):
+            for keep in (False, True):
+                for rng in (None, np.random.default_rng(0)):
+                    _forward_batch(model, packed.ids, packed.mask, rng, rows, keep)
+        predict_batch(model, seqs, task)
+        if not stacked:
+            predict_batch(model, seqs)
+            for head in (None, "C"):
+                loss_and_grads(model, seqs, head)
+                loss_and_grads(model, seqs, head, np.random.default_rng(1))
+        assert np.array_equal(packed.ids, ids) and np.array_equal(packed.mask, mask)
+        assert model.params.flat.tobytes() == flat.tobytes()
+        assert seqs == before
+
+    @pytest.mark.parametrize("head", [None, "A"])
+    def test_equally_seeded_calls_give_the_same_bits(self, head):
+        model = init_model(replace(WIDE, dropout_rate=0.2), VOCAB, {"A": 3})
+        seqs = _edge_sequences()
+        first, second = (loss_and_grads(model, seqs, head, np.random.default_rng(4))
+                         for _ in range(2))
+        assert first[0] == second[0]
+        assert first[1].flat.tobytes() == second[1].flat.tobytes()
 
 
 class TestConfigsCheckedWhenBuilt:
