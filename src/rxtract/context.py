@@ -40,10 +40,11 @@ from .preproc import (
     S_MARK_ID,
     SEP_ID,
     LabeledSequence,
+    PieceTable,
     Sentence,
     Vocabulary,
+    grow_window,
     split_text,
-    subword_encode,
 )
 
 
@@ -77,24 +78,21 @@ CONTEXT_STACK = TaskStack("context", DIMENSION_TASKS)
 def build_classification_example(
     sent: Sentence,
     mention: CharSpan,
-    vocab: Vocabulary,
+    pieces: PieceTable,
     max_len: int,
     doc_id: str = "",
 ) -> LabeledSequence:
     """Marker-bracketed sequence for one mention, at most max_len long.
 
     When the sentence is too long, whole words farthest from the mention are
-    dropped (a window centered on the mention); the specials and every
-    mention piece are always kept. The window grows one word at a time on
-    the side whose next word is nearer the mention, the left side on a tie.
-    A side stops at the first word that does not fit in what is left of
-    the budget; the other side keeps growing.
+    dropped: `grow_window` centers the window on the mention. The specials
+    and every mention piece are always kept.
     """
     if not sent.span.contains(mention):
         raise SpanRangeError(f"mention {mention} outside sentence {sent.span}")
 
     tokens = sent.tokens
-    pieces = [subword_encode(t.text, vocab) for t in tokens]
+    word_pieces = [pieces[t.text] for t in tokens]
     inside = [i for i, t in enumerate(tokens) if t.span.overlaps(mention)]
     if inside:
         a, b = inside[0], inside[-1]
@@ -104,39 +102,25 @@ def build_classification_example(
                  len(tokens))
         b = a - 1
 
-    mention_pieces = [(w, pid) for w in range(a, b + 1) for pid in pieces[w]]
+    mention_pieces = [(w, pid) for w in range(a, b + 1) for pid in word_pieces[w]]
     budget = max_len - 4 - len(mention_pieces)
     if budget < 0:
         mention_pieces = mention_pieces[: max_len - 4]
         budget = 0
 
-    lo, hi = a, b
-    first, last = 0, len(tokens) - 1  # the farthest words each side may still take
-    while lo > first or hi < last:
-        left = lo > first and (hi == last or a - (lo - 1) <= (hi + 1) - b)
-        w = lo - 1 if left else hi + 1
-        if len(pieces[w]) > budget:  # the budget only shrinks: this side is done
-            first, last = (lo, last) if left else (first, hi)
-            continue
-        budget -= len(pieces[w])
-        lo, hi = (w, hi) if left else (lo, w)
-
+    lo, hi = grow_window([len(p) for p in word_pieces], a, b, budget)
     pairs = [  # (word, piece id)
         (NO_WORD, CLS_ID),
-        *((w, pid) for w in range(lo, a) for pid in pieces[w]),
+        *((w, pid) for w in range(lo, a) for pid in word_pieces[w]),
         (NO_WORD, S_MARK_ID),
         *mention_pieces,
         (NO_WORD, E_MARK_ID),
-        *((w, pid) for w in range(b + 1, hi + 1) for pid in pieces[w]),
+        *((w, pid) for w in range(b + 1, hi + 1) for pid in word_pieces[w]),
         (NO_WORD, SEP_ID),
     ]
     word_index, ids = (list(column) for column in zip(*pairs))
 
-    return LabeledSequence(
-        subtoken_ids=ids,
-        word_index=word_index,
-        origin=(doc_id, sent.span),
-    )
+    return LabeledSequence(subtoken_ids=ids, word_index=word_index, origin=(doc_id, sent.span))
 
 
 @dataclass
@@ -199,6 +183,7 @@ def mention_examples(
     """
     keys: list[tuple[int, int]] = []
     seqs: list[LabeledSequence] = []
+    pieces = PieceTable(vocab)
     for d, (doc, sents, doc_spans) in enumerate(zip(docs, sentences, spans)):
         starts = [sent.span.start for sent in sents]
         for j, span in enumerate(doc_spans):
@@ -206,7 +191,7 @@ def mention_examples(
             if i >= 0 and sents[i].span.contains(span):
                 keys.append((d, j))
                 seqs.append(
-                    build_classification_example(sents[i], span, vocab, max_len, doc.doc_id)
+                    build_classification_example(sents[i], span, pieces, max_len, doc.doc_id)
                 )
             else:
                 warnings.warn(f"{doc.doc_id}: mention {span} not contained in a sentence; "

@@ -21,6 +21,7 @@ from .evaluation import ner_metrics
 from .preproc import (
     BioTag,
     LabeledSequence,
+    PieceTable,
     Sentence,
     Vocabulary,
     align_to_subtokens,
@@ -48,6 +49,7 @@ def build_ner_examples(
     as all-O examples. Unlike inference, training reads no window past a
     sentence's first: `align_to_subtokens` drops the words that overflow."""
     examples: list[LabeledSequence] = []
+    pieces = PieceTable(vocab)
     for doc in docs:
         for sent in split_text(doc.text):
             spans = []
@@ -62,20 +64,20 @@ def build_ner_examples(
                 spans.append(m.span)
             tags = spans_to_bio(sent, spans)
             examples.append(
-                align_to_subtokens(sent, tags, vocab, max_len, doc_id=doc.doc_id)
+                align_to_subtokens(sent, tags, pieces, max_len, doc_id=doc.doc_id)
             )
     return examples
 
 
-def _align_windows(sent: Sentence, vocab: Vocabulary, max_len: int) -> list[LabeledSequence]:
-    """`sent` aligned with all-O tags as windows of whole words, each from
-    the word after the last one of the window before, so that every word
-    of at most `max_len - 2` pieces is in one. The windows keep the
-    sentence's word indices."""
+def _align_windows(sent: Sentence, pieces: PieceTable, max_len: int) -> list[LabeledSequence]:
+    """`sent` aligned with all-O tags as windows of whole words, each
+    `grow_window`'s cut from the word after the last one of the window
+    before, so that every word of at most `max_len - 2` pieces is in one.
+    The windows keep the sentence's word indices and share one table."""
     tags = [BioTag.O] * len(sent.tokens)
-    windows = [align_to_subtokens(sent, tags, vocab, max_len)]
+    windows = [align_to_subtokens(sent, tags, pieces, max_len)]
     while len(windows[-1]) > 2 and (start := windows[-1].word_index[-2] + 1) < len(tags):
-        window = align_to_subtokens(sent, tags, vocab, max_len, start=start)
+        window = align_to_subtokens(sent, tags, pieces, max_len, start=start)
         if len(window) == 2:  # only over-long words were left
             break
         windows.append(window)
@@ -86,7 +88,8 @@ def _align_untagged(
     vocab: Vocabulary, sentences: Sequence[Sequence[Sentence]], max_len: int
 ) -> list[list[LabeledSequence]]:
     """Every document's sentences, in order, each as its `_align_windows`."""
-    return [_align_windows(s, vocab, max_len) for doc in sentences for s in doc]
+    pieces = PieceTable(vocab)
+    return [_align_windows(s, pieces, max_len) for doc in sentences for s in doc]
 
 
 def _decode_windows(windows, tag_ids, sent: Sentence) -> list[CharSpan]:

@@ -1,9 +1,9 @@
 """Offset-preserving tokenization, sentence splitting, subword vocabulary,
 BIO encoding/decoding, and word-to-subtoken tag alignment.
 
-Alignment and decoding are one pass each over a sentence (or a window of
-it): `align_to_subtokens` finds its cut from one prefix sum of the words'
-piece counts, and
+Words become pieces through a `PieceTable`, one per batch-level call, and
+`grow_window` is the one rule that picks a window of whole words under a
+piece budget, for NER windows and marker examples alike.
 `decode_bio` walks the pieces once, reading the model's integer tag ids or
 `BioTag`s alike (`BioTag` is an `IntEnum`).
 """
@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import heapq
 import re
-from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from .corpus import CharSpan, check_disjoint
@@ -241,6 +239,39 @@ def subword_encode(word: str, vocab: Vocabulary) -> list[int]:
     return ids
 
 
+class PieceTable(dict):
+    """Word -> its piece ids under `vocab`, as a tuple, since every lookup of
+    the word shares it. A word is encoded on its first lookup. A batch-level
+    builder makes one table per call."""
+
+    def __init__(self, vocab: Vocabulary) -> None:
+        super().__init__()
+        self.vocab = vocab
+
+    def __missing__(self, word: str) -> tuple[int, ...]:
+        ids = self[word] = tuple(subword_encode(word, self.vocab))
+        return ids
+
+
+def grow_window(counts: Sequence[int], a: int, b: int, budget: int,
+                first: int = 0) -> tuple[int, int]:
+    """Grow the words `a..b` to `lo..hi` under `budget` more pieces, `counts`
+    holding each word's: one word at a time, on the side whose next word is
+    nearer `a..b` (the left on a tie), never left of `first`. A side stops at
+    the first word that does not fit what is left; the other keeps growing."""
+    lo, hi = a, b
+    last = len(counts) - 1  # the farthest words each side may still take
+    while lo > first or hi < last:
+        left = lo > first and (hi == last or a - (lo - 1) <= (hi + 1) - b)
+        w = lo - 1 if left else hi + 1
+        if counts[w] > budget:  # the budget only shrinks: this side is done
+            first, last = (lo, last) if left else (first, hi)
+            continue
+        budget -= counts[w]
+        lo, hi = (w, hi) if left else (lo, w)
+    return lo, hi
+
+
 def spans_to_bio(sent: Sentence, mentions: Sequence[CharSpan]) -> list[BioTag]:
     """Tag each token of the sentence with B/I/O against the mention spans.
 
@@ -290,7 +321,7 @@ class LabeledSequence:
 def align_to_subtokens(
     sent: Sentence,
     word_tags: Sequence[BioTag],
-    vocab: Vocabulary,
+    pieces: PieceTable,
     max_len: int,
     doc_id: str = "",
     start: int = 0,
@@ -302,19 +333,18 @@ def align_to_subtokens(
     I word contributes I throughout; O words stay O. A word of more than
     `max_len - 2` pieces fits in no sequence, so it contributes no pieces;
     later words keep their own word indices. If the sequence would still
-    exceed max_len, whole trailing words are dropped, never leaving a
-    mention cut at the boundary; a `start` after the last word kept aligns
-    the next window of the sentence.
+    exceed max_len, whole trailing words are dropped (`grow_window` from
+    `start` rightward), never leaving a mention cut at the boundary; a
+    `start` after the last word kept aligns the next window of the sentence.
     """
     if len(word_tags) != len(sent.tokens):
         raise ValueError("word_tags length must equal token count")
 
     room = max_len - 2
-    piece_lists = [subword_encode(tok.text, vocab) for tok in sent.tokens[start:]]
-    piece_lists = [p if len(p) <= room else [] for p in piece_lists]
-    ends = list(accumulate(map(len, piece_lists)))  # pieces through each word
+    piece_lists = [pieces[tok.text] for tok in sent.tokens]
+    counts = [len(p) if len(p) <= room else 0 for p in piece_lists]
 
-    keep = start + bisect_right(ends, room)
+    keep = grow_window(counts, start, start - 1, room, first=start)[1] + 1
     while start < keep < len(sent.tokens) and word_tags[keep] is BioTag.I:
         keep -= 1
 
@@ -322,23 +352,19 @@ def align_to_subtokens(
     word_index = [NO_WORD]
     tags = [BioTag.O]
     for w in range(start, keep):
-        pieces, tag = piece_lists[w - start], word_tags[w]
-        if not pieces:
+        n, tag = counts[w], word_tags[w]
+        if not n:
             continue
-        ids += pieces
-        word_index += [w] * len(pieces)
+        ids += piece_lists[w]
+        word_index += [w] * n
         tags.append(tag)
-        tags += [BioTag.I if tag is BioTag.B else tag] * (len(pieces) - 1)
+        tags += [BioTag.I if tag is BioTag.B else tag] * (n - 1)
     ids.append(SEP_ID)
     word_index.append(NO_WORD)
     tags.append(BioTag.O)
 
-    return LabeledSequence(
-        subtoken_ids=ids,
-        word_index=word_index,
-        tags=tags,
-        origin=(doc_id, sent.span),
-    )
+    return LabeledSequence(subtoken_ids=ids, word_index=word_index, tags=tags,
+                           origin=(doc_id, sent.span))
 
 
 def decode_bio(

@@ -51,6 +51,7 @@ from rxtract.pipeline import (
 )
 from rxtract.preproc import (
     BioTag,
+    PieceTable,
     align_to_subtokens,
     build_vocab,
     decode_bio,
@@ -133,7 +134,7 @@ def test_criterion_1_bio_round_trip(shared_vocab):
     for _ in range(10_000):
         sent, mentions = _random_sentence_case(rng)
         tags = spans_to_bio(sent, mentions)
-        seq = align_to_subtokens(sent, tags, shared_vocab, max_len=256)
+        seq = align_to_subtokens(sent, tags, PieceTable(shared_vocab), max_len=256)
         if decode_bio(seq, seq.tags, sent) != mentions:
             failures += 1
     elapsed = time.monotonic() - start
@@ -150,7 +151,7 @@ def test_criterion_2_alignment_conservation(shared_vocab):
     for _ in range(10_000):
         sent, mentions = _random_sentence_case(rng)
         word_tags = spans_to_bio(sent, mentions)
-        seq = align_to_subtokens(sent, word_tags, shared_vocab, max_len=256)
+        seq = align_to_subtokens(sent, word_tags, PieceTable(shared_vocab), max_len=256)
         b_words = sum(1 for t in word_tags if t is BioTag.B)
         b_pieces = sum(1 for t in seq.tags if t is BioTag.B)
         # project back from each word's first piece

@@ -37,6 +37,7 @@ from rxtract.preproc import (
     PAD_ID,
     S_MARK_ID,
     SEP_ID,
+    PieceTable,
     build_vocab,
     split_sentences,
     subword_encode,
@@ -60,7 +61,7 @@ class TestBuildExample:
         sent = _sentence(text)
         vocab = build_vocab([text], 256)
         mention = sent.tokens[2].span
-        seq = build_classification_example(sent, mention, vocab, max_len=64)
+        seq = build_classification_example(sent, mention, PieceTable(vocab), max_len=64)
         ids = seq.subtoken_ids
         s, e = ids.index(S_MARK_ID), ids.index(E_MARK_ID)
         assert s < e
@@ -75,7 +76,7 @@ class TestBuildExample:
         text = "insulin glargine"
         sent = _sentence(text)
         vocab = build_vocab([text], 256)
-        seq = build_classification_example(sent, sent.span, vocab, max_len=32)
+        seq = build_classification_example(sent, sent.span, PieceTable(vocab), max_len=32)
         ids = seq.subtoken_ids
         real = [i for i in ids if i != PAD_ID]
         assert real[0] == CLS_ID and real[1] == S_MARK_ID
@@ -88,7 +89,7 @@ class TestBuildExample:
         sent = _sentence(text)
         vocab = build_vocab([text], 4096)
         mention = sent.tokens[290].span
-        seq = build_classification_example(sent, mention, vocab, max_len=256)
+        seq = build_classification_example(sent, mention, PieceTable(vocab), max_len=256)
         ids = seq.subtoken_ids
         assert len(seq) == 256  # filled to the brim
         s, e = ids.index(S_MARK_ID), ids.index(E_MARK_ID)
@@ -98,7 +99,7 @@ class TestBuildExample:
         text = "one two"
         sent = _sentence(text)
         vocab = build_vocab([text], 64)
-        seq = build_classification_example(sent, sent.tokens[0].span, vocab, max_len=40)
+        seq = build_classification_example(sent, sent.tokens[0].span, PieceTable(vocab), max_len=40)
         pieces = sum(len(subword_encode(t.text, vocab)) for t in sent.tokens)
         assert len(seq.subtoken_ids) == len(seq.word_index)
         assert len(seq) == 4 + pieces <= 40  # real positions only, never padded
@@ -111,11 +112,12 @@ class TestBuildExample:
         vocab = build_vocab([short], 512)  # no "q": one piece per character
         sent = _sentence(text)
         assert len(subword_encode(long_word, vocab)) == 100
-        seq = build_classification_example(sent, sent.tokens[3].span, vocab, max_len=64)
+        pieces = PieceTable(vocab)
+        seq = build_classification_example(sent, sent.tokens[3].span, pieces, max_len=64)
         # the right side stops at the long word; the left side keeps every word
         assert sorted(set(seq.word_index) - {-1}) == [0, 1, 2, 3]
         alone = _sentence(short)
-        want = build_classification_example(alone, alone.tokens[3].span, vocab, max_len=64)
+        want = build_classification_example(alone, alone.tokens[3].span, pieces, max_len=64)
         assert seq.subtoken_ids == want.subtoken_ids
 
     def test_mention_outside_sentence_rejected(self):
@@ -123,7 +125,7 @@ class TestBuildExample:
         sents = split_sentences(text, tokenize(text))
         with pytest.raises(SpanRangeError):
             build_classification_example(
-                sents[0], sents[1].tokens[0].span, build_vocab([text], 64), 256
+                sents[0], sents[1].tokens[0].span, PieceTable(build_vocab([text], 64)), 256
             )
 
 
@@ -225,8 +227,8 @@ class TestMentionExamples:
         assert keys == [(0, 1), (1, 0)]
         assert [s.origin[0] for s in seqs] == ["d0", "d1"]
         for (d, j), seq in zip(keys, seqs):
-            want = build_classification_example(sentences[d][-1], spans[d][j], vocab, 256,
-                                                doc_id=docs[d].doc_id)
+            want = build_classification_example(sentences[d][-1], spans[d][j],
+                                                PieceTable(vocab), 256, doc_id=docs[d].doc_id)
             assert seq.subtoken_ids == want.subtoken_ids
 
 

@@ -10,7 +10,15 @@ from rxtract.corpus import AnnotatedDocument, CharSpan, EventLabel, MedicationMe
 from rxtract.encoder import EncoderConfig, TrainConfig, fit, init_model
 from rxtract.errors import DataError
 from rxtract.ner import NerModelBundle, build_ner_examples, predict_ner, train_ner
-from rxtract.preproc import NO_WORD, BioTag, Vocabulary, build_vocab, split_text, tokenize
+from rxtract.preproc import (
+    NO_WORD,
+    BioTag,
+    PieceTable,
+    Vocabulary,
+    build_vocab,
+    split_text,
+    tokenize,
+)
 from rxtract.synth import GeneratorSpec, gen_corpus
 
 SMALL_ENC = EncoderConfig(
@@ -159,19 +167,19 @@ class TestWindows:
     def test_windows_hold_every_word_once_in_order(self):
         # pieces per word 3, 2, 3, 9, 2, 1, 4; max_len 8 leaves room for 6
         (sent,) = split_text("abc de fgh xxxxxxxxx ab c defg")
-        windows = ner._align_windows(sent, self.VOCAB, 8)
+        windows = ner._align_windows(sent, PieceTable(self.VOCAB), 8)
         assert [sorted({w for w in s.word_index if w != NO_WORD}) for s in windows] == \
             [[0, 1], [2, 4, 5], [6]]
         assert all(len(s) <= 8 for s in windows)
 
     def test_over_long_words_at_the_end_open_no_window(self):
         (sent,) = split_text("abc de xxxxxxxxx")
-        (window,) = ner._align_windows(sent, self.VOCAB, 8)
+        (window,) = ner._align_windows(sent, PieceTable(self.VOCAB), 8)
         assert window.word_index == [NO_WORD, 0, 0, 0, 1, 1, NO_WORD]
 
     def test_mention_across_a_window_boundary_stays_one_span(self):
         (sent,) = split_text("abc def gh")
-        windows = ner._align_windows(sent, self.VOCAB, 8)
+        windows = ner._align_windows(sent, PieceTable(self.VOCAB), 8)
         assert [len(s) for s in windows] == [8, 4]
         b, i, o = BioTag.B, BioTag.I, BioTag.O
         tags = iter([[o, o, o, o, b, i, i, o], [o, i, i, o]])

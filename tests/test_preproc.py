@@ -1,13 +1,18 @@
 """Tokenization, sentence splitting, subword vocabulary, BIO alignment."""
 
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxtract.corpus import CharSpan
+from rxtract import preproc
+from rxtract.context import mention_examples
+from rxtract.corpus import AnnotatedDocument, CharSpan
 from rxtract.errors import CapacityError, ConfigError, ConflictError
+from rxtract.ner import _align_windows
+from rxtract.pipeline import run_pipeline_over
 from rxtract.preproc import (
     CLS_ID,
     NO_WORD,
@@ -17,6 +22,7 @@ from rxtract.preproc import (
     SPECIAL_PIECES,
     UNK_ID,
     BioTag,
+    PieceTable,
     Sentence,
     Vocabulary,
     align_to_subtokens,
@@ -286,20 +292,20 @@ class TestAlignToSubtokens:
     def test_b_word_spreads_b_then_i(self):
         v = Vocabulary.from_pieces(("lis", "ino", "pril", "x"))
         sent = _sentence("lisinopril")
-        seq = align_to_subtokens(sent, [BioTag.B], v, max_len=16)
+        seq = align_to_subtokens(sent, [BioTag.B], PieceTable(v), max_len=16)
         real_tags = [t for t, w in zip(seq.tags, seq.word_index) if w != NO_WORD]
         assert real_tags == [BioTag.B, BioTag.I, BioTag.I]
 
     def test_all_o_sentence(self):
         v = build_vocab(["check vitals daily"], 64)
         sent = _sentence("check vitals daily")
-        seq = align_to_subtokens(sent, [BioTag.O] * 3, v, max_len=32)
+        seq = align_to_subtokens(sent, [BioTag.O] * 3, PieceTable(v), max_len=32)
         assert all(t is BioTag.O for t in seq.tags)
 
     def test_layout_and_padding(self):
         v = build_vocab(["ab cd"], 64)
         sent = _sentence("ab cd")
-        seq = align_to_subtokens(sent, [BioTag.O, BioTag.O], v, max_len=16)
+        seq = align_to_subtokens(sent, [BioTag.O, BioTag.O], PieceTable(v), max_len=16)
         pieces = sum(len(subword_encode(t.text, v)) for t in sent.tokens)
         assert len(seq) == 2 + pieces <= 16  # [CLS] + both words + [SEP], unpadded
         assert PAD_ID not in seq.subtoken_ids
@@ -311,7 +317,7 @@ class TestAlignToSubtokens:
         v = Vocabulary.from_pieces(tuple("abcdefgh"))
         sent = _sentence("abc def gh")
         # pieces per word: 3 + 3 + 2, plus specials = 10 > max_len 8
-        seq = align_to_subtokens(sent, [BioTag.O] * 3, v, max_len=8)
+        seq = align_to_subtokens(sent, [BioTag.O] * 3, PieceTable(v), max_len=8)
         kept_words = {w for w in seq.word_index if w != NO_WORD}
         assert kept_words == {0, 1}
 
@@ -320,7 +326,7 @@ class TestAlignToSubtokens:
         sent = _sentence("abc def gh")
         # words 1..2 form one mention (B, I); word 2 does not fit,
         # so the whole mention is dropped rather than cut
-        seq = align_to_subtokens(sent, [BioTag.O, BioTag.B, BioTag.I], v, max_len=8)
+        seq = align_to_subtokens(sent, [BioTag.O, BioTag.B, BioTag.I], PieceTable(v), max_len=8)
         kept_words = {w for w in seq.word_index if w != NO_WORD}
         assert kept_words == {0}
         assert BioTag.B not in seq.tags
@@ -329,7 +335,8 @@ class TestAlignToSubtokens:
         v = Vocabulary.from_pieces(tuple("abcdefgh"))
         sent = _sentence("abc def gh")
         # from word 1 on, both remaining words fit: 3 + 2 pieces <= max_len 8 - 2
-        seq = align_to_subtokens(sent, [BioTag.O, BioTag.B, BioTag.I], v, max_len=8, start=1)
+        seq = align_to_subtokens(sent, [BioTag.O, BioTag.B, BioTag.I], PieceTable(v), max_len=8,
+                                 start=1)
         assert seq.word_index == [NO_WORD, 1, 1, 1, 2, 2, NO_WORD]
         assert decode_bio(seq, seq.tags, sent) == [CharSpan(4, 10)]
 
@@ -337,7 +344,7 @@ class TestAlignToSubtokens:
         v = Vocabulary.from_pieces(tuple("abx"))
         sent = _sentence("ab xxxxxxxx ab")
         # the middle word's 8 pieces exceed max_len - 2; the words after it stay
-        seq = align_to_subtokens(sent, [BioTag.O, BioTag.O, BioTag.B], v, max_len=8)
+        seq = align_to_subtokens(sent, [BioTag.O, BioTag.O, BioTag.B], PieceTable(v), max_len=8)
         assert seq.word_index == [NO_WORD, 0, 0, 2, 2, NO_WORD]
         assert decode_bio(seq, seq.tags, sent) == [sent.tokens[2].span]
 
@@ -345,7 +352,7 @@ class TestAlignToSubtokens:
         v = build_vocab(["pt started lisinopril 10mg daily"], 256)
         sent = _sentence("pt started lisinopril 10mg daily")
         mention = [CharSpan(11, 21)]
-        seq = align_to_subtokens(sent, spans_to_bio(sent, mention), v, max_len=32)
+        seq = align_to_subtokens(sent, spans_to_bio(sent, mention), PieceTable(v), max_len=32)
         assert decode_bio(seq, seq.tags, sent) == mention
 
 
@@ -353,7 +360,7 @@ class TestDecodeBio:
     def _seq_and_sent(self, text, v=None):
         v = v or build_vocab([text], 256)
         sent = _sentence(text)
-        seq = align_to_subtokens(sent, [BioTag.O] * len(sent.tokens), v, max_len=32)
+        seq = align_to_subtokens(sent, [BioTag.O] * len(sent.tokens), PieceTable(v), max_len=32)
         return seq, sent
 
     def _word_tags_to_piece_tags(self, seq, word_tags):
@@ -423,7 +430,7 @@ class TestBioRoundTripProperty:
         sent, mentions = case
         v = build_vocab(["abcd dcba ab cd"], 128)
         tags = spans_to_bio(sent, mentions)
-        seq = align_to_subtokens(sent, tags, v, max_len=256)
+        seq = align_to_subtokens(sent, tags, PieceTable(v), max_len=256)
         assert decode_bio(seq, seq.tags, sent) == mentions
 
     @settings(max_examples=300, deadline=None)
@@ -432,7 +439,50 @@ class TestBioRoundTripProperty:
         sent, mentions = case
         v = build_vocab(["abcd dcba ab cd"], 128)
         word_tags = spans_to_bio(sent, mentions)
-        seq = align_to_subtokens(sent, word_tags, v, max_len=256)
+        seq = align_to_subtokens(sent, word_tags, PieceTable(v), max_len=256)
         assert sum(1 for t in seq.tags if t is BioTag.B) == sum(
             1 for t in word_tags if t is BioTag.B
         )
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Every `subword_encode` call as (table, word): the table is the
+    caller's `self`, so it is None for a call made outside a `PieceTable`.
+    The list holds each table, so no two tables share an id."""
+    calls = []
+    encode = preproc.subword_encode
+
+    def counting(word, vocab):
+        calls.append((sys._getframe(1).f_locals.get("self"), word))
+        return encode(word, vocab)
+
+    monkeypatch.setattr(preproc, "subword_encode", counting)
+    return calls
+
+
+class TestEachWordEncodedOnce:
+    def test_pipeline_encodes_a_word_at_most_once_per_table(self, tiny, encodes):
+        corpus, p = tiny
+        run_pipeline_over(p, corpus.test)
+        assert encodes and all(isinstance(t, PieceTable) for t, _ in encodes)
+        per_table = Counter((id(t), w) for t, w in encodes)
+        assert max(per_table.values()) == 1
+
+    def test_windows_encode_each_distinct_word_once(self, encodes):
+        v = Vocabulary.from_pieces(tuple("abcdefgh"))
+        # pieces per word 3, 2, 3, 2, 1, 4, 3, 2; max_len 8 leaves room for 6
+        sent = _sentence("abc de fgh ab c defg abc de")
+        windows = _align_windows(sent, PieceTable(v), 8)
+        assert len(windows) > 3
+        assert sorted(w for _, w in encodes) == sorted({t.text for t in sent.tokens})
+
+    def test_marker_examples_encode_each_distinct_word_once(self, encodes):
+        text = "took plavix and aspirin then plavix again ."
+        sent = _sentence(text)
+        spans = [t.span for t in sent.tokens if t.text in ("plavix", "aspirin")]
+        assert len(spans) == 3
+        keys, _ = mention_examples([AnnotatedDocument("d", text)], [[sent]], [spans],
+                                   build_vocab([text], 128), 64)
+        assert len(keys) == 3
+        assert sorted(w for _, w in encodes) == sorted({t.text for t in sent.tokens})

@@ -1,5 +1,6 @@
-"""The single-pass BIO decoder, NER cut and marker-example builder against
-the multi-pass versions they replaced, kept here as oracles.
+"""The single-pass BIO decoder, NER cut, NER windows and marker-example
+builder against the versions they replaced, kept here as oracles: the
+multi-pass ones, and the prefix-sum cut that encoded its own words.
 
 Inputs cover what the gold round trip never produces: word tags no gold
 span gives (an I after an O, an I on the first word), arbitrary per-piece
@@ -8,11 +9,14 @@ more pieces than the whole sequence may hold, and mentions that start or
 end inside a word or cover only whitespace.
 """
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rxtract import ner
 from rxtract.context import build_classification_example
 from rxtract.corpus import CharSpan
 from rxtract.preproc import (
@@ -23,6 +27,7 @@ from rxtract.preproc import (
     SEP_ID,
     BioTag,
     LabeledSequence,
+    PieceTable,
     Sentence,
     align_to_subtokens,
     build_vocab,
@@ -69,6 +74,51 @@ def _reference_align(sent, word_tags, vocab, max_len, doc_id=""):
         tags=tags,
         origin=(doc_id, sent.span),
     )
+
+
+def _reference_cut(sent, word_tags, vocab, max_len, doc_id="", start=0):
+    # One prefix sum of the piece counts from `start`, cut with bisect.
+    room = max_len - 2
+    piece_lists = [subword_encode(tok.text, vocab) for tok in sent.tokens[start:]]
+    piece_lists = [p if len(p) <= room else [] for p in piece_lists]
+    ends = list(accumulate(map(len, piece_lists)))
+
+    keep = start + bisect_right(ends, room)
+    while start < keep < len(sent.tokens) and word_tags[keep] is BioTag.I:
+        keep -= 1
+
+    ids = [CLS_ID]
+    word_index = [NO_WORD]
+    tags = [BioTag.O]
+    for w in range(start, keep):
+        pieces, tag = piece_lists[w - start], word_tags[w]
+        if not pieces:
+            continue
+        ids += pieces
+        word_index += [w] * len(pieces)
+        tags.append(tag)
+        tags += [BioTag.I if tag is BioTag.B else tag] * (len(pieces) - 1)
+    ids.append(SEP_ID)
+    word_index.append(NO_WORD)
+    tags.append(BioTag.O)
+
+    return LabeledSequence(
+        subtoken_ids=ids,
+        word_index=word_index,
+        tags=tags,
+        origin=(doc_id, sent.span),
+    )
+
+
+def _reference_windows(sent, vocab, max_len):
+    tags = [BioTag.O] * len(sent.tokens)
+    windows = [_reference_cut(sent, tags, vocab, max_len)]
+    while len(windows[-1]) > 2 and (start := windows[-1].word_index[-2] + 1) < len(tags):
+        window = _reference_cut(sent, tags, vocab, max_len, start=start)
+        if len(window) == 2:
+            break
+        windows.append(window)
+    return windows
 
 
 def _reference_decode(seq, predicted_tags, sent):
@@ -193,9 +243,27 @@ class TestAlignMatchesReference:
     @given(_tagged_sentences(), _MAX_LEN)
     def test_same_sequence(self, case, max_len):
         sent, word_tags = case
-        got = align_to_subtokens(sent, word_tags, VOCAB, max_len, doc_id="d")
+        got = align_to_subtokens(sent, word_tags, PieceTable(VOCAB), max_len, doc_id="d")
         assert got == _reference_align(sent, word_tags, VOCAB, max_len, doc_id="d")
         assert all(type(t) is BioTag for t in got.tags)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_tagged_sentences(), _MAX_LEN)
+    def test_same_cut_at_every_start(self, case, max_len):
+        sent, word_tags = case
+        pieces = PieceTable(VOCAB)
+        for start in range(len(sent.tokens) + 1):
+            got = align_to_subtokens(sent, word_tags, pieces, max_len, doc_id="d", start=start)
+            assert got == _reference_cut(sent, word_tags, VOCAB, max_len, doc_id="d",
+                                         start=start)
+
+
+class TestWindowsMatchReference:
+    @settings(max_examples=500, deadline=None)
+    @given(_sentences(), _MAX_LEN)
+    def test_same_windows(self, sent, max_len):
+        got = ner._align_windows(sent, PieceTable(VOCAB), max_len)
+        assert got == _reference_windows(sent, VOCAB, max_len)
 
 
 class TestDecodeMatchesReference:
@@ -203,7 +271,7 @@ class TestDecodeMatchesReference:
     @given(_tagged_sentences(), _MAX_LEN, st.data())
     def test_same_spans_from_ints_and_tags(self, case, max_len, data):
         sent, word_tags = case
-        seq = align_to_subtokens(sent, word_tags, VOCAB, max_len)
+        seq = align_to_subtokens(sent, word_tags, PieceTable(VOCAB), max_len)
         n = len(seq)
         ids = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         tags = [BioTag(t) for t in ids]
@@ -219,5 +287,5 @@ class TestExampleMatchesReference:
         start = data.draw(st.integers(sent.span.start, sent.span.end - 1))
         end = data.draw(st.integers(start + 1, sent.span.end))
         mention = CharSpan(start, end)
-        got = build_classification_example(sent, mention, VOCAB, max_len, doc_id="d")
+        got = build_classification_example(sent, mention, PieceTable(VOCAB), max_len, doc_id="d")
         assert got == _reference_example(sent, mention, VOCAB, max_len, doc_id="d")
