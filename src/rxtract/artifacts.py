@@ -10,8 +10,8 @@ one per component, plus a manifest naming them.
 The vocabulary size is recorded once, as `vocab_size`, and each sequence
 head's class count only in its `seq_head.<task>.w` tensor shape; the other
 shapes are checked against them. Keys the reader does not use are ignored,
-so a manifest that still carries a `config.vocab_size` or `task_classes`
-line loads unchanged.
+so a manifest that still carries a `config.vocab_size`, `task_classes`,
+`train.beta1` or `train.beta2` line loads unchanged.
 """
 
 from __future__ import annotations

@@ -51,6 +51,8 @@ from .preproc import (
 )
 
 LN_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 NEG_INF = -1e9
 N_BIO = 3
@@ -164,8 +166,6 @@ class TrainConfig:
     batch_size: int = 16
     max_epochs: int = 20
     patience: int = 3
-    beta1: float = 0.9
-    beta2: float = 0.999
     clip_norm: float = 1.0
     seed: int = 0
 
@@ -176,8 +176,6 @@ class TrainConfig:
             raise ConfigError("learning_rate, batch_size, max_epochs must be positive")
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("moment coefficients must lie in (0, 1)")
         if self.clip_norm <= 0:
             raise ConfigError("clip_norm must be positive")
 
@@ -837,7 +835,7 @@ def optimizer_step(
     norm = clip_gradients(grads, tc.clip_norm)
     state.step += 1
     t = state.step
-    b1, b2 = tc.beta1, tc.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 / (1.0 - b1**t)
     c2 = 1.0 / (1.0 - b2**t)
     g, m, v = grads.flat, state.m.flat, state.v.flat

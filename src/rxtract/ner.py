@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .corpus import AnnotatedDocument, CharSpan, Corpus
+from .corpus import AnnotatedDocument, CharSpan, Corpus, normalize_newlines
 from .encoder import (
     EncoderConfig,
     EncoderModel,
@@ -84,14 +84,6 @@ def _align_windows(sent: Sentence, pieces: PieceTable, max_len: int) -> list[Lab
     return windows
 
 
-def _align_untagged(
-    vocab: Vocabulary, sentences: Sequence[Sequence[Sentence]], max_len: int
-) -> list[list[LabeledSequence]]:
-    """Every document's sentences, in order, each as its `_align_windows`."""
-    pieces = PieceTable(vocab)
-    return [_align_windows(s, pieces, max_len) for doc in sentences for s in doc]
-
-
 def _decode_windows(windows, tag_ids, sent: Sentence) -> list[CharSpan]:
     """A sentence's spans from its windows' next tags in `tag_ids`, decoded
     as one sequence, so that a mention running on into the next window
@@ -99,18 +91,6 @@ def _decode_windows(windows, tag_ids, sent: Sentence) -> list[CharSpan]:
     joined = LabeledSequence([i for w in windows for i in w.subtoken_ids],
                              [i for w in windows for i in w.word_index])
     return decode_bio(joined, [t for _ in windows for t in next(tag_ids)], sent)
-
-
-def _decode_aligned(
-    model: EncoderModel,
-    sentences: Sequence[Sequence[Sentence]],
-    windows: list[list[LabeledSequence]],
-) -> list[list[CharSpan]]:
-    """Each document's predicted spans, given `_align_untagged`'s `windows`."""
-    tag_ids = iter(predict_batch(model, [w for ws in windows for w in ws]))  # ties: B < I < O
-    per_sentence = (_decode_windows(ws, tag_ids, s)
-                    for ws, s in zip(windows, (s for doc in sentences for s in doc)))
-    return [[span for _ in doc for span in next(per_sentence)] for doc in sentences]
 
 
 def predict_ner_batch(
@@ -122,13 +102,19 @@ def predict_ner_batch(
     sentence of more than `max_len` pieces as several windows; each
     document's spans come back sorted and non-overlapping.
     """
-    return _decode_aligned(model, sentences,
-                           _align_untagged(vocab, sentences, model.config.max_len))
+    pieces = PieceTable(vocab)
+    windows = [[_align_windows(s, pieces, model.config.max_len) for s in doc]
+               for doc in sentences]
+    # ties: B < I < O
+    tag_ids = iter(predict_batch(model, [w for doc in windows for ws in doc for w in ws]))
+    return [[span for s, ws in zip(doc, doc_windows) for span in _decode_windows(ws, tag_ids, s)]
+            for doc, doc_windows in zip(sentences, windows)]
 
 
 def predict_ner(bundle: NerModelBundle, text: str) -> list[CharSpan]:
-    """Predicted mention spans, sorted and non-overlapping."""
-    return predict_ner_batch(bundle.model, bundle.vocab, [split_text(text)])[0]
+    """Predicted mention spans, sorted and non-overlapping. Offsets index
+    `normalize_newlines(text)`, as the pipeline's and the standoff files' do."""
+    return predict_ner_batch(bundle.model, bundle.vocab, [split_text(normalize_newlines(text))])[0]
 
 
 def train_ner(
@@ -147,10 +133,9 @@ def train_ner(
 
     dev_ids = [doc.doc_id for doc in corpus.dev]
     dev_sentences = [split_text(doc.text) for doc in corpus.dev]
-    dev_windows = _align_untagged(vocab, dev_sentences, enc_cfg.max_len)  # once, for every epoch
 
     def dev_f1(m: EncoderModel) -> float:
-        preds = dict(zip(dev_ids, _decode_aligned(m, dev_sentences, dev_windows)))
+        preds = dict(zip(dev_ids, predict_ner_batch(m, vocab, dev_sentences)))
         return ner_metrics(corpus.dev, preds).micro.f1
 
     result = fit(model, examples, train_cfg, dev_f1, log=log)

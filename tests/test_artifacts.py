@@ -94,9 +94,13 @@ class TestNerArtifact:
         keys = [line.split("=", 1)[0]
                 for line in (tmp_path / "m" / MANIFEST).read_text(encoding="utf-8").splitlines()]
         assert keys.count("vocab_size") == 1 and "config.vocab_size" not in keys
-        # a manifest that still carries the config copy loads as before
+        assert "train.beta1" not in keys and "train.beta2" not in keys
+        # a manifest that still carries the config copy, or the Adam moment
+        # coefficients that were train settings once, loads as before
         _edit_manifest(tmp_path / "m", r"^(config\.max_len=.*)$",
                        rf"\1\nconfig.vocab_size={len(vocab)}")
+        _edit_manifest(tmp_path / "m", r"^(train\.patience=.*)$",
+                       r"\1\ntrain.beta1=0.9\ntrain.beta2=0.999")
         loaded = load_artifact(tmp_path / "m")
         assert np.array_equal(loaded.model.params.flat, ner_bundle.model.params.flat)
         for doc in result.corpus.test + result.corpus.train:

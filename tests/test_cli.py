@@ -13,7 +13,7 @@ import pytest
 
 import rxtract
 from rxtract.cli import run_command
-from rxtract.corpus import corpus_stats, load_corpus
+from rxtract.corpus import SPLIT_NAMES, EventLabel, corpus_stats, load_corpus
 
 FAST_FLAGS = [
     "--layers", "1", "--hidden-dim", "16", "--heads", "2", "--ffn-dim", "32",
@@ -87,6 +87,22 @@ class TestExitCodes:
                             "--out", str(tmp_path / "m"), *FAST_FLAGS,
                             "--vocab-size", "5"])
         assert code == 2
+        assert not (tmp_path / "m").exists()
+
+    def test_beta_flag_is_usage_error(self, tmp_path, data_dir):
+        code = run_command(["train", "--task", "ner", "--data", str(data_dir),
+                            "--out", str(tmp_path / "m"), *FAST_FLAGS, "--beta1", "0.5"])
+        assert code == 2
+        assert not (tmp_path / "m").exists()
+
+    def test_beta_config_key_is_usage_error(self, tmp_path, data_dir, capsys):
+        cfg = tmp_path / "betas.cfg"
+        cfg.write_text("beta1=0.5\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_command(["train", "--task", "ner", "--data", str(data_dir),
+                            "--out", str(tmp_path / "m"), "--config", str(cfg)])
+        assert code == 2
+        assert "unknown config key 'beta1'" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     def test_context_eval_rejects_predicted_spans(self, data_dir, ner_model_dir):
@@ -321,6 +337,23 @@ class TestConfigValues:
             f"{split}: {st.documents} docs, {st.medications} mentions"
             for split, st in corpus_stats(load_corpus(out)).items()
         ]
+
+    def test_synth_ledger_lists_every_written_mention(self, tmp_path):
+        out = tmp_path / "c"
+        assert run_command(["synth", "--out", str(out), "--train", "4",
+                            "--dev", "2", "--test", "2"]) == 0
+        corpus = load_corpus(out)
+        expected = []
+        for split in SPLIT_NAMES:
+            for doc in getattr(corpus, split):
+                for m in doc.mentions:
+                    record = {"doc_id": doc.doc_id, "split": split, "start": m.span.start,
+                              "end": m.span.end, "surface": m.surface, "event": m.event.value}
+                    if m.event is EventLabel.DISPOSITION:
+                        record["context"] = m.context.as_dict()
+                    expected.append(record)
+        lines = (out / "ledger.jsonl").read_text(encoding="utf-8").splitlines()
+        assert expected and [json.loads(line) for line in lines] == expected
 
     def test_synth_difficulty_is_usage_error(self, tmp_path):
         out = tmp_path / "c"

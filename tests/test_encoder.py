@@ -757,7 +757,6 @@ class TestConfigsCheckedWhenBuilt:
         (EncoderConfig, {"precision": 16}),
         (TrainConfig, {"batch_size": 0}),
         (TrainConfig, {"patience": 0}),
-        (TrainConfig, {"beta1": 1.0}),
         (TrainConfig, {"clip_norm": -1.0}),
     ])
     def test_invalid_value_raises_when_built(self, cls, fields):

@@ -4,6 +4,14 @@ The digests below were recorded before inference was batched across
 documents. A refactor of inference must reproduce them exactly; a change
 that moves them on purpose must say why and record the new values. The
 pipeline is the session fixture `tiny` in conftest.py.
+
+The digests hold on OpenBLAS's SkylakeX and Haswell kernels, with numpy
+running its X86_V3 targets or higher and with its baseline loops alone
+(`NPY_DISABLE_CPU_FEATURES` naming every dispatched target). They hold
+there because they lock argmax outputs, predicted spans and labels, not
+weights: the last-bit differences between kernels and SIMD loops move the
+trained weights (see test_training_lock.py) but none of this fixture's
+predictions.
 """
 
 import hashlib

@@ -143,7 +143,7 @@ class TestTraining:
         assert len(bundle.history) == 2
         assert all(0.0 <= h <= 1.0 for h in bundle.history)
 
-    def test_each_sentence_aligned_once(self, monkeypatch):
+    def test_train_sentences_aligned_once_dev_sentences_once_per_epoch(self, monkeypatch):
         result = gen_corpus(GeneratorSpec(seed=5, n_train=8, n_dev=3, n_test=2))
         tc = TrainConfig(learning_rate=1e-3, max_epochs=3, patience=3, seed=1)
         aligned, align = Counter(), ner.align_to_subtokens
@@ -155,8 +155,11 @@ class TestTraining:
         monkeypatch.setattr(ner, "align_to_subtokens", counting)
         bundle = train_ner(result.corpus, SMALL_ENC, tc, _train_vocab(result.corpus))
         assert len(bundle.history) == 3
-        docs = result.corpus.train + result.corpus.dev
-        assert aligned == Counter(s for d in docs for s in split_text(d.text))
+        # each train sentence once; each dev sentence once per epoch's dev score
+        expected = Counter(s for d in result.corpus.train for s in split_text(d.text))
+        for _ in bundle.history:
+            expected.update(s for d in result.corpus.dev for s in split_text(d.text))
+        assert aligned == expected
 
 
 class TestWindows:

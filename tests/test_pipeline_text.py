@@ -105,3 +105,4 @@ def test_pipeline_on_odd_text(tiny, batch):
             assert 0 <= m.span.start < m.span.end <= len(out.text)
             assert m.surface == out.text[m.span.start : m.span.end]
         assert over[doc.doc_id] == out.mentions
+        assert predict_ner(bundle.ner, doc.text) == [m.span for m in out.mentions]

@@ -91,7 +91,7 @@ def _reference_clip(grads, clip_norm):
 
 def _reference_step(m, v, params, grads, t, tc):
     _reference_clip(grads, tc.clip_norm)
-    b1, b2 = tc.beta1, tc.beta2
+    b1, b2 = 0.9, 0.999
     c1 = 1.0 / (1.0 - b1**t)
     c2 = 1.0 / (1.0 - b2**t)
     for name, p in params.items():
