@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
     p.add_argument("--gold-spans", choices=["on", "off"], default="on")
-    p.add_argument("--split", choices=["train", "dev", "test"], default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--out", default=None, help="write metric records as JSON lines")
     p.set_defaults(func=cmd_evaluate)
 

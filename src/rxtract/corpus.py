@@ -170,6 +170,9 @@ class AnnotatedDocument:
         check_disjoint((m.span for m in self.mentions), self.doc_id)
 
 
+SPLIT_NAMES = ("train", "dev", "test")
+
+
 @dataclass
 class Corpus:
     train: list[AnnotatedDocument] = field(default_factory=list)
@@ -177,17 +180,14 @@ class Corpus:
     test: list[AnnotatedDocument] = field(default_factory=list)
 
     def split(self, name: str) -> list[AnnotatedDocument]:
-        if name not in ("train", "dev", "test"):
+        if name not in SPLIT_NAMES:
             raise KeyError(name)
         return getattr(self, name)
 
     def splits(self) -> Iterator[tuple[str, list[AnnotatedDocument]]]:
-        yield "train", self.train
-        yield "dev", self.dev
-        yield "test", self.test
+        for name in SPLIT_NAMES:
+            yield name, getattr(self, name)
 
-
-SPLIT_NAMES = ("train", "dev", "test")
 
 _EVENT_VALUES = {e.value: e for e in EventLabel}
 

@@ -72,7 +72,3 @@ class CorruptionError(RxtractError):
 
 class CompatibilityError(RxtractError):
     """A model artifact was written by an incompatible format version."""
-
-
-class SizeError(RxtractError):
-    """An instance too large for exhaustive oracle computation."""

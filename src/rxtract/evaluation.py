@@ -1,6 +1,6 @@
 """Span matching and scoring: micro/macro P/R/F1 for extraction, strict
 per-class scores for events, per-dimension accuracy for context, combined
-end-to-end accuracy — plus an independent exhaustive oracle.
+end-to-end accuracy.
 
 Conventions: a precision or recall whose denominator is zero scores 0 and
 an F1 with P=R=0 scores 0, except that a scoring unit with no gold and no
@@ -22,7 +22,7 @@ from .corpus import (
     MedicationMention,
     check_disjoint,
 )
-from .errors import RxtractError, SizeError
+from .errors import RxtractError
 
 STRICT = "strict"
 LENIENT = "lenient"
@@ -112,17 +112,20 @@ def match_spans(
     )
 
 
+def _check_known_ids(gold_docs: Sequence[AnnotatedDocument], predictions: Mapping) -> None:
+    known = {d.doc_id for d in gold_docs}
+    for doc_id in predictions:
+        if doc_id not in known:
+            raise KeyError(f"prediction for unknown doc_id {doc_id!r}")
+
+
 def ner_metrics(
     gold_docs: Sequence[AnnotatedDocument],
     predictions: Mapping[str, Sequence[CharSpan]],
     mode: str = STRICT,
 ) -> MetricsReport:
     """Micro (count-pooled) and macro (per-document mean) extraction scores."""
-    known = {d.doc_id for d in gold_docs}
-    for doc_id in predictions:
-        if doc_id not in known:
-            raise KeyError(f"prediction for unknown doc_id {doc_id!r}")
-
+    _check_known_ids(gold_docs, predictions)
     tp = fp = fn = 0
     doc_scores: list[Prf] = []
     for doc in gold_docs:
@@ -156,11 +159,7 @@ def event_metrics(
     a false positive for the predicted class and a false negative for the
     gold class.
     """
-    known = {d.doc_id for d in gold_docs}
-    for doc_id in predictions:
-        if doc_id not in known:
-            raise KeyError(f"prediction for unknown doc_id {doc_id!r}")
-
+    _check_known_ids(gold_docs, predictions)
     counts = {e.value: [0, 0, 0] for e in EventLabel}  # tp, fp, fn
     for doc in gold_docs:
         gold = doc.mentions
@@ -248,148 +247,6 @@ def combined_accuracy(
                 continue
             correct += 1
     return correct / total if total else 1.0
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: exhaustive matching + direct recount
-#
-# Everything below recomputes the three metric operations from scratch so
-# the fast implementations above can be checked against it. Keep this code
-# independent: no calls into the functions above except match mode names.
-
-_ORACLE_LIMIT = 12
-
-
-def _oracle_max_pairs(gold: Sequence[CharSpan], pred: Sequence[CharSpan], mode: str):
-    """Maximum one-to-one matching size by exhaustive search over subsets."""
-    if len(gold) > _ORACLE_LIMIT or len(pred) > _ORACLE_LIMIT:
-        raise SizeError("oracle instances are limited to 12 spans per document")
-    compat = [
-        [
-            (g == p) if mode == STRICT else (g.start < p.end and p.start < g.end)
-            for p in pred
-        ]
-        for g in gold
-    ]
-    memo: dict[tuple[int, int], int] = {}
-
-    def best(i: int, used: int) -> int:
-        if i == len(gold):
-            return 0
-        key = (i, used)
-        if key in memo:
-            return memo[key]
-        result = best(i + 1, used)  # leave gold i unmatched
-        for j in range(len(pred)):
-            if compat[i][j] and not used & (1 << j):
-                result = max(result, 1 + best(i + 1, used | (1 << j)))
-        memo[key] = result
-        return result
-
-    return best(0, 0)
-
-
-def _oracle_prf(tp: int, n_gold: int, n_pred: int) -> tuple[float, float, float]:
-    if n_gold == 0 and n_pred == 0:
-        return 1.0, 1.0, 1.0
-    p = tp / n_pred if n_pred else 0.0
-    r = tp / n_gold if n_gold else 0.0
-    f = 0.0 if p + r == 0 else 2 * p * r / (p + r)
-    return p, r, f
-
-
-def oracle_ner_metrics(
-    gold_docs: Sequence[AnnotatedDocument],
-    predictions: Mapping[str, Sequence[CharSpan]],
-    mode: str = STRICT,
-) -> MetricsReport:
-    tp = n_gold = n_pred = 0
-    ps, rs, fs = [], [], []
-    for doc in gold_docs:
-        gold = [m.span for m in doc.mentions]
-        pred = list(predictions.get(doc.doc_id, ()))
-        d_tp = _oracle_max_pairs(gold, pred, mode)
-        tp += d_tp
-        n_gold += len(gold)
-        n_pred += len(pred)
-        p, r, f = _oracle_prf(d_tp, len(gold), len(pred))
-        ps.append(p)
-        rs.append(r)
-        fs.append(f)
-    p, r, f = _oracle_prf(tp, n_gold, n_pred)
-    macro = None
-    if ps:
-        macro = MacroScores(sum(ps) / len(ps), sum(rs) / len(rs), sum(fs) / len(fs))
-    return MetricsReport(
-        micro=Prf(tp, n_pred - tp, n_gold - tp, p, r, f), macro=macro
-    )
-
-
-def oracle_event_metrics(
-    gold_docs: Sequence[AnnotatedDocument],
-    predictions: Mapping[str, Sequence[MedicationMention]],
-    mode: str = STRICT,
-) -> MetricsReport:
-    if mode != STRICT:
-        raise SizeError("the event oracle covers strict matching only")
-    per_class = {}
-    pooled_tp = pooled_fp = pooled_fn = 0
-    for label in EventLabel:
-        tp = fp = fn = 0
-        for doc in gold_docs:
-            if len(doc.mentions) > _ORACLE_LIMIT:
-                raise SizeError("oracle instances are limited to 12 spans per document")
-            gold_at = {(m.span.start, m.span.end): m.event for m in doc.mentions}
-            pred_at = {
-                (m.span.start, m.span.end): m.event
-                for m in predictions.get(doc.doc_id, ())
-            }
-            for span, ev in pred_at.items():
-                if ev is not label:
-                    continue
-                if gold_at.get(span) is label:
-                    tp += 1
-                else:
-                    fp += 1
-            for span, ev in gold_at.items():
-                if ev is label and pred_at.get(span) is not label:
-                    fn += 1
-        p, r, f = _oracle_prf(tp, tp + fn, tp + fp)
-        per_class[label.value] = Prf(tp, fp, fn, p, r, f)
-        pooled_tp += tp
-        pooled_fp += fp
-        pooled_fn += fn
-    p, r, f = _oracle_prf(pooled_tp, pooled_tp + pooled_fn, pooled_tp + pooled_fp)
-    return MetricsReport(
-        micro=Prf(pooled_tp, pooled_fp, pooled_fn, p, r, f), per_class=per_class
-    )
-
-
-def oracle_context_metrics(
-    gold: Mapping[MentionKey, ContextAttributes],
-    predicted: Mapping[MentionKey, ContextAttributes],
-) -> MetricsReport:
-    dims = list(CONTEXT_DIMENSIONS)
-    if not gold:
-        return MetricsReport(
-            per_dimension={d: 1.0 for d in dims}, overall_accuracy=1.0
-        )
-    per_dim = {}
-    grand_correct = 0
-    for dim in dims:
-        attr = CONTEXT_DIMENSIONS[dim][1]
-        hits = 0
-        for key in gold:
-            if key in predicted and getattr(predicted[key], attr) == getattr(
-                gold[key], attr
-            ):
-                hits += 1
-        per_dim[dim] = hits / len(gold)
-        grand_correct += hits
-    return MetricsReport(
-        per_dimension=per_dim,
-        overall_accuracy=grand_correct / (len(gold) * len(dims)),
-    )
 
 
 # ---------------------------------------------------------------------------

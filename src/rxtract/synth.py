@@ -17,6 +17,7 @@ from typing import Optional
 
 from .corpus import (
     CONTEXT_DIMENSIONS,
+    SPLIT_NAMES,
     AnnotatedDocument,
     CharSpan,
     ContextAttributes,
@@ -217,7 +218,7 @@ def gen_corpus(spec: GeneratorSpec) -> SynthResult:
     corpus = Corpus()
     ledger: list[LedgerEntry] = []
 
-    for split, n_docs in (("train", spec.n_train), ("dev", spec.n_dev), ("test", spec.n_test)):
+    for split, n_docs in zip(SPLIT_NAMES, (spec.n_train, spec.n_dev, spec.n_test)):
         # Structure first: which sentences carry a mention.
         plans = []
         for _ in range(n_docs):

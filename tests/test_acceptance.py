@@ -38,9 +38,6 @@ from rxtract.evaluation import (
     event_metrics,
     gold_context_table,
     ner_metrics,
-    oracle_context_metrics,
-    oracle_event_metrics,
-    oracle_ner_metrics,
 )
 from rxtract.ner import predict_ner, train_ner
 from rxtract.pipeline import (
@@ -60,6 +57,8 @@ from rxtract.preproc import (
     tokenize,
 )
 from rxtract.synth import GeneratorSpec, gen_corpus
+
+from metric_oracle import oracle_context_metrics, oracle_event_metrics, oracle_ner_metrics
 
 DESK_ENC = EncoderConfig(layers=2, hidden_dim=128, heads=4, ffn_dim=256,
                          max_len=256, dropout_rate=0.1, seed=0)

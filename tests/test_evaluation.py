@@ -1,4 +1,5 @@
-"""Span matching, the three metric operations, and oracle equivalence."""
+"""Span matching, the three metric operations, and their equivalence with
+the exhaustive oracle in `metric_oracle`."""
 
 import random
 
@@ -16,7 +17,7 @@ from rxtract.corpus import (
     NegationLabel,
     TemporalityLabel,
 )
-from rxtract.errors import RxtractError, SizeError
+from rxtract.errors import RxtractError
 from rxtract.evaluation import (
     combined_accuracy,
     context_metrics,
@@ -24,11 +25,15 @@ from rxtract.evaluation import (
     gold_context_table,
     match_spans,
     ner_metrics,
+    render_report,
+    report_records,
+)
+
+from metric_oracle import (
+    OracleLimitError,
     oracle_context_metrics,
     oracle_event_metrics,
     oracle_ner_metrics,
-    render_report,
-    report_records,
 )
 
 
@@ -92,10 +97,6 @@ class TestNerMetrics:
         assert rep.micro.recall == pytest.approx(0.5)
         assert rep.micro.f1 == pytest.approx(2.0 / 3.0)
 
-    def test_unknown_doc_id_is_key_error(self):
-        with pytest.raises(KeyError):
-            ner_metrics([_doc("a", [])], {"mystery": []})
-
     def test_swap_gold_pred_swaps_precision_recall(self):
         docs = [_doc("a", [(0, 5), (8, 12)])]
         preds = {"a": [CharSpan(0, 5)]}
@@ -145,6 +146,36 @@ class TestEventMetrics:
         assert rep.per_class["Disposition"].recall == 0.0
         assert rep.per_class["Disposition"].precision == 0.0
         assert rep.micro.f1 == 0.0
+
+    def test_lenient_matches_overlaps_strict_does_not(self):
+        docs = [_doc("a", [(0, 5), (10, 15)],
+                     [EventLabel.DISPOSITION, EventLabel.NO_DISPOSITION])]
+        preds = {"a": [
+            MedicationMention(CharSpan(2, 7), "xxxxx", EventLabel.DISPOSITION),
+            MedicationMention(CharSpan(12, 18), "xxxxxx", EventLabel.UNDETERMINED),
+        ]}
+
+        def counts(mode):
+            rep = event_metrics(docs, preds, mode)
+            scores = {**rep.per_class, "micro": rep.micro}
+            return {scope: (s.tp, s.fp, s.fn) for scope, s in scores.items()}
+
+        assert counts("strict") == {
+            "Disposition": (0, 1, 1), "NoDisposition": (0, 0, 1),
+            "Undetermined": (0, 1, 0), "micro": (0, 2, 2),
+        }
+        # the same-event pair now counts; the other still costs one FP and one FN
+        assert counts("lenient") == {
+            "Disposition": (1, 0, 0), "NoDisposition": (0, 0, 1),
+            "Undetermined": (0, 1, 0), "micro": (1, 1, 1),
+        }
+
+
+@pytest.mark.parametrize("metric", [ner_metrics, event_metrics],
+                         ids=["ner_metrics", "event_metrics"])
+def test_unknown_doc_id_is_key_error(metric):
+    with pytest.raises(KeyError, match="mystery"):
+        metric([_doc("a", [])], {"mystery": []})
 
 
 def _attrs(action="Start", negation="NotNegated", temporality="Past",
@@ -302,13 +333,17 @@ class TestOracleEquivalence:
             assert main.macro.recall == pytest.approx(oracle.macro.recall, abs=1e-12)
             assert main.macro.f1 == pytest.approx(oracle.macro.f1, abs=1e-12)
 
-    def test_lenient_greedy_never_beats_oracle(self):
+    def test_lenient_ner_metrics_match_oracle(self):
+        # on disjoint span lists greedy overlap matching is maximal
         rng = random.Random(13)
         for _ in range(200):
             docs, preds = _random_instance(rng)
             main = ner_metrics(docs, preds, "lenient")
             oracle = oracle_ner_metrics(docs, preds, "lenient")
-            assert oracle.micro.tp >= main.micro.tp
+            assert main.micro == oracle.micro
+            assert main.macro.precision == pytest.approx(oracle.macro.precision, abs=1e-12)
+            assert main.macro.recall == pytest.approx(oracle.macro.recall, abs=1e-12)
+            assert main.macro.f1 == pytest.approx(oracle.macro.f1, abs=1e-12)
 
     def test_event_metrics_match_oracle(self):
         rng = random.Random(17)
@@ -368,7 +403,7 @@ class TestOracleEquivalence:
 
     def test_oracle_size_limit(self):
         docs = [_doc("a", [(i * 10, i * 10 + 3) for i in range(13)])]
-        with pytest.raises(SizeError):
+        with pytest.raises(OracleLimitError, match="12 spans"):
             oracle_ner_metrics(docs, {"a": []})
 
 
