@@ -26,8 +26,10 @@ with every dispatched target on (X86_V3, X86_V4, AVX512_ICL, AVX512_SPR)
 and with X86_V3 alone, so the child runs numpy's X86_V3 loops: `FIT_ENV`
 sets `NPY_DISABLE_CPU_FEATURES` to the dispatched targets after X86_V3,
 replacing what this process was given, and the lock holds when this
-process runs on the baseline loops. numpy 1.x dispatches no X86_V3
-target; there the child inherits this process's setting.
+process runs on the baseline loops. numpy releases before 2.4 have no
+X86_V3 group (they dispatch single targets such as AVX2 and AVX512_SKX);
+there `FIT_ENV` sets the variable empty, so the child runs every
+dispatched target, as a run with no variable set does.
 """
 
 import hashlib
@@ -74,9 +76,9 @@ FIT_DIGESTS = {  # under OPENBLAS_CORETYPE=Haswell, with numpy's X86_V3+ targets
     "Event": "960e31af646f3fcc8d45e555db51259389c14ebd47cadb2a674c273bd2b9e89a",
 }
 FIT_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
-if "X86_V3" in __cpu_dispatch__:
-    FIT_ENV["NPY_DISABLE_CPU_FEATURES"] = " ".join(
-        __cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:])
+FIT_ENV["NPY_DISABLE_CPU_FEATURES"] = (
+    " ".join(__cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:])
+    if "X86_V3" in __cpu_dispatch__ else "")
 STEP_DIGESTS = {
     32: "09311cda1dca48165dd474efd8ace59bd9bd1adad897ca691ddfde2c3bd68e30",
     64: "6516279f95b3dd7b56f0c2b2058b1e1019a875f0e642e16101bf62e16f697982",
