@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import artifacts, context, evaluation, ner, pipeline, synth
 from .corpus import (SPLIT_NAMES, corpus_stats, format_stats, load_corpus, normalize_newlines,
                      read_utf8, write_corpus_dir)
@@ -328,6 +330,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _reserve_blas_buffer() -> None:
+    """Have OpenBLAS allocate its work buffer now, while memory is free.
+
+    It allocates the buffer on its first large matrix product and ends the
+    process if it cannot. Once the buffer exists, running out of memory
+    later in the command is a MemoryError, reported as one error line.
+    """
+    a = np.ones((256, 256), dtype=np.float32)  # large enough to use the buffer
+    a @ a
+
+
 def run_command(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
@@ -335,6 +348,7 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        _reserve_blas_buffer()
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

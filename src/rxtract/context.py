@@ -8,9 +8,10 @@ of the CLS and marker representations.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 from .corpus import (
@@ -88,37 +89,30 @@ def build_classification_example(
     dropped: `grow_window` centers the window on the mention. The specials
     and every mention piece are always kept.
     """
-    if not sent.span.contains(mention):
+    starts, ends = sent.starts, sent.ends
+    if not (starts[0] <= mention.start and mention.end <= ends[-1]):
         raise SpanRangeError(f"mention {mention} outside sentence {sent.span}")
 
-    tokens = sent.tokens
-    word_pieces = [pieces[t.text] for t in tokens]
-    inside = [i for i, t in enumerate(tokens) if t.span.overlaps(mention)]
-    if inside:
-        a, b = inside[0], inside[-1]
-    else:
-        # Mention covers no token (whitespace-only); markers sit between words.
-        a = next((i for i, t in enumerate(tokens) if t.span.start >= mention.end),
-                 len(tokens))
-        b = a - 1
+    word_pieces = [*map(pieces.__getitem__, sent.words)]
+    counts = [*map(len, word_pieces)]
+    at = [*accumulate(counts, initial=0)]  # where each word's pieces start
+    sent_ids = [*chain.from_iterable(word_pieces)]
+    sent_words = [*chain.from_iterable(map(repeat, range(len(counts)), counts))]
+    # words a..b overlap the mention; if none does (it covers only
+    # whitespace), the markers sit between words b and a = b + 1
+    a = bisect_right(ends, mention.start)
+    b = bisect_left(starts, mention.end) - 1
+    a = min(a, b + 1)
 
-    mention_pieces = [(w, pid) for w in range(a, b + 1) for pid in word_pieces[w]]
-    budget = max_len - 4 - len(mention_pieces)
-    if budget < 0:
-        mention_pieces = mention_pieces[: max_len - 4]
-        budget = 0
-
-    lo, hi = grow_window([len(p) for p in word_pieces], a, b, budget)
-    pairs = [  # (word, piece id)
-        (NO_WORD, CLS_ID),
-        *((w, pid) for w in range(lo, a) for pid in word_pieces[w]),
-        (NO_WORD, S_MARK_ID),
-        *mention_pieces,
-        (NO_WORD, E_MARK_ID),
-        *((w, pid) for w in range(b + 1, hi + 1) for pid in word_pieces[w]),
-        (NO_WORD, SEP_ID),
-    ]
-    word_index, ids = (list(column) for column in zip(*pairs))
+    # the mention's pieces, at most max_len - 4 of them, and the words
+    # around it that fit in what is left
+    inside = slice(at[a], min(at[b + 1], at[a] + max_len - 4))
+    lo, hi = grow_window(counts, a, b, max(0, max_len - 4 - (at[b + 1] - at[a])))
+    left, right = slice(at[lo], at[a]), slice(at[b + 1], at[hi + 1])
+    ids = [CLS_ID, *sent_ids[left], S_MARK_ID, *sent_ids[inside], E_MARK_ID,
+           *sent_ids[right], SEP_ID]
+    word_index = [NO_WORD, *sent_words[left], NO_WORD, *sent_words[inside], NO_WORD,
+                  *sent_words[right], NO_WORD]
 
     return LabeledSequence(subtoken_ids=ids, word_index=word_index, origin=(doc_id, sent.span))
 
@@ -185,10 +179,10 @@ def mention_examples(
     seqs: list[LabeledSequence] = []
     pieces = PieceTable(vocab)
     for d, (doc, sents, doc_spans) in enumerate(zip(docs, sentences, spans)):
-        starts = [sent.span.start for sent in sents]
+        starts = [sent.starts[0] for sent in sents]
         for j, span in enumerate(doc_spans):
             i = bisect_right(starts, span.start) - 1
-            if i >= 0 and sents[i].span.contains(span):
+            if i >= 0 and span.end <= sents[i].ends[-1]:
                 keys.append((d, j))
                 seqs.append(
                     build_classification_example(sents[i], span, pieces, max_len, doc.doc_id)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, takewhile
+from itertools import chain, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -410,27 +410,28 @@ def pack_batch(seqs: Sequence[LabeledSequence]) -> Packed:
     """
     if not seqs:
         raise DataError("empty batch")
-    lengths = np.array([len(s) for s in seqs])
-    width = max(1, int(lengths.max()))
+    lengths = [len(s.subtoken_ids) for s in seqs]
+    b, width = len(seqs), max(1, max(lengths))
 
-    b = len(seqs)
+    def joined(rows):  # the rows end to end
+        return np.fromiter(chain.from_iterable(rows), np.int64)
+
+    # `mask` is true at each row's real positions, so in row-major order
+    # its true cells take the rows' values one after another
+    mask = np.arange(width) < np.array(lengths)[:, None]
     ids = np.zeros((b, width), dtype=np.int64)
-    mask = np.arange(width) < lengths[:, None]
+    ids[mask] = joined(s.subtoken_ids for s in seqs)
     loss_mask = np.zeros((b, width), dtype=bool)
-    tags = np.full((b, width), int(BioTag.O), dtype=np.int64)
-    labels = np.zeros(b, dtype=np.int64)
-    head_pos = np.zeros((b, 3), dtype=np.int64)
-
-    for i, s in enumerate(seqs):
-        row = s.subtoken_ids
-        n = len(row)
-        ids[i, :n] = row
-        loss_mask[i, :n] = [w != NO_WORD for w in s.word_index]
-        if s.tags is not None:
-            tags[i, :n] = s.tags
-        if s.label is not None:
-            labels[i] = s.label
-        head_pos[i, 1:] = [row.index(m) if m in row else 0 for m in (S_MARK_ID, E_MARK_ID)]
+    loss_mask[mask] = joined(s.word_index for s in seqs) != NO_WORD
+    o = int(BioTag.O)
+    tags = np.full((b, width), o, dtype=np.int64)
+    if any(s.tags is not None for s in seqs):
+        tags[mask] = joined(repeat(o, n) if s.tags is None else s.tags
+                            for s, n in zip(seqs, lengths))
+    labels = np.array([0 if s.label is None else s.label for s in seqs], dtype=np.int64)
+    head_pos = np.zeros((b, 3), dtype=np.int64)  # [CLS] is at 0
+    head_pos[:, 1] = (ids == S_MARK_ID).argmax(axis=1)  # the first, or 0 if none
+    head_pos[:, 2] = (ids == E_MARK_ID).argmax(axis=1)
 
     return Packed(ids, mask, loss_mask, tags, labels, head_pos, [s.origin for s in seqs])
 
@@ -727,10 +728,13 @@ def predict_batch(
                              for hid, t in zip(hidden, task)], axis=-1)
         else:
             best = np.argmax(_head(model, hidden, task)[0], axis=-1)
-        for j, row in zip(idx, best):
-            row = row[: len(distinct[j])] if task is None else row
-            for i in groups[j]:
-                out[i] = row.tolist()  # a fresh list (or int) per input
+        for j, row in zip(idx, best.tolist()):  # an int, or a fresh list per row
+            if task is None:
+                row = row[: len(distinct[j].subtoken_ids)]
+            first, *repeats = groups[j]
+            out[first] = row
+            for i in repeats:  # a repeat gets a list of its own
+                out[i] = row if isinstance(row, int) else list(row)
     return out
 
 

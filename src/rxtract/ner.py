@@ -52,11 +52,12 @@ def build_ner_examples(
     pieces = PieceTable(vocab)
     for doc in docs:
         for sent in split_text(doc.text):
+            first, last = sent.starts[0], sent.ends[-1]
             spans = []
             for m in doc.mentions:
-                if not m.span.overlaps(sent.span):
+                if not (m.span.start < last and first < m.span.end):
                     continue
-                if not sent.span.contains(m.span):
+                if not (first <= m.span.start and m.span.end <= last):
                     warnings.warn(
                         f"{doc.doc_id}: mention {m.span} crosses a sentence "
                         "boundary and will be split"
@@ -74,7 +75,7 @@ def _align_windows(sent: Sentence, pieces: PieceTable, max_len: int) -> list[Lab
     `grow_window`'s cut from the word after the last one of the window
     before, so that every word of at most `max_len - 2` pieces is in one.
     The windows keep the sentence's word indices and share one table."""
-    tags = [BioTag.O] * len(sent.tokens)
+    tags = [BioTag.O] * len(sent.words)
     windows = [align_to_subtokens(sent, tags, pieces, max_len)]
     while len(windows[-1]) > 2 and (start := windows[-1].word_index[-2] + 1) < len(tags):
         window = align_to_subtokens(sent, tags, pieces, max_len, start=start)
@@ -88,6 +89,8 @@ def _decode_windows(windows, tag_ids, sent: Sentence) -> list[CharSpan]:
     """A sentence's spans from its windows' next tags in `tag_ids`, decoded
     as one sequence, so that a mention running on into the next window
     stays one span."""
+    if len(windows) == 1:
+        return decode_bio(windows[0], next(tag_ids), sent)
     joined = LabeledSequence([i for w in windows for i in w.subtoken_ids],
                              [i for w in windows for i in w.word_index])
     return decode_bio(joined, [t for _ in windows for t in next(tag_ids)], sent)

@@ -1,6 +1,13 @@
 """Offset-preserving tokenization, sentence splitting, subword vocabulary,
 BIO encoding/decoding, and word-to-subtoken tag alignment.
 
+Text is held in one form: its words' text and their start and end offsets
+as three parallel tuples. `tokenize` gives a text's words so, and a
+`Sentence` holds its own. No object is made per word: a `CharSpan` is made
+only at the pipeline's edges, for a sentence's `span` (the origin its
+examples carry) or a decoded mention. Spans coming in (gold mentions, a
+mention to classify) are placed among the words by bisecting the offsets.
+
 Words become pieces through a `PieceTable`, one per batch-level call, and
 `grow_window` is the one rule that picks a window of whole words under a
 piece budget, for NER windows and marker examples alike.
@@ -12,9 +19,11 @@ from __future__ import annotations
 
 import heapq
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .corpus import CharSpan, check_disjoint
@@ -42,67 +51,67 @@ class BioTag(IntEnum):
     O = 2
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    span: CharSpan
+# The members under plain names: reading `BioTag.I` looks the member up on
+# the enum class each time, which the per-word and per-piece loops avoid.
+_B, _I, _O = BioTag.B, BioTag.I, BioTag.O
 
 
-@dataclass(frozen=True)
+# A text's words as three parallel tuples: each word's text and its start
+# and end offsets into the text.
+Words = tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]
+
+
+@dataclass(frozen=True, slots=True)
 class Sentence:
-    tokens: tuple[Token, ...]
-    span: CharSpan = field(init=False)  # first token's start to last token's end
+    """A sentence's words in the `Words` form, at least one of them."""
+
+    words: tuple[str, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    # first word's start to last word's end: the one CharSpan a sentence makes
+    span: CharSpan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "span", CharSpan(self.tokens[0].span.start, self.tokens[-1].span.end))
+        object.__setattr__(self, "span", CharSpan(self.starts[0], self.ends[-1]))
 
 
 # A maximal run of alphanumerics, or one other non-space character.
 # `[^\W_]` is exactly `str.isalnum()` and `\s` exactly `str.isspace()`.
-_TOKEN_RE = re.compile(r"[^\W_]+|\S")
+# The group makes `split` return the gaps and the words in turn.
+_TOKEN_RE = re.compile(r"([^\W_]+|\S)")
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into maximal alphanumeric runs plus single-character symbols."""
-    return [
-        Token(text=m.group(), span=CharSpan(m.start(), m.end()))
-        for m in _TOKEN_RE.finditer(text)
-    ]
+def tokenize(text: str) -> Words:
+    """A text's words: maximal alphanumeric runs and single other
+    non-space characters, with their offsets."""
+    parts = _TOKEN_RE.split(text)  # gap, word, gap, ..., word, gap
+    offsets = tuple(accumulate(map(len, parts)))
+    return tuple(parts[1::2]), offsets[0:-1:2], offsets[1::2]
 
 
-_TERMINATORS = {".", "!", "?"}
+_TERMINATORS = frozenset(".!?")
 
 
-def split_sentences(text: str, tokens: Sequence[Token]) -> list[Sentence]:
-    """Group tokens into sentences.
+def split_sentences(text: str, tokens: Words) -> list[Sentence]:
+    """Cut a text's words (`tokenize(text)`) into sentences.
 
-    A boundary falls after '.', '!', '?' tokens and wherever the gap between
-    consecutive tokens contains a blank line (two adjacent newlines).
+    A boundary falls after '.', '!', '?' words and wherever the gap between
+    consecutive words contains a blank line (two adjacent newlines).
     """
-    sentences: list[Sentence] = []
-    current: list[Token] = []
-
-    def flush():
-        if current:
-            sentences.append(Sentence(tuple(current)))
-            current.clear()
-
-    for idx, tok in enumerate(tokens):
-        current.append(tok)
-        if tok.text in _TERMINATORS:
-            flush()
-            continue
-        if idx + 1 < len(tokens):
-            gap = text[tok.span.end : tokens[idx + 1].span.start]
-            if "\n\n" in gap:
-                flush()
-    flush()
-    return sentences
+    words, starts, ends = tokens
+    cuts = {0, len(words)}
+    cuts.update(k + 1 for k, w in enumerate(words) if w in _TERMINATORS)
+    blank = text.find("\n\n")
+    while blank >= 0:  # a gap is all space, so the words after it start later
+        cuts.add(bisect_left(starts, blank))
+        blank = text.find("\n\n", blank + 2)
+    cuts = sorted(cuts)
+    return [Sentence(words[a:b], starts[a:b], ends[a:b])
+            for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def split_text(text: str) -> list[Sentence]:
-    """Tokenize a text once and group its tokens into sentences."""
+    """Tokenize a text once and group its words into sentences."""
     return split_sentences(text, tokenize(text))
 
 
@@ -259,8 +268,10 @@ def grow_window(counts: Sequence[int], a: int, b: int, budget: int,
     holding each word's: one word at a time, on the side whose next word is
     nearer `a..b` (the left on a tie), never left of `first`. A side stops at
     the first word that does not fit what is left; the other keeps growing."""
-    lo, hi = a, b
     last = len(counts) - 1  # the farthest words each side may still take
+    if sum(counts[first:a]) + sum(counts[b + 1 :]) <= budget:  # every word fits
+        return first, last
+    lo, hi = a, b
     while lo > first or hi < last:
         left = lo > first and (hi == last or a - (lo - 1) <= (hi + 1) - b)
         w = lo - 1 if left else hi + 1
@@ -273,23 +284,22 @@ def grow_window(counts: Sequence[int], a: int, b: int, budget: int,
 
 
 def spans_to_bio(sent: Sentence, mentions: Sequence[CharSpan]) -> list[BioTag]:
-    """Tag each token of the sentence with B/I/O against the mention spans.
+    """Tag each word of the sentence with B/I/O against the mention spans.
 
-    A token counts as inside a mention when their spans overlap by at least
+    A word counts as inside a mention when their spans overlap by at least
     one character.
     """
     check_disjoint(mentions, "mentions")
-    tags = [BioTag.O] * len(sent.tokens)
+    tags = [_O] * len(sent.words)
     for mention in mentions:
-        first = True
-        for i, tok in enumerate(sent.tokens):
-            if tok.span.overlaps(mention):
-                if tags[i] is not BioTag.O:
-                    raise ConflictError(
-                        f"token {tok.text!r} at {tok.span} claimed by two mentions"
-                    )
-                tags[i] = BioTag.B if first else BioTag.I
-                first = False
+        # words a..b-1 end after the mention starts and start before it ends
+        a = bisect_right(sent.ends, mention.start)
+        b = bisect_left(sent.starts, mention.end)
+        for i in range(a, b):
+            if tags[i] is not _O:
+                raise ConflictError(f"word {sent.words[i]!r} at ({sent.starts[i]}, "
+                                    f"{sent.ends[i]}) claimed by two mentions")
+            tags[i] = _B if i == a else _I
     return tags
 
 
@@ -299,7 +309,7 @@ class LabeledSequence:
 
     All per-position lists share one length: the sequence's real
     positions, never padded (`pack_batch` pads a batch to its longest row).
-    `word_index` maps each piece to its owning token index in the source
+    `word_index` maps each piece to its owning word's index in the source
     sentence, or NO_WORD for specials. `tags` is set for the token head,
     `label` for a sequence head.
     """
@@ -337,20 +347,21 @@ def align_to_subtokens(
     `start` rightward), never leaving a mention cut at the boundary; a
     `start` after the last word kept aligns the next window of the sentence.
     """
-    if len(word_tags) != len(sent.tokens):
-        raise ValueError("word_tags length must equal token count")
+    n_words = len(sent.words)
+    if len(word_tags) != n_words:
+        raise ValueError("word_tags length must equal word count")
 
     room = max_len - 2
-    piece_lists = [pieces[tok.text] for tok in sent.tokens]
+    piece_lists = [*map(pieces.__getitem__, sent.words)]
     counts = [len(p) if len(p) <= room else 0 for p in piece_lists]
 
     keep = grow_window(counts, start, start - 1, room, first=start)[1] + 1
-    while start < keep < len(sent.tokens) and word_tags[keep] is BioTag.I:
+    while start < keep < n_words and word_tags[keep] is _I:
         keep -= 1
 
     ids = [CLS_ID]
     word_index = [NO_WORD]
-    tags = [BioTag.O]
+    tags = [_O]
     for w in range(start, keep):
         n, tag = counts[w], word_tags[w]
         if not n:
@@ -358,10 +369,10 @@ def align_to_subtokens(
         ids += piece_lists[w]
         word_index += [w] * n
         tags.append(tag)
-        tags += [BioTag.I if tag is BioTag.B else tag] * (n - 1)
+        tags += [_I if tag is _B else tag] * (n - 1)
     ids.append(SEP_ID)
     word_index.append(NO_WORD)
-    tags.append(BioTag.O)
+    tags.append(_O)
 
     return LabeledSequence(subtoken_ids=ids, word_index=word_index, tags=tags,
                            origin=(doc_id, sent.span))
@@ -380,20 +391,20 @@ def decode_bio(
     if len(predicted_tags) != len(seq.subtoken_ids):
         raise ValueError("predicted_tags length must equal sequence length")
 
-    tokens = sent.tokens
+    starts, ends = sent.starts, sent.ends
     spans: list[CharSpan] = []
     first = last = None  # the open span's first and last word
     prev = NO_WORD
     for w, tag in zip(seq.word_index, predicted_tags):
-        if w == NO_WORD or w == prev:
+        if w == prev or w == NO_WORD:
             continue
         prev = w
-        if tag == BioTag.I and last == w - 1:
+        if tag == _I and last == w - 1:
             last = w
             continue
         if first is not None:
-            spans.append(CharSpan(tokens[first].span.start, tokens[last].span.end))
-        first = last = w if tag in (BioTag.B, BioTag.I) else None
+            spans.append(CharSpan(starts[first], ends[last]))
+        first = last = None if tag == _O else w
     if first is not None:
-        spans.append(CharSpan(tokens[first].span.start, tokens[last].span.end))
+        spans.append(CharSpan(starts[first], ends[last]))
     return spans

@@ -119,7 +119,7 @@ def _random_sentence_case(rng):
     while i < n_words:
         if rng.random() < 0.4:
             j = min(n_words - 1, i + rng.randint(0, 2))
-            mentions.append(CharSpan(sent.tokens[i].span.start, sent.tokens[j].span.end))
+            mentions.append(CharSpan(sent.starts[i], sent.ends[j]))
             i = j + 2
         else:
             i += 1

@@ -55,12 +55,16 @@ def _sentence(text):
     return split_sentences(text, tokenize(text))[0]
 
 
+def _word_span(sent, i):
+    return CharSpan(sent.starts[i], sent.ends[i])
+
+
 class TestBuildExample:
     def test_markers_bracket_the_mention(self):
         text = "doctor started plavix this morning"
         sent = _sentence(text)
         vocab = build_vocab([text], 256)
-        mention = sent.tokens[2].span
+        mention = _word_span(sent, 2)
         seq = build_classification_example(sent, mention, PieceTable(vocab), max_len=64)
         ids = seq.subtoken_ids
         s, e = ids.index(S_MARK_ID), ids.index(E_MARK_ID)
@@ -68,7 +72,7 @@ class TestBuildExample:
         assert ids[s + 1 : e] == subword_encode("plavix", vocab)
         assert ids.count(S_MARK_ID) == 1 and ids.count(E_MARK_ID) == 1
         assert ids[0] == CLS_ID
-        pieces = sum(len(subword_encode(t.text, vocab)) for t in sent.tokens)
+        pieces = sum(len(subword_encode(w, vocab)) for w in sent.words)
         assert len(seq) == 4 + pieces <= 64  # [CLS] [S] [E] [SEP] + every word
         assert PAD_ID not in ids
 
@@ -88,7 +92,7 @@ class TestBuildExample:
         text = " ".join(words)
         sent = _sentence(text)
         vocab = build_vocab([text], 4096)
-        mention = sent.tokens[290].span
+        mention = _word_span(sent, 290)
         seq = build_classification_example(sent, mention, PieceTable(vocab), max_len=256)
         ids = seq.subtoken_ids
         assert len(seq) == 256  # filled to the brim
@@ -99,8 +103,8 @@ class TestBuildExample:
         text = "one two"
         sent = _sentence(text)
         vocab = build_vocab([text], 64)
-        seq = build_classification_example(sent, sent.tokens[0].span, PieceTable(vocab), max_len=40)
-        pieces = sum(len(subword_encode(t.text, vocab)) for t in sent.tokens)
+        seq = build_classification_example(sent, _word_span(sent, 0), PieceTable(vocab), max_len=40)
+        pieces = sum(len(subword_encode(w, vocab)) for w in sent.words)
         assert len(seq.subtoken_ids) == len(seq.word_index)
         assert len(seq) == 4 + pieces <= 40  # real positions only, never padded
         assert PAD_ID not in seq.subtoken_ids
@@ -113,11 +117,11 @@ class TestBuildExample:
         sent = _sentence(text)
         assert len(subword_encode(long_word, vocab)) == 100
         pieces = PieceTable(vocab)
-        seq = build_classification_example(sent, sent.tokens[3].span, pieces, max_len=64)
+        seq = build_classification_example(sent, _word_span(sent, 3), pieces, max_len=64)
         # the right side stops at the long word; the left side keeps every word
         assert sorted(set(seq.word_index) - {-1}) == [0, 1, 2, 3]
         alone = _sentence(short)
-        want = build_classification_example(alone, alone.tokens[3].span, pieces, max_len=64)
+        want = build_classification_example(alone, _word_span(alone, 3), pieces, max_len=64)
         assert seq.subtoken_ids == want.subtoken_ids
 
     def test_mention_outside_sentence_rejected(self):
@@ -125,7 +129,7 @@ class TestBuildExample:
         sents = split_sentences(text, tokenize(text))
         with pytest.raises(SpanRangeError):
             build_classification_example(
-                sents[0], sents[1].tokens[0].span, PieceTable(build_vocab([text], 64)), 256
+                sents[0], _word_span(sents[1], 0), PieceTable(build_vocab([text], 64)), 256
             )
 
 
@@ -210,7 +214,7 @@ def _zero_head_bundle(texts):
 def _plavix_example(bundle):
     text = "doctor started plavix today"
     sent = _sentence(text)
-    return mention_examples([AnnotatedDocument("d", text)], [[sent]], [[sent.tokens[2].span]],
+    return mention_examples([AnnotatedDocument("d", text)], [[sent]], [[_word_span(sent, 2)]],
                             bundle.vocab, bundle.max_len)[1]
 
 

@@ -24,7 +24,9 @@ from rxtract.pipeline import (
     run_pipeline,
     run_pipeline_over,
 )
-from rxtract.preproc import build_vocab
+from rxtract import preproc
+from rxtract.corpus import normalize_newlines
+from rxtract.preproc import build_vocab, split_text
 from rxtract.synth import GeneratorSpec, gen_corpus
 
 
@@ -209,3 +211,33 @@ class TestGoldSpans:
         with pytest.warns(UserWarning, match="not contained in a sentence"):
             preds = classify_gold_context(p.classifiers, [self._doc()])
         assert list(preds) == [("d", 22, 28)]
+
+
+class TestPreprocessingObjects:
+    def test_one_char_span_per_sentence_and_per_mention(self, tiny, monkeypatch):
+        # words are held as offsets: a CharSpan is made only for a
+        # sentence's span (its examples' origin) and for a returned mention
+        corpus, p = tiny
+        docs = corpus.dev + corpus.test
+        sentences = sum(len(split_text(normalize_newlines(d.text))) for d in docs)
+        made = []
+        post_init = CharSpan.__post_init__
+
+        def counting(span):
+            made.append(span)
+            post_init(span)
+
+        monkeypatch.setattr(CharSpan, "__post_init__", counting)
+        preds = run_pipeline_over(p, docs)
+        mentions = sum(map(len, preds.values()))
+        assert mentions
+        assert len(made) <= sentences + mentions
+        assert not hasattr(preproc, "Token")  # no per-word object to build
+
+    def test_benchmark_sentence_count_is_the_pipeline_split(self, tiny):
+        # perfbench counts sentences as split_sentences(text, tokenize(text))
+        corpus, _ = tiny
+        for doc in corpus.dev + corpus.test:
+            text = doc.text
+            assert len(preproc.split_sentences(text, preproc.tokenize(text))) == \
+                len(preproc.split_text(text)) > 0

@@ -37,7 +37,7 @@ def test_odd_inputs_are_as_long_as_claimed(tiny):
     vocab = bundle.ner.vocab
     assert len(subword_encode(LONG_WORD, vocab)) > MAX_LEN
     (sent,) = split_text(LONG_SENTENCE)
-    assert 2 + sum(len(subword_encode(t.text, vocab)) for t in sent.tokens) > MAX_LEN
+    assert 2 + sum(len(subword_encode(w, vocab)) for w in sent.words) > MAX_LEN
     # the properties below see predicted mentions, not only empty outputs
     assert run_pipeline(bundle, LONG_SENTENCE).mentions
     assert run_pipeline(bundle, CLINICAL[0]).mentions
@@ -56,7 +56,7 @@ def test_over_long_word_hides_no_later_word(tiny, junk):
 
 def _pieces(vocab, text):
     (sent,) = split_text(text)
-    return sum(len(subword_encode(t.text, vocab)) for t in sent.tokens)
+    return sum(len(subword_encode(w, vocab)) for w in sent.words)
 
 
 @pytest.mark.parametrize("junk", ["ж" * 60, "ж" * 61, "q" * 61, "x" * 60],

@@ -4,9 +4,10 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tokenize_oracle
 from rxtract import preproc
 from rxtract.context import mention_examples
 from rxtract.corpus import AnnotatedDocument, CharSpan
@@ -30,42 +31,46 @@ from rxtract.preproc import (
     decode_bio,
     spans_to_bio,
     split_sentences,
+    split_text,
     subword_encode,
     tokenize,
 )
 
 
+def _word_span(sent, i, j=None):
+    """Words i..j of a sentence as one CharSpan (word i alone without j)."""
+    return CharSpan(sent.starts[i], sent.ends[i if j is None else j])
+
+
 class TestTokenize:
     def test_empty(self):
-        assert tokenize("") == []
+        assert tokenize("") == ((), (), ())
 
     def test_offsets(self):
-        toks = tokenize("lisinopril 10mg, daily")
-        assert [t.text for t in toks] == ["lisinopril", "10mg", ",", "daily"]
-        assert [(t.span.start, t.span.end) for t in toks] == [
+        words, starts, ends = tokenize("lisinopril 10mg, daily")
+        assert words == ("lisinopril", "10mg", ",", "daily")
+        assert list(zip(starts, ends)) == [
             (0, 10), (11, 15), (15, 16), (17, 22),
         ]
 
     def test_alnum_token_idempotence(self):
-        for tok in tokenize("metformin 500mg bid x30 days"):
-            again = tokenize(tok.text)
-            assert len(again) == 1 and again[0].text == tok.text
+        for word in tokenize("metformin 500mg bid x30 days")[0]:
+            again = tokenize(word)[0]
+            assert again == (word,)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=60))
     def test_spans_cover_exactly_the_non_whitespace(self, text):
-        toks = tokenize(text)
         covered = set()
-        for t in toks:
-            assert t.text == text[t.span.start : t.span.end]
-            covered.update(range(t.span.start, t.span.end))
+        for word, start, end in zip(*tokenize(text)):
+            assert word == text[start:end]
+            covered.update(range(start, end))
         expected = {i for i, ch in enumerate(text) if not ch.isspace()}
         assert covered == expected
 
     def test_tokens_sorted_and_disjoint(self):
-        toks = tokenize("x1 (y-2) z.3")
-        for a, b in zip(toks, toks[1:]):
-            assert a.span.end <= b.span.start
+        _, starts, ends = tokenize("x1 (y-2) z.3")
+        assert all(end <= start for end, start in zip(ends, starts[1:]))
 
 
 def _reference_tokenize(text):
@@ -96,7 +101,7 @@ class TestTokenizeMatchesReference:
         st.text(alphabet="a1_\u00b2\u0301\u00a0\u2028\u00bd\u4e2d .-", max_size=40),
     ))
     def test_same_tokens_as_character_loop(self, text):
-        got = [(t.text, t.span.start, t.span.end) for t in tokenize(text)]
+        got = list(zip(*tokenize(text)))
         assert got == _reference_tokenize(text)
 
 
@@ -105,13 +110,13 @@ class TestSplitSentences:
         text = "Stopped aspirin. Start plavix."
         sents = split_sentences(text, tokenize(text))
         assert len(sents) == 2
-        assert [len(s.tokens) for s in sents] == [3, 3]
+        assert [len(s.words) for s in sents] == [3, 3]
 
     def test_no_terminator_single_sentence(self):
         text = "continue metformin at current dose"
         sents = split_sentences(text, tokenize(text))
         assert len(sents) == 1
-        assert len(sents[0].tokens) == 5
+        assert len(sents[0].words) == 5
 
     def test_blank_line_boundary(self):
         sents = split_sentences("a.\n\nb", tokenize("a.\n\nb"))
@@ -122,19 +127,44 @@ class TestSplitSentences:
         assert len(sents) == 2
 
     def test_span_runs_from_first_to_last_token(self):
-        tokens = tuple(tokenize("  took plavix ."))
-        assert Sentence(tokens).span == CharSpan(2, 15)
+        assert Sentence(*tokenize("  took plavix .")).span == CharSpan(2, 15)
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(alphabet="ab .!?\n", max_size=50))
     def test_every_token_in_exactly_one_sentence(self, text):
         toks = tokenize(text)
         sents = split_sentences(text, toks)
-        flattened = [t for s in sents for t in s.tokens]
-        assert flattened == toks
+        flattened = [w for s in sents for w in zip(s.words, s.starts, s.ends)]
+        assert flattened == list(zip(*toks))
         for s in sents:
-            assert s.span.start == s.tokens[0].span.start
-            assert s.span.end == s.tokens[-1].span.end
+            assert s.span.start == s.starts[0]
+            assert s.span.end == s.ends[-1]
+
+
+# Line breaks of every style, blank lines holding spaces, `_`, non-ASCII
+# letters and digits, symbols alone, and every terminator.
+_ODD_TEXT = st.text(
+    alphabet="ab1_\u00e9\u00df\u4e2d\u0663\u00b2\u0301 \t\u00a0\u2028\r\n.!?,-(",
+    max_size=60)
+
+
+class TestSplitMatchesOracle:
+    """The parallel-tuple form against `tokenize_oracle`'s token objects."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ODD_TEXT)
+    @example("")
+    @example("a.\r\n\r\nb\rc\r\rd")
+    @example("plan a\n  \nplan b\n\n\n")
+    @example("?!. ,- (_)")
+    def test_same_words_offsets_and_sentences(self, text):
+        old = tokenize_oracle.tokenize(text)
+        assert list(zip(*tokenize(text))) == [(t.text, t.span.start, t.span.end) for t in old]
+        sents = split_text(text)
+        oracle = tokenize_oracle.split_sentences(text, old)
+        assert [list(zip(s.words, s.starts, s.ends)) for s in sents] == [
+            [(t.text, t.span.start, t.span.end) for t in o.tokens] for o in oracle]
+        assert [s.span for s in sents] == [o.span for o in oracle]
 
 
 class TestBuildVocab:
@@ -183,7 +213,7 @@ def _reference_build_vocab(texts, target_size):
 
     word_counts = Counter()
     for text in texts:
-        word_counts.update(tok.text for tok in tokenize(text))
+        word_counts.update(tokenize(text)[0])
 
     segmented = {w: list(w) for w in word_counts}
     pieces = list(chars)
@@ -287,6 +317,12 @@ class TestSpansToBio:
         with pytest.raises(ConflictError):
             spans_to_bio(sent, [CharSpan(0, 3), CharSpan(2, 5)])
 
+    def test_two_mentions_in_one_word_conflict(self):
+        # disjoint spans, but each overlaps the word "abcd"
+        sent = _sentence("abcd efg")
+        with pytest.raises(ConflictError, match="'abcd' at \\(0, 4\\)"):
+            spans_to_bio(sent, [CharSpan(0, 2), CharSpan(2, 4)])
+
 
 class TestAlignToSubtokens:
     def test_b_word_spreads_b_then_i(self):
@@ -306,7 +342,7 @@ class TestAlignToSubtokens:
         v = build_vocab(["ab cd"], 64)
         sent = _sentence("ab cd")
         seq = align_to_subtokens(sent, [BioTag.O, BioTag.O], PieceTable(v), max_len=16)
-        pieces = sum(len(subword_encode(t.text, v)) for t in sent.tokens)
+        pieces = sum(len(subword_encode(w, v)) for w in sent.words)
         assert len(seq) == 2 + pieces <= 16  # [CLS] + both words + [SEP], unpadded
         assert PAD_ID not in seq.subtoken_ids
         assert len(seq.word_index) == len(seq.tags) == len(seq)
@@ -346,7 +382,7 @@ class TestAlignToSubtokens:
         # the middle word's 8 pieces exceed max_len - 2; the words after it stay
         seq = align_to_subtokens(sent, [BioTag.O, BioTag.O, BioTag.B], PieceTable(v), max_len=8)
         assert seq.word_index == [NO_WORD, 0, 0, 2, 2, NO_WORD]
-        assert decode_bio(seq, seq.tags, sent) == [sent.tokens[2].span]
+        assert decode_bio(seq, seq.tags, sent) == [_word_span(sent, 2)]
 
     def test_round_trip_through_decode(self):
         v = build_vocab(["pt started lisinopril 10mg daily"], 256)
@@ -360,7 +396,7 @@ class TestDecodeBio:
     def _seq_and_sent(self, text, v=None):
         v = v or build_vocab([text], 256)
         sent = _sentence(text)
-        seq = align_to_subtokens(sent, [BioTag.O] * len(sent.tokens), PieceTable(v), max_len=32)
+        seq = align_to_subtokens(sent, [BioTag.O] * len(sent.words), PieceTable(v), max_len=32)
         return seq, sent
 
     def _word_tags_to_piece_tags(self, seq, word_tags):
@@ -387,7 +423,7 @@ class TestDecodeBio:
         seq, sent = self._seq_and_sent("one two three")
         tags = self._word_tags_to_piece_tags(seq, [BioTag.O, BioTag.I, BioTag.O])
         spans = decode_bio(seq, tags, sent)
-        assert spans == [sent.tokens[1].span]
+        assert spans == [_word_span(sent, 1)]
 
     def test_all_o_decodes_empty(self):
         seq, sent = self._seq_and_sent("nothing here")
@@ -397,7 +433,7 @@ class TestDecodeBio:
         seq, sent = self._seq_and_sent("aspirin plavix daily")
         tags = self._word_tags_to_piece_tags(seq, [BioTag.B, BioTag.B, BioTag.O])
         assert decode_bio(seq, tags, sent) == [
-            sent.tokens[0].span, sent.tokens[1].span,
+            _word_span(sent, 0), _word_span(sent, 1),
         ]
 
 
@@ -414,9 +450,7 @@ def _sentence_with_mentions(draw):
     while i < n_words:
         if picks[i]:
             j = min(n_words - 1, i + extends[i])
-            mentions.append(
-                CharSpan(sent.tokens[i].span.start, sent.tokens[j].span.end)
-            )
+            mentions.append(_word_span(sent, i, j))
             i = j + 2  # leave a gap so mentions never touch the same token
         else:
             i += 1
@@ -475,14 +509,15 @@ class TestEachWordEncodedOnce:
         sent = _sentence("abc de fgh ab c defg abc de")
         windows = _align_windows(sent, PieceTable(v), 8)
         assert len(windows) > 3
-        assert sorted(w for _, w in encodes) == sorted({t.text for t in sent.tokens})
+        assert sorted(w for _, w in encodes) == sorted(set(sent.words))
 
     def test_marker_examples_encode_each_distinct_word_once(self, encodes):
         text = "took plavix and aspirin then plavix again ."
         sent = _sentence(text)
-        spans = [t.span for t in sent.tokens if t.text in ("plavix", "aspirin")]
+        spans = [_word_span(sent, i) for i, w in enumerate(sent.words)
+                 if w in ("plavix", "aspirin")]
         assert len(spans) == 3
         keys, _ = mention_examples([AnnotatedDocument("d", text)], [[sent]], [spans],
                                    build_vocab([text], 128), 64)
         assert len(keys) == 3
-        assert sorted(w for _, w in encodes) == sorted({t.text for t in sent.tokens})
+        assert sorted(w for _, w in encodes) == sorted(set(sent.words))

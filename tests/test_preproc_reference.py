@@ -1,6 +1,8 @@
 """The single-pass BIO decoder, NER cut, NER windows and marker-example
 builder against the versions they replaced, kept here as oracles: the
-multi-pass ones, and the prefix-sum cut that encoded its own words.
+multi-pass ones, and the prefix-sum cut that encoded its own words. The
+oracles read each sentence as `tokenize_oracle` builds it, one token
+object per word; the builders read the same text in `preproc`'s form.
 
 Inputs cover what the gold round trip never produces: word tags no gold
 span gives (an I after an O, an I on the first word), arbitrary per-piece
@@ -16,6 +18,7 @@ from typing import Optional
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tokenize_oracle
 from rxtract import ner
 from rxtract.context import build_classification_example
 from rxtract.corpus import CharSpan
@@ -219,20 +222,20 @@ _WORDS = st.one_of(
 
 @st.composite
 def _sentences(draw):
+    """One text as one sentence, in the builders' form and the oracles'."""
     words = draw(st.lists(_WORDS, min_size=1, max_size=12))
     gaps = draw(st.lists(st.sampled_from([" ", "  "]), min_size=len(words),
                          max_size=len(words)))
     text = "".join(g + w for g, w in zip(gaps, words))
-    tokens = tuple(tokenize(text))
-    return Sentence(tokens)
+    return Sentence(*tokenize(text)), tokenize_oracle.Sentence(tuple(tokenize_oracle.tokenize(text)))
 
 
 @st.composite
 def _tagged_sentences(draw):
-    sent = draw(_sentences())
-    n = len(sent.tokens)
+    sent, old = draw(_sentences())
+    n = len(sent.words)
     word_tags = draw(st.lists(st.sampled_from(list(BioTag)), min_size=n, max_size=n))
-    return sent, word_tags
+    return sent, old, word_tags
 
 
 _MAX_LEN = st.integers(8, 40)
@@ -242,40 +245,41 @@ class TestAlignMatchesReference:
     @settings(max_examples=500, deadline=None)
     @given(_tagged_sentences(), _MAX_LEN)
     def test_same_sequence(self, case, max_len):
-        sent, word_tags = case
+        sent, old, word_tags = case
         got = align_to_subtokens(sent, word_tags, PieceTable(VOCAB), max_len, doc_id="d")
-        assert got == _reference_align(sent, word_tags, VOCAB, max_len, doc_id="d")
+        assert got == _reference_align(old, word_tags, VOCAB, max_len, doc_id="d")
         assert all(type(t) is BioTag for t in got.tags)
 
     @settings(max_examples=500, deadline=None)
     @given(_tagged_sentences(), _MAX_LEN)
     def test_same_cut_at_every_start(self, case, max_len):
-        sent, word_tags = case
+        sent, old, word_tags = case
         pieces = PieceTable(VOCAB)
-        for start in range(len(sent.tokens) + 1):
+        for start in range(len(sent.words) + 1):
             got = align_to_subtokens(sent, word_tags, pieces, max_len, doc_id="d", start=start)
-            assert got == _reference_cut(sent, word_tags, VOCAB, max_len, doc_id="d",
+            assert got == _reference_cut(old, word_tags, VOCAB, max_len, doc_id="d",
                                          start=start)
 
 
 class TestWindowsMatchReference:
     @settings(max_examples=500, deadline=None)
     @given(_sentences(), _MAX_LEN)
-    def test_same_windows(self, sent, max_len):
+    def test_same_windows(self, case, max_len):
+        sent, old = case
         got = ner._align_windows(sent, PieceTable(VOCAB), max_len)
-        assert got == _reference_windows(sent, VOCAB, max_len)
+        assert got == _reference_windows(old, VOCAB, max_len)
 
 
 class TestDecodeMatchesReference:
     @settings(max_examples=500, deadline=None)
     @given(_tagged_sentences(), _MAX_LEN, st.data())
     def test_same_spans_from_ints_and_tags(self, case, max_len, data):
-        sent, word_tags = case
+        sent, old, word_tags = case
         seq = align_to_subtokens(sent, word_tags, PieceTable(VOCAB), max_len)
         n = len(seq)
         ids = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         tags = [BioTag(t) for t in ids]
-        expected = _reference_decode(seq, tags, sent)
+        expected = _reference_decode(seq, tags, old)
         assert decode_bio(seq, ids, sent) == expected
         assert decode_bio(seq, tags, sent) == expected
 
@@ -283,9 +287,10 @@ class TestDecodeMatchesReference:
 class TestExampleMatchesReference:
     @settings(max_examples=500, deadline=None)
     @given(_sentences(), _MAX_LEN, st.data())
-    def test_same_example(self, sent, max_len, data):
+    def test_same_example(self, case, max_len, data):
+        sent, old = case
         start = data.draw(st.integers(sent.span.start, sent.span.end - 1))
         end = data.draw(st.integers(start + 1, sent.span.end))
         mention = CharSpan(start, end)
         got = build_classification_example(sent, mention, PieceTable(VOCAB), max_len, doc_id="d")
-        assert got == _reference_example(sent, mention, VOCAB, max_len, doc_id="d")
+        assert got == _reference_example(old, mention, VOCAB, max_len, doc_id="d")

@@ -127,7 +127,7 @@ class TestSeparability:
                         s for s in sentences
                         if s.span.start <= m.span.start < s.span.end
                     )
-                    words = {t.text for t in sent.tokens}
+                    words = set(sent.words)
                     for dim, (_, attr) in CONTEXT_DIMENSIONS.items():
                         cue = CUES[dim][getattr(m.context, attr).value]
                         assert cue in words
