@@ -98,9 +98,6 @@ class CharSpan:
     def overlaps(self, other: "CharSpan") -> bool:
         return self.start < other.end and other.start < self.end
 
-    def contains(self, other: "CharSpan") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
 
 def check_disjoint(spans: Iterable[CharSpan], what: str) -> None:
     """Raise ConflictError if two of `spans` overlap; `what` names the list."""
