@@ -227,7 +227,8 @@ def _sentences(draw):
     gaps = draw(st.lists(st.sampled_from([" ", "  "]), min_size=len(words),
                          max_size=len(words)))
     text = "".join(g + w for g, w in zip(gaps, words))
-    return Sentence(*tokenize(text)), tokenize_oracle.Sentence(tuple(tokenize_oracle.tokenize(text)))
+    old = tokenize_oracle.Sentence(tuple(tokenize_oracle.tokenize(text)))
+    return Sentence(*tokenize(text)), old
 
 
 @st.composite
