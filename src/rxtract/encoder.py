@@ -19,7 +19,15 @@ the optimizer's moments share that layout, so the optimizer and the
 best-epoch copy in `fit` run on whole buffers. Write into
 `model.params[name]`; a key cannot be rebound to a new array. Sub-layers
 take their layer's views (`FlatParams.layers`), not names; a `stack_models`
-stack's views over its (M, W) buffer come from the same code.
+stack's views over its (M, W) buffer come from the same code. Q, K and V
+are one grouped product over the layer's "attn.wqkv" view (K and V alone
+where only some rows query): one numpy call runs the three GEMMs their
+own products would, with the same bits.
+
+`pack_batch` builds what every forward reads, `ids` and `mask`; the rest
+of its `Packed` is built on first read, so inference pays for none of
+the training targets. A forward over a batch without padding skips the
+attention key mask, which would mask nothing.
 
 Elementwise work runs in place, in arrays this module allocated during
 the call: a bias is added into its product's buffer, a residual into the
@@ -27,7 +35,8 @@ sum that a layer norm then normalizes in place, and GELU, softmax,
 dropout and their gradients overwrite arrays that nothing reads
 afterwards. Each keeps every operation's
 operands and association, so the bits are those of the plain
-expressions. Never write into a parameter view, into an array the
+expressions; a constant enters as a 0-d array of the activations' dtype
+(`_scalars`), which computes what the Python number does. Never write into a parameter view, into an array the
 caller still holds, or into a cached array before the backward has read
 it: the `keep` arguments say which arrays the cache holds.
 """
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -103,6 +113,10 @@ class FlatParams(Mapping[str, np.ndarray]):
     stack's heads), which `zeros_like` and `copy` leave out. `layers[i]`
     holds encoder layer i's views by in-layer name ("attn.wq"), vectors
     shaped (..., 1, n) to broadcast over rows, so a layer call names no layer.
+    Where the layout puts them back to back, as `_param_layout` does, a
+    layer also holds Q, K and V as one group over the same memory:
+    "attn.wqkv" (..., 3, H, H) and "attn.bqkv" (..., 3, 1, H), and K and V
+    alone as "attn.wkv" and "attn.bkv".
     """
 
     def __init__(self, flat: np.ndarray, layout: Sequence[tuple[str, tuple[int, ...]]],
@@ -111,15 +125,25 @@ class FlatParams(Mapping[str, np.ndarray]):
         self.layout = tuple(layout)
         self._views: dict[str, np.ndarray] = {}
         layers: dict[str, dict[str, np.ndarray]] = {}
+        lead = flat.shape[:-1]
         offset = 0
+        last2 = (None, None)  # the two entries before this one
         for name, shape in self.layout:
             size = math.prod(shape)
-            view = self._views[name] = flat[..., offset : offset + size].reshape(
-                *flat.shape[:-1], *shape)
-            offset += size
+            view = self._views[name] = flat[..., offset : offset + size].reshape(*lead, *shape)
             pre, _, sub = name.partition(".")
             if pre.startswith("layer"):  # in layout order, layer0 first
-                layers.setdefault(pre, {})[sub] = view[..., None, :] if len(shape) == 1 else view
+                views = layers.setdefault(pre, {})
+                views[sub] = view[..., None, :] if len(shape) == 1 else view
+                # Q, K and V back to back, of one shape: also one group of three
+                stem = sub[:-1]  # "attn.w" or "attn.b"
+                if sub in ("attn.wv", "attn.bv") and last2 == ((f"{pre}.{stem}q", shape),
+                                                               (f"{pre}.{stem}k", shape)):
+                    qkv = flat[..., offset - 2 * size : offset + size].reshape(
+                        *lead, 3, *views[sub].shape[len(lead):])
+                    views[f"{stem}qkv"], views[f"{stem}kv"] = qkv, qkv[..., 1:, :, :]
+            last2 = (last2[1], (name, shape))
+            offset += size
         self._views.update(heads)
         self.layers = list(layers.values())
 
@@ -282,17 +306,35 @@ def _row_max(x):
     return m if m.all() else np.maximum.reduce(x, axis=-1, keepdims=True)
 
 
+@lru_cache(maxsize=64)
+def _scalars(dtype, *values):
+    """`values` as read-only 0-d arrays of `dtype`. As an operand of an
+    array of that dtype, each computes what the Python number does, which
+    numpy casts to the array's dtype first, and it costs numpy about half
+    a µs less per call: at one row, that is a tenth of a layer norm."""
+    out = tuple(np.array(v, dtype) for v in values)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _layernorm_fwd(x, gain, bias, keep=False):
     """Layer norm over the last axis of `x`, which it overwrites: `x - mu`
     is formed in `x`, then the normalized `xhat` in place of it. Returns
     the output and, with `keep`, the cache (xhat, inv) `_layernorm_bwd`
     reads, else None; only with `keep` is the output a separate array."""
-    # The same roundings as x.mean and x.var.
-    mu = _mean_last(x)
+    # The same roundings as x.mean and x.var, and as 1 / sqrt(var + eps):
+    # each statistic is formed in place of the sum it starts from.
+    n, eps, one = _scalars(x.dtype, x.shape[-1], LN_EPS, 1.0)
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
     x -= mu
     sq = x * x
-    var = _mean_last(sq)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    inv = np.add.reduce(sq, axis=-1, keepdims=True)  # n * var, then var, then 1 / sqrt
+    inv /= n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(one, inv, out=inv)
     x *= inv
     out = np.multiply(x, gain, out=sq if keep else x)
     out += bias
@@ -335,18 +377,19 @@ def _gelu(x, keep=False):
     array; else it is written into `x` and the tanh is None. The cube is
     written as products: on float32 a power call is far slower.
     """
+    k, c, half, one = _scalars(x.dtype, _GELU_K, _GELU_C, 0.5, 1.0)
     t = x * x
     t *= x
-    t *= _GELU_K
+    t *= k
     t += x
-    t *= _GELU_C
+    t *= c
     np.tanh(t, out=t)
     if keep:  # (x * 0.5) * (t + 1), as below
-        g = x * 0.5
-        g *= t + 1.0
+        g = x * half
+        g *= t + one
         return g, t
-    t += 1.0
-    x *= 0.5
+    t += one
+    x *= half
     x *= t
     return x, None
 
@@ -388,17 +431,75 @@ def _undrop(d, mask):
     return d
 
 
-@dataclass
-class Packed:
-    """A minibatch packed to the longest real length it contains."""
+def _add_rows(a, rows, values):
+    """`np.add.at(a, rows, values)` for a C-contiguous 2-D `a`, bit for bit.
 
-    ids: np.ndarray          # (B, L) int64
-    mask: np.ndarray         # (B, L) bool, true at each row's first len(seq) positions
-    loss_mask: np.ndarray    # (B, L) bool, real non-special positions
-    tags: np.ndarray         # (B, L) int64, token-head targets
-    labels: np.ndarray       # (B,) int64, sequence-head targets
-    head_pos: np.ndarray     # (B, 3) int64, a sequence head's [CLS], [S], [E] (0 if absent)
-    origins: list
+    It runs as one 1-D `np.add.at` over the flat index of every entry
+    (`rows * H + column`), in `values`' order, so each entry of `a` adds
+    its terms in the same order as the row-wise call; numpy runs the 1-D
+    form several times faster.
+    """
+    h = a.shape[-1]
+    flat = (rows.reshape(-1, 1) * h + np.arange(h)).reshape(-1)
+    np.add.at(a.reshape(-1), flat, values.reshape(-1))
+
+
+def _joined(rows):
+    """The rows end to end, as one int64 array."""
+    return np.fromiter(chain.from_iterable(rows), np.int64)
+
+
+def _first(ids, piece):
+    """The position of `piece`'s first occurrence in `ids`, or 0 if none."""
+    return ids.index(piece) if piece in ids else 0
+
+
+class Packed:
+    """A minibatch packed to the longest real length it contains.
+
+    `ids` (B, L) int64 and `mask` (B, L) bool, true at each row's first
+    len(seq) positions, are built by `pack_batch`. The other fields are
+    built on first read: inference reads only a sequence head's
+    `head_pos`, and training reads `loss_mask`, `tags` and `labels` too.
+    """
+
+    def __init__(self, seqs: Sequence[LabeledSequence], ids: np.ndarray, mask: np.ndarray):
+        self.seqs = seqs
+        self.ids = ids
+        self.mask = mask
+
+    @cached_property
+    def head_pos(self) -> np.ndarray:
+        """(B, 3) int64, a sequence head's [CLS], [S] and [E] positions, the
+        first of each, or 0 if absent; [CLS] is at 0."""
+        return np.array([(0, _first(s.subtoken_ids, S_MARK_ID), _first(s.subtoken_ids, E_MARK_ID))
+                         for s in self.seqs], np.int64)
+
+    @cached_property
+    def loss_mask(self) -> np.ndarray:
+        """(B, L) bool, the real non-special positions."""
+        loss_mask = np.zeros(self.mask.shape, dtype=bool)
+        loss_mask[self.mask] = _joined(s.word_index for s in self.seqs) != NO_WORD
+        return loss_mask
+
+    @cached_property
+    def tags(self) -> np.ndarray:
+        """(B, L) int64, the token head's targets: O where a row has none."""
+        o = int(BioTag.O)
+        tags = np.full(self.mask.shape, o, dtype=np.int64)
+        if any(s.tags is not None for s in self.seqs):
+            tags[self.mask] = _joined(repeat(o, len(s)) if s.tags is None else s.tags
+                                      for s in self.seqs)
+        return tags
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """(B,) int64, a sequence head's targets: 0 where a row has none."""
+        return np.array([0 if s.label is None else s.label for s in self.seqs], dtype=np.int64)
+
+    @property
+    def origins(self) -> list:
+        return [s.origin for s in self.seqs]
 
 
 def pack_batch(seqs: Sequence[LabeledSequence]) -> Packed:
@@ -411,56 +512,54 @@ def pack_batch(seqs: Sequence[LabeledSequence]) -> Packed:
     if not seqs:
         raise DataError("empty batch")
     lengths = [len(s.subtoken_ids) for s in seqs]
-    b, width = len(seqs), max(1, max(lengths))
-
-    def joined(rows):  # the rows end to end
-        return np.fromiter(chain.from_iterable(rows), np.int64)
-
+    width = max(1, max(lengths))
+    if min(lengths) == width:  # no padding
+        ids = np.array([s.subtoken_ids for s in seqs], dtype=np.int64)
+        return Packed(seqs, ids, np.ones(ids.shape, dtype=bool))
     # `mask` is true at each row's real positions, so in row-major order
     # its true cells take the rows' values one after another
     mask = np.arange(width) < np.array(lengths)[:, None]
-    ids = np.zeros((b, width), dtype=np.int64)
-    ids[mask] = joined(s.subtoken_ids for s in seqs)
-    loss_mask = np.zeros((b, width), dtype=bool)
-    loss_mask[mask] = joined(s.word_index for s in seqs) != NO_WORD
-    o = int(BioTag.O)
-    tags = np.full((b, width), o, dtype=np.int64)
-    if any(s.tags is not None for s in seqs):
-        tags[mask] = joined(repeat(o, n) if s.tags is None else s.tags
-                            for s, n in zip(seqs, lengths))
-    labels = np.array([0 if s.label is None else s.label for s in seqs], dtype=np.int64)
-    head_pos = np.zeros((b, 3), dtype=np.int64)  # [CLS] is at 0
-    head_pos[:, 1] = (ids == S_MARK_ID).argmax(axis=1)  # the first, or 0 if none
-    head_pos[:, 2] = (ids == E_MARK_ID).argmax(axis=1)
-
-    return Packed(ids, mask, loss_mask, tags, labels, head_pos, [s.origin for s in seqs])
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask] = _joined(s.subtoken_ids for s in seqs)
+    return Packed(seqs, ids, mask)
 
 
-def _attention_fwd(w, cfg, x, key_keep, rng, pick=None, keep=False):
+def _attention_fwd(w, cfg, x, b, key_pad, rng, pick=None, keep=False):
     """One layer's self-attention, output projection, residual and `ln1`
-    over (..., B*L, H) rows, with dropout on the attention probabilities.
-    `key_keep` is (B, 1, 1, L), true at real keys; the layer's views `w`
-    and `x` may carry a leading model axis (`stack_models`).
+    over (..., B*L, H) rows of `b` sequences, with dropout on the attention
+    probabilities. `key_pad` is (B, 1, 1, L), true at padding keys, or None
+    where no key is padding; the layer's views `w` and `x` may carry a
+    leading model axis (`stack_models`).
 
-    Given `pick`, the flat positions of R rows per sequence (B*R of them),
-    only those rows query: every position is still a key and a value, and
-    the output is (..., B*R, H), so all that follows runs on R rows per
-    sequence. The cache's `q`, `probs` and dropout mask then have R rows.
+    Q, K and V come from one grouped product, `x @ [wq, wk, wv]` over the
+    layer's "attn.wqkv" view: three GEMMs in one call, each the GEMM its
+    own `_affine` would run, so the bits are the same. Given `pick`, the
+    flat positions of R rows per sequence (B*R of them), only those rows
+    query: Q is their own product, every position is still a key and a
+    value (K and V grouped), and the output is (..., B*R, H), so all that
+    follows runs on R rows per sequence. The cache's `q`, `probs` and
+    dropout mask then have R rows.
     """
-    b = key_keep.shape[0]
     dk = x.shape[-1] // cfg.heads
-    scale = x.dtype.type(1.0 / math.sqrt(dk))
+    scale, = _scalars(x.dtype, 1.0 / math.sqrt(dk))
 
     def split(m):  # (..., B*N, H) -> (..., B, nh, N, dk)
         return m.reshape(*m.shape[:-2], b, -1, cfg.heads, dk).swapaxes(-3, -2)
 
-    resid = x if pick is None else x[..., pick, :]
-    q = split(_affine(resid, w["attn.wq"], w["attn.bq"]))
-    k = split(_affine(x, w["attn.wk"], w["attn.bk"]))
-    v = split(_affine(x, w["attn.wv"], w["attn.bv"]))
+    # (..., G, B*L, H) products; the group axis moved first, so that
+    # unpacking takes one projection per name, for a model or a stack
+    rows = x[..., None, :, :]
+    if pick is None:
+        resid = x
+        q, k, v = split(_affine(rows, w["attn.wqkv"], w["attn.bqkv"])).swapaxes(0, -5)
+    else:
+        resid = x[..., pick, :]
+        q = split(_affine(resid, w["attn.wq"], w["attn.bq"]))
+        k, v = split(_affine(rows, w["attn.wkv"], w["attn.bkv"])).swapaxes(0, -5)
     scores = q @ k.swapaxes(-1, -2)
     scores *= scale
-    np.copyto(scores, x.dtype.type(NEG_INF), where=~key_keep)
+    if key_pad is not None:
+        np.copyto(scores, x.dtype.type(NEG_INF), where=key_pad)
     probs = _softmax(scores)
     probs_used, drop = _dropout(probs, rng, cfg.dropout_rate, keep)
     ctx = (probs_used @ v).swapaxes(-3, -2).reshape(resid.shape)
@@ -507,7 +606,7 @@ def _attention_bwd(w, dout, c, g):
     dres += proj_bwd("attn.wq", "attn.bq", x if pick is None else x[pick], dq)
     if pick is not None:  # a row without markers reads position 0 three times
         dx = np.zeros_like(x)
-        np.add.at(dx, pick, dres)
+        _add_rows(dx, pick, dres)
         dres = dx
     dres += proj_bwd("attn.wk", "attn.bk", x, dk_)
     dres += proj_bwd("attn.wv", "attn.bv", x, dv)
@@ -562,16 +661,17 @@ def _forward_batch(model, ids, mask, rng=None, rows=None, keep_cache=False):
 
     # Activations are (..., B*L, H) rows, so each weight product is one GEMM
     # per model.
-    emb = np.take(p["tok_emb"], ids, axis=-2)
+    emb = p["tok_emb"][..., ids, :]  # np.take(..., axis=-2), in a tenth of the time
     emb += p["pos_emb"][..., None, :length, :]
     x = emb.reshape(*emb.shape[:-3], b * length, cfg.hidden_dim)
     x, emb_mask = _dropout(x, rng, cfg.dropout_rate)
 
-    key_keep = mask[:, None, None, :]
+    # masking no key is a no-op, so an unpadded batch (every one-row call) skips it
+    key_pad = None if mask.all() else ~mask[:, None, None, :]
     pick = None if rows is None else (np.arange(b)[:, None] * length + rows).ravel()
     cache = dict(ids=ids, emb_mask=emb_mask, layers=[]) if keep_cache else None
     for w in p.layers:
-        x, attn = _attention_fwd(w, cfg, x, key_keep, rng,
+        x, attn = _attention_fwd(w, cfg, x, b, key_pad, rng,
                                  pick if w is p.layers[-1] else None, keep_cache)
         x, ffn = _ffn_fwd(w, cfg, x, rng, keep_cache)
         if cache is not None:
@@ -590,7 +690,7 @@ def _backward_batch(model, cache, d_hidden, grads):
         dx = _attention_bwd(w, dx, attn, g)
 
     dx = _undrop(dx, cache["emb_mask"]).reshape(*ids.shape, -1)
-    np.add.at(grads["tok_emb"], ids, dx)
+    _add_rows(grads["tok_emb"], ids, dx)
     grads["pos_emb"][: ids.shape[1]] += dx.sum(axis=0)
 
 
@@ -598,15 +698,16 @@ def _backward_batch(model, cache, d_hidden, grads):
 # public operations
 
 
-def length_chunks(seqs: Sequence[LabeledSequence], size: int) -> Iterator[list[int]]:
+def length_chunks(seqs: Sequence[LabeledSequence], size: int) -> list[list[int]]:
     """Indices of `seqs` in chunks of at most `size`, in order of length.
 
     Chunking like-length sequences together keeps the padding `pack_batch`
-    adds small. Ties keep input order.
+    adds small. Ties keep input order. The chunks come as a list: a caller
+    that runs out of memory in its loop leaves no suspended generator,
+    whose closing could fail while memory is still short.
     """
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
-    for start in range(0, len(order), size):
-        yield order[start : start + size]
+    return [order[start : start + size] for start in range(0, len(order), size)]
 
 
 def forward_batch(
@@ -641,10 +742,12 @@ def _head(model, hidden, task):
     their concatenation, concat(hidden[CLS], hidden[S], hidden[E]).
     """
     name = _head_name(task)
-    if f"{name}.w" not in model.params:
-        raise ConfigError(f"model has no head for task {task!r}")
+    try:
+        w, b = model.params[f"{name}.w"], model.params[f"{name}.b"]
+    except KeyError:
+        raise ConfigError(f"model has no head for task {task!r}") from None
     feat = hidden if task is None else hidden.reshape(*hidden.shape[:-2], -1)
-    return _affine(feat, model.params[f"{name}.w"], model.params[f"{name}.b"]), feat
+    return _affine(feat, w, b), feat
 
 
 # Config fields that shape the forward pass. Models run as one stack must
@@ -723,12 +826,12 @@ def predict_batch(
     out: list = [None] * len(seqs)
     for idx in length_chunks(distinct, INFERENCE_BATCH // len(task) if stacked else INFERENCE_BATCH):
         hidden, _ = forward_batch(model, [distinct[j] for j in idx], task)
-        if stacked:
-            best = np.stack([np.argmax(_head(model, hid, t)[0], axis=-1)
-                             for hid, t in zip(hidden, task)], axis=-1)
+        if stacked:  # each head's ids, then one list per row
+            best = map(list, zip(*(_head(model, hid, t)[0].argmax(axis=-1).tolist()
+                                   for hid, t in zip(hidden, task))))
         else:
-            best = np.argmax(_head(model, hidden, task)[0], axis=-1)
-        for j, row in zip(idx, best.tolist()):  # an int, or a fresh list per row
+            best = _head(model, hidden, task)[0].argmax(axis=-1).tolist()
+        for j, row in zip(idx, best):  # an int, or a fresh list per row
             if task is None:
                 row = row[: len(distinct[j].subtoken_ids)]
             first, *repeats = groups[j]

@@ -19,7 +19,6 @@ from .encoder import (
 from .errors import DataError
 from .evaluation import ner_metrics
 from .preproc import (
-    BioTag,
     LabeledSequence,
     PieceTable,
     Sentence,
@@ -71,14 +70,13 @@ def build_ner_examples(
 
 
 def _align_windows(sent: Sentence, pieces: PieceTable, max_len: int) -> list[LabeledSequence]:
-    """`sent` aligned with all-O tags as windows of whole words, each
+    """`sent` aligned without tags as windows of whole words, each
     `grow_window`'s cut from the word after the last one of the window
     before, so that every word of at most `max_len - 2` pieces is in one.
     The windows keep the sentence's word indices and share one table."""
-    tags = [BioTag.O] * len(sent.words)
-    windows = [align_to_subtokens(sent, tags, pieces, max_len)]
-    while len(windows[-1]) > 2 and (start := windows[-1].word_index[-2] + 1) < len(tags):
-        window = align_to_subtokens(sent, tags, pieces, max_len, start=start)
+    windows = [align_to_subtokens(sent, None, pieces, max_len)]
+    while len(windows[-1]) > 2 and (start := windows[-1].word_index[-2] + 1) < len(sent.words):
+        window = align_to_subtokens(sent, None, pieces, max_len, start=start)
         if len(window) == 2:  # only over-long words were left
             break
         windows.append(window)

@@ -73,7 +73,7 @@ def _run_staged(
     keys, seqs = mention_examples(docs, sentences, spans, cb.vocab, cb.max_len)
     events = predict_events(cb, seqs)
     disposition = [k for k, e in enumerate(events) if e is EventLabel.DISPOSITION]
-    contexts = predict_contexts(cb, [seqs[k] for k in disposition])
+    contexts = predict_contexts(cb, [seqs[k] for k in disposition]) if disposition else []
     context_of = dict(zip(disposition, contexts))
     for k, ((d, j), event) in enumerate(zip(keys, events)):
         span = spans[d][j]

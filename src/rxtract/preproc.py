@@ -231,6 +231,9 @@ def _merge_pair(segs: list[str], pair: tuple[str, str], merged: str) -> list[str
 
 def subword_encode(word: str, vocab: Vocabulary) -> list[int]:
     """Greedy longest-match segmentation; unknown characters map to UNK."""
+    whole = vocab.piece_to_id.get(word)
+    if whole is not None and word:  # the loop's first match, taken without the loop
+        return [whole]
     ids: list[int] = []
     i, n = 0, len(word)
     while i < n:
@@ -330,7 +333,7 @@ class LabeledSequence:
 
 def align_to_subtokens(
     sent: Sentence,
-    word_tags: Sequence[BioTag],
+    word_tags: Optional[Sequence[BioTag]],
     pieces: PieceTable,
     max_len: int,
     doc_id: str = "",
@@ -346,9 +349,10 @@ def align_to_subtokens(
     exceed max_len, whole trailing words are dropped (`grow_window` from
     `start` rightward), never leaving a mention cut at the boundary; a
     `start` after the last word kept aligns the next window of the sentence.
+    With `word_tags` None, as at inference, the sequence carries no tags.
     """
     n_words = len(sent.words)
-    if len(word_tags) != n_words:
+    if word_tags is not None and len(word_tags) != n_words:
         raise ValueError("word_tags length must equal word count")
 
     room = max_len - 2
@@ -356,23 +360,26 @@ def align_to_subtokens(
     counts = [len(p) if len(p) <= room else 0 for p in piece_lists]
 
     keep = grow_window(counts, start, start - 1, room, first=start)[1] + 1
-    while start < keep < n_words and word_tags[keep] is _I:
+    while word_tags is not None and start < keep < n_words and word_tags[keep] is _I:
         keep -= 1
 
     ids = [CLS_ID]
     word_index = [NO_WORD]
-    tags = [_O]
+    tags = None if word_tags is None else [_O]
     for w in range(start, keep):
-        n, tag = counts[w], word_tags[w]
+        n = counts[w]
         if not n:
             continue
         ids += piece_lists[w]
         word_index += [w] * n
-        tags.append(tag)
-        tags += [_I if tag is _B else tag] * (n - 1)
+        if tags is not None:
+            tag = word_tags[w]
+            tags.append(tag)
+            tags += [_I if tag is _B else tag] * (n - 1)
     ids.append(SEP_ID)
     word_index.append(NO_WORD)
-    tags.append(_O)
+    if tags is not None:
+        tags.append(_O)
 
     return LabeledSequence(subtoken_ids=ids, word_index=word_index, tags=tags,
                            origin=(doc_id, sent.span))

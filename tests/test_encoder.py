@@ -1,5 +1,6 @@
 """Encoder forward/backward, heads, loss, optimizer, and gradient checks."""
 
+import collections
 import copy
 import math
 import re
@@ -918,13 +919,23 @@ class TestFlatLayout:
         for name in stacked:
             assert np.array_equal(stacked[name], np.stack([r[name] for r in rows]))
         assert len(stacked.layers) == TOY.layers
+        groups = {"attn.wqkv": ("attn.wq", "attn.wk", "attn.wv"),
+                  "attn.bqkv": ("attn.bq", "attn.bk", "attn.bv"),
+                  "attn.wkv": ("attn.wk", "attn.wv"), "attn.bkv": ("attn.bk", "attn.bv")}
         for i, layer in enumerate(stacked.layers):
             assert list(layer) == list(rows[0].layers[i])
+            assert set(groups) <= set(layer)
             for sub, view in layer.items():
+                assert np.shares_memory(view, buf)
+                assert np.array_equal(view, np.stack([r.layers[i][sub] for r in rows]))
+                if sub in groups:  # its parts' views, one after another on axis 1
+                    parts = [layer[part] for part in groups[sub]]
+                    assert np.shares_memory(view, parts[0])
+                    assert np.array_equal(view, np.stack(parts, axis=1))
+                    continue
                 named = stacked[f"layer{i}.{sub}"]
                 assert view.shape == (named.shape if named.ndim > 2 else (3, 1, named.shape[1]))
-                assert np.shares_memory(view, buf) and np.shares_memory(view, named)
-                assert np.array_equal(view, np.stack([r.layers[i][sub] for r in rows]))
+                assert np.shares_memory(view, named)
 
     def test_copy_params_is_independent(self):
         model = init_model(TOY, VOCAB)
@@ -1042,3 +1053,159 @@ class TestTrainingSignal:
             optimizer_step(state, model, grads, tc)
         final, _ = loss_and_grads(model, batch)
         assert final <= 0.1 * initial
+
+
+class _Counting(np.ndarray):
+    """An array that counts each ufunc call it takes part in, matmul and
+    reductions included, then runs the call on plain arrays and hands back
+    counting arrays, so that every array computed from it counts too."""
+
+    calls: collections.Counter = collections.Counter()
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Counting.calls["all"] += 1
+        _Counting.calls[ufunc.__name__] += ufunc is np.matmul
+        _Counting.calls[method] += method == "reduce"
+
+        def plain(arrays):
+            return tuple(a.view(np.ndarray) if isinstance(a, _Counting) else a for a in arrays)
+
+        if out is not None:
+            kwargs["out"] = plain(out)
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_Counting) if isinstance(result, np.ndarray) else result
+
+
+class TestUfuncCount:
+    """The numpy calls a one-row forward makes, counted, so that none is
+    added unseen: at one row each call's fixed cost, about a µs, is much
+    of a forward's time. Counts are per `forward_batch` call of one
+    10-piece sequence; hidden and FFN widths do not change them."""
+
+    @staticmethod
+    def _counted(model, task):
+        p = model.params
+        counting = encoder.EncoderModel(model.config, FlatParams(p.flat.view(_Counting), p.layout))
+        seq = toy_examples("sequence", VOCAB, n=1, length=12, seed=5)[:1]
+        _Counting.calls.clear()
+        hidden, _ = forward_batch(counting, seq, task)
+        assert isinstance(hidden, _Counting)
+        return {key: _Counting.calls[key] for key in ("all", "matmul", "reduce")}
+
+    def test_token_head(self):
+        # per layer: Q/K/V as one product, scores, context, wo, w1 and w2
+        model = init_model(WIDE, VOCAB)
+        assert self._counted(model, None) == {"all": 103, "matmul": 12, "reduce": 12}
+
+    def test_sequence_head(self):
+        # the last layer's Q at the rows read, K and V as one product
+        model = init_model(WIDE, VOCAB, {"A": 3})
+        assert self._counted(model, "A") == {"all": 105, "matmul": 13, "reduce": 12}
+
+    def test_five_model_stack(self):
+        # as one model, but the first layer's row max runs one np.maximum per
+        # key column (`_row_max`): at five models there are rows enough
+        stack = stack_models(_distinct_models(WIDE))
+        assert self._counted(stack, tuple(STACK_TASKS)) == {"all": 114, "matmul": 13,
+                                                            "reduce": 12}
+
+
+class TestGroupedProjections:
+    """Q, K and V as one grouped product over a layer's "attn.wqkv" view
+    are the three `_affine` calls, bit for bit."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("precision", [32, 64])
+    @pytest.mark.parametrize("rows", [1, 2, 12, 13, 208, 768])
+    def test_bit_identical_to_one_affine_per_projection(self, stacked, precision, rows):
+        models = _distinct_models(replace(WIDE, precision=precision))
+        rng = np.random.default_rng(rows)
+        for m in models.values():  # biases off their initial zeros
+            m.params.flat[...] = rng.uniform(-0.5, 0.5, m.params.flat.size)
+        model = stack_models(models) if stacked else models["A"]
+        x = rng.standard_normal((len(models), rows, WIDE.hidden_dim) if stacked
+                                else (rows, WIDE.hidden_dim)).astype(WIDE.dtype if precision == 32
+                                                                     else np.float64)
+        for w in model.params.layers:
+            qkv = encoder._affine(x[..., None, :, :], w["attn.wqkv"], w["attn.bqkv"])
+            kv = encoder._affine(x[..., None, :, :], w["attn.wkv"], w["attn.bkv"])
+            for i, part in enumerate("qkv"):
+                want = encoder._affine(x, w[f"attn.w{part}"], w[f"attn.b{part}"])
+                assert qkv[..., i, :, :].dtype == want.dtype
+                assert qkv[..., i, :, :].tobytes() == want.tobytes()
+                if part != "q":
+                    assert kv[..., i - 1, :, :].tobytes() == want.tobytes()
+
+    def test_views_are_the_weights_memory(self):
+        model = init_model(TOY, VOCAB)
+        w = model.params.layers[1]
+        w["attn.wqkv"][2, 0, 0] = 5.0
+        w["attn.bkv"][0, 0, 1] = 6.0
+        assert model.params["layer1.attn.wv"][0, 0] == 5.0
+        assert model.params["layer1.attn.bk"][1] == 6.0
+
+    def test_out_of_order_layout_has_no_group(self):
+        layout = [(name, shape) for name, shape in param_shapes(TOY, VOCAB).items()]
+        at = [name for name, _ in layout].index("layer0.attn.wk")
+        layout[at], layout[at + 1] = layout[at + 1], layout[at]  # wv before wk
+        params = FlatParams(np.zeros(sum(math.prod(s) for _, s in layout)), layout)
+        assert "attn.wqkv" not in params.layers[0] and "attn.wqkv" in params.layers[1]
+
+
+class TestKeyMask:
+    def test_masking_no_key_is_skipped_bit_for_bit(self):
+        """An unpadded batch skips the key mask; with an all-false padding
+        mask the scores are the same, and so is every bit after them."""
+        model = init_model(WIDE, VOCAB)
+        packed = pack_batch(toy_examples("token", VOCAB, n=3, length=12, seed=3)[:1] * 3)
+        assert packed.mask.all()
+        b, length = packed.ids.shape
+        x = np.random.default_rng(0).standard_normal((b * length, WIDE.hidden_dim))
+        x = x.astype(WIDE.dtype)
+        w = model.params.layers[0]
+        skipped, _ = encoder._attention_fwd(w, WIDE, x, b, None, None)
+        masked, _ = encoder._attention_fwd(w, WIDE, x, b, np.zeros((b, 1, 1, length), bool),
+                                           None)
+        assert skipped.tobytes() == masked.tobytes()
+
+
+class TestPackedFields:
+    def test_unpadded_batch(self):
+        seqs = toy_examples("token", VOCAB, n=1, length=12, seed=3) * 2
+        packed = pack_batch(seqs)
+        assert packed.ids.tolist() == [seqs[0].subtoken_ids] * 2
+        assert packed.ids.dtype == np.int64 and packed.mask.dtype == bool and packed.mask.all()
+
+    def test_training_fields_are_built_on_first_read(self):
+        seqs = _edge_sequences()
+        packed = pack_batch(seqs)
+        assert not {"head_pos", "loss_mask", "tags", "labels"} & set(vars(packed))
+        ids = packed.ids
+        want = np.zeros((len(seqs), 3), np.int64)  # the first marker, or 0 if none
+        want[:, 1] = (ids == S_MARK_ID).argmax(axis=1)
+        want[:, 2] = (ids == E_MARK_ID).argmax(axis=1)
+        assert packed.head_pos.dtype == np.int64 and np.array_equal(packed.head_pos, want)
+        assert packed.head_pos is packed.head_pos  # built once
+        assert packed.labels.tolist() == [s.label for s in seqs]
+        assert packed.origins == [s.origin for s in seqs]
+
+
+class TestAddRows:
+    """The gradient scatters' `_add_rows` is `np.add.at` over rows, bit for
+    bit: each entry adds its terms in the same order."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(16, 13), (16, 20), (64, 12), (48,)])
+    def test_bit_identical_to_add_at(self, dtype, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        rows = rng.integers(6, 20, size=shape)  # few ids, so most repeat
+        if len(shape) == 2:  # token ids: [CLS] and [SEP] in every row
+            rows[:, 0], rows[:, -1] = CLS_ID, SEP_ID
+        values = rng.standard_normal((*shape, 16)).astype(dtype)
+        want = rng.standard_normal((VOCAB, 16)).astype(dtype)
+        got = want.copy()
+        np.add.at(want, rows, values)
+        encoder._add_rows(got, rows, values)
+        assert got.tobytes() == want.tobytes()

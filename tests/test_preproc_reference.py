@@ -12,6 +12,7 @@ end inside a word or cover only whitespace.
 """
 
 from bisect import bisect_right
+from dataclasses import replace
 from itertools import accumulate
 from typing import Optional
 
@@ -268,7 +269,8 @@ class TestWindowsMatchReference:
     def test_same_windows(self, case, max_len):
         sent, old = case
         got = ner._align_windows(sent, PieceTable(VOCAB), max_len)
-        assert got == _reference_windows(old, VOCAB, max_len)
+        # inference windows carry no tags; the reference's are all O
+        assert got == [replace(w, tags=None) for w in _reference_windows(old, VOCAB, max_len)]
 
 
 class TestDecodeMatchesReference:
