@@ -443,14 +443,20 @@ def _undrop(d, mask):
 def _add_rows(a, rows, values):
     """`np.add.at(a, rows, values)` for a C-contiguous 2-D `a`, bit for bit.
 
-    It runs as one 1-D `np.add.at` over the flat index of every entry
+    It runs as 1-D `np.add.at` calls over the flat index of every entry
     (`rows * H + column`), in `values`' order, so each entry of `a` adds
     its terms in the same order as the row-wise call; numpy runs the 1-D
-    form several times faster.
+    form several times faster. The rows go 256 at a time, so that each
+    index array stays at 256 KB at width 128: one array for a whole
+    training batch raised the train workload's peak RSS by about 4 MB.
     """
     h = a.shape[-1]
-    flat = (rows.reshape(-1, 1) * h + np.arange(h)).reshape(-1)
-    np.add.at(a.reshape(-1), flat, values.reshape(-1))
+    rows = rows.reshape(-1, 1)
+    values = values.reshape(len(rows), h)
+    cols, entries = np.arange(h), a.reshape(-1)
+    for start in range(0, len(rows), 256):
+        block = slice(start, start + 256)
+        np.add.at(entries, (rows[block] * h + cols).reshape(-1), values[block].reshape(-1))
 
 
 def _joined(rows):

@@ -1064,8 +1064,10 @@ class _Counting(np.ndarray):
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         _Counting.calls["all"] += 1
-        _Counting.calls[ufunc.__name__] += ufunc is np.matmul
-        _Counting.calls[method] += method == "reduce"
+        if ufunc is np.matmul:
+            _Counting.calls["matmul"] += 1
+        if method == "reduce":
+            _Counting.calls["reduce"] += 1
 
         def plain(arrays):
             return tuple(a.view(np.ndarray) if isinstance(a, _Counting) else a for a in arrays)
