@@ -473,9 +473,9 @@ class Packed:
     """A minibatch packed to the longest real length it contains.
 
     `ids` (B, L) int64 and `mask` (B, L) bool, true at each row's first
-    len(seq) positions, are built by `pack_batch`. The other fields are
-    built on first read: inference reads only a sequence head's
-    `head_pos`, and training reads `loss_mask`, `tags` and `labels` too.
+    len(seq) positions, are built by `pack_batch`, the other fields when
+    first read: inference reads only a sequence head's `head_pos`, and
+    training reads `loss_mask`, `tags` and `labels` too.
     """
 
     def __init__(self, seqs: Sequence[LabeledSequence], ids: np.ndarray, mask: np.ndarray):
@@ -514,6 +514,7 @@ class Packed:
 
     @property
     def origins(self) -> list:
+        """Each row's origin, which a non-finite loss names."""
         return [s.origin for s in self.seqs]
 
 
