@@ -78,6 +78,11 @@ def _parse_dataclass(cls, entries: dict[str, str], prefix: str):
         raise CorruptionError(f"manifest config is invalid: {exc}") from None
 
 
+def _component_dir(path: Path, name: str) -> Path:
+    """The directory of a pipeline artifact's component `name`: "ner" or a task."""
+    return path / ("ner" if name == "ner" else f"task_{name}")
+
+
 def _write_model_dir(
     path: Path,
     kind: str,
@@ -221,10 +226,10 @@ def save_artifact(bundle: AnyBundle, path: str | Path) -> None:
             "components=ner " + " ".join(names),
         ]
         (path / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        save_artifact(bundle.ner, path / "ner")
+        save_artifact(bundle.ner, _component_dir(path, "ner"))
         for name in names:
             one = ClassifierBundle({name: bundle.classifiers.tasks[name]}, bundle.classifiers.vocab)
-            save_artifact(one, path / f"task_{name}")
+            save_artifact(one, _component_dir(path, name))
     else:
         raise TypeError(f"cannot save bundle of type {type(bundle).__name__}")
 
@@ -254,7 +259,7 @@ def load_artifact(path: str | Path) -> AnyBundle:
             raise CorruptionError("pipeline artifact missing components: ner")
         components: dict[str, AnyBundle] = {}
         for name in names:
-            sub = load_artifact(path / ("ner" if name == "ner" else f"task_{name}"))
+            sub = load_artifact(_component_dir(path, name))
             right_kind = isinstance(sub, NerModelBundle) if name == "ner" else (
                 isinstance(sub, ClassifierBundle) and name in sub.tasks)
             if not right_kind:

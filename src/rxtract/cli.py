@@ -21,7 +21,7 @@ import numpy as np
 from . import artifacts, context, evaluation, ner, pipeline, synth
 from .corpus import (SPLIT_NAMES, corpus_stats, format_stats, load_corpus, normalize_newlines,
                      read_utf8, write_corpus_dir)
-from .encoder import EncoderConfig, TrainConfig, grad_check, init_model, toy_examples
+from .encoder import TOY_CLASSES, EncoderConfig, TrainConfig, grad_check, init_model, toy_examples
 from .errors import RxtractError
 from .evaluation import MetricsReport, render_report, report_records
 from .preproc import DEFAULT_VOCAB_SIZE, build_vocab, split_text
@@ -32,7 +32,7 @@ class UsageError(Exception):
 
 
 TASK_NAMES = {name.lower(): name for name in context.TASKS}
-LEDGER = "ledger.jsonl"  # synth's record of every generated mention
+LEDGER = "ledger.jsonl"  # synth's list of every mention of the corpus it writes
 
 _ENC_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(EncoderConfig)}
 _TRAIN_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=["ner", "event", "context", "end2end"])
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
+    p.add_argument("--mode", choices=[evaluation.STRICT, evaluation.LENIENT],
+                   default=evaluation.STRICT)
     p.add_argument("--gold-spans", choices=["on", "off"], default="on")
     p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--out", default=None, help="write metric records as JSON lines")
@@ -164,22 +165,18 @@ def cmd_synth(args) -> int:
         lexicon_size=args.lexicon_size,
         noise_rate=args.noise_rate,
     )
-    result = synth.gen_corpus(spec)
-    write_corpus_dir(result.corpus, out)
+    corpus = synth.gen_corpus(spec).corpus
+    write_corpus_dir(corpus, out)
     with (out / LEDGER).open("w", encoding="utf-8") as fh:
-        for entry in result.ledger:
-            record = {
-                "doc_id": entry.doc_id,
-                "split": entry.split,
-                "start": entry.span.start,
-                "end": entry.span.end,
-                "surface": entry.surface,
-                "event": entry.event.value,
-            }
-            if entry.context is not None:
-                record["context"] = entry.context.as_dict()
-            fh.write(json.dumps(record) + "\n")
-    for split, st in corpus_stats(result.corpus).items():
+        for split, docs in corpus.splits():
+            for doc in docs:
+                for m in doc.mentions:
+                    record = {"doc_id": doc.doc_id, "split": split, "start": m.span.start,
+                              "end": m.span.end, "surface": m.surface, "event": m.event.value}
+                    if m.context is not None:
+                        record["context"] = m.context.as_dict()
+                    fh.write(json.dumps(record) + "\n")
+    for split, st in corpus_stats(corpus).items():
         _log(f"{split}: {st.documents} docs, {st.medications} mentions")
     return 0
 
@@ -313,7 +310,7 @@ def cmd_gradcheck(args) -> int:
             dropout_rate=rate, seed=args.seed, precision=64,
         )
         for kind, task in (("token", None), ("sequence", "Event")):
-            model = init_model(cfg, vocab_size, {"Event": 3} if task else {})
+            model = init_model(cfg, vocab_size, {task: TOY_CLASSES} if task else {})
             batch = toy_examples(kind, vocab_size, n=4, length=16, seed=args.seed)
             report = grad_check(model, batch, task=task, seed=args.seed)
             _log(

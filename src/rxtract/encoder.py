@@ -66,8 +66,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 NEG_INF = -1e9
-N_BIO = 3
+N_BIO = len(BioTag)
 INFERENCE_BATCH = 64  # sequences per inference chunk
+GRAD_CHECK_STEP = 1e-5  # grad_check's finite-difference step
+TOY_CLASSES = 3  # the class count of toy_examples' labels, and of the head they train
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
@@ -460,7 +462,8 @@ def _add_rows(a, rows, values):
 
 
 def _joined(rows):
-    """The rows end to end, as one int64 array."""
+    """The rows end to end, as one int64 array. `rows` is a list, so that a
+    MemoryError in `np.fromiter` leaves no suspended generator to close."""
     return np.fromiter(chain.from_iterable(rows), np.int64)
 
 
@@ -494,7 +497,7 @@ class Packed:
     def loss_mask(self) -> np.ndarray:
         """(B, L) bool, the real non-special positions."""
         loss_mask = np.zeros(self.mask.shape, dtype=bool)
-        loss_mask[self.mask] = _joined(s.word_index for s in self.seqs) != NO_WORD
+        loss_mask[self.mask] = _joined([s.word_index for s in self.seqs]) != NO_WORD
         return loss_mask
 
     @cached_property
@@ -503,8 +506,8 @@ class Packed:
         o = int(BioTag.O)
         tags = np.full(self.mask.shape, o, dtype=np.int64)
         if any(s.tags is not None for s in self.seqs):
-            tags[self.mask] = _joined(repeat(o, len(s)) if s.tags is None else s.tags
-                                      for s in self.seqs)
+            tags[self.mask] = _joined([repeat(o, len(s)) if s.tags is None else s.tags
+                                       for s in self.seqs])
         return tags
 
     @cached_property
@@ -536,7 +539,7 @@ def pack_batch(seqs: Sequence[LabeledSequence]) -> Packed:
     # its true cells take the rows' values one after another
     mask = np.arange(width) < np.array(lengths)[:, None]
     ids = np.zeros(mask.shape, dtype=np.int64)
-    ids[mask] = _joined(s.subtoken_ids for s in seqs)
+    ids[mask] = _joined([s.subtoken_ids for s in seqs])
     return Packed(seqs, ids, mask)
 
 
@@ -814,6 +817,14 @@ def stack_models(models: Mapping[str, EncoderModel]) -> EncoderModel:
     return EncoderModel(first.config, FlatParams(buf, shared, heads))
 
 
+def _stack_tasks(model: EncoderModel) -> tuple[str, ...]:
+    """A `stack_models` stack's tasks in its model order; () for one model."""
+    if model.params.flat.ndim == 1:
+        return ()
+    return tuple(name[len("seq_head."):-len(".w")] for name in model.params
+                 if name.startswith("seq_head.") and name.endswith(".w"))
+
+
 def predict_batch(
     model: EncoderModel,
     seqs: Sequence[LabeledSequence],
@@ -823,11 +834,12 @@ def predict_batch(
 
     With a task, one class id per sequence; with none, one B/I/O id per
     real position. With a tuple of tasks, `model` is their `stack_models`
-    stack, in the same order, and each sequence gets a list of class ids,
-    one per task; each of the tuple's heads reads its model's slice of the
-    stacked hidden states. A stacked chunk holds `INFERENCE_BATCH // M`
-    rows, so its activations take no more memory than one model's chunk.
-    Ties break toward the lowest id.
+    stack, and the tuple names all its heads in its order, else it is a
+    ConfigError; each sequence gets a list of class ids, one per task, and
+    each head reads its model's slice of the stacked hidden states. A
+    stacked chunk holds `INFERENCE_BATCH // M` rows, so its activations
+    take no more memory than one model's chunk. Ties break toward the
+    lowest id.
 
     A row's prediction depends on its `subtoken_ids` alone, so each
     distinct id sequence is encoded once per call, in first-seen order,
@@ -835,6 +847,8 @@ def predict_batch(
     across calls.
     """
     stacked = isinstance(task, tuple)
+    if stacked and task != _stack_tasks(model):
+        raise ConfigError(f"tasks {task} are not the stack's heads {_stack_tasks(model)}")
     inputs: dict[tuple[int, ...], list[int]] = {}  # distinct ids -> positions in seqs
     for i, s in enumerate(seqs):
         inputs.setdefault(tuple(s.subtoken_ids), []).append(i)
@@ -1002,7 +1016,6 @@ def grad_check(
     batch: Sequence[LabeledSequence],
     task: Optional[str] = None,
     n_samples: int = 200,
-    step: float = 1e-5,
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic gradients to central finite differences.
@@ -1010,8 +1023,8 @@ def grad_check(
     Requires 64-bit precision. Dropout runs at the model's rate, from a
     generator seeded with `seed` anew for every pass, so each pass draws
     the same masks. Entries of `model.params.flat` are sampled and
-    perturbed in place. The relative error denominator is floored so that
-    zero-against-zero counts as a pass.
+    perturbed in place by `GRAD_CHECK_STEP` each way. The relative error
+    denominator is floored so that zero-against-zero counts as a pass.
     """
     if model.config.precision != 64:
         raise ConfigError("grad_check requires a 64-bit model")
@@ -1027,12 +1040,12 @@ def grad_check(
     worst, worst_at = 0.0, None
     for i in np.random.default_rng(seed).choice(flat.size, size=count, replace=False):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + GRAD_CHECK_STEP
         up, _ = loss(False)
-        flat[i] = orig - step
+        flat[i] = orig - GRAD_CHECK_STEP
         down, _ = loss(False)
         flat[i] = orig
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * GRAD_CHECK_STEP)
         a = float(analytic.flat[i])
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         if rel > worst:
@@ -1054,15 +1067,14 @@ def toy_examples(
     vocab_size: int,
     n: int = 4,
     length: int = 12,
-    n_classes: int = 3,
     seed: int = 0,
 ) -> list[LabeledSequence]:
     """Small synthetic sequences for gradient verification, each 6 to
     `length` positions long.
 
     `kind` "token" gives random BIO tags on the word positions, for the
-    token head; "sequence" gives marker tokens and a class label, for a
-    sequence head.
+    token head; "sequence" gives marker tokens and a class label below
+    `TOY_CLASSES`, for a sequence head that wide.
     """
     from .preproc import CLS_ID, SEP_ID
 
@@ -1091,7 +1103,7 @@ def toy_examples(
                 for w in word_index
             ]
         else:
-            label = int(rng.integers(0, n_classes))
+            label = int(rng.integers(0, TOY_CLASSES))
         out.append(
             LabeledSequence(
                 subtoken_ids=ids,

@@ -1,7 +1,7 @@
 """Deterministic synthetic corpus generator.
 
 Produces desk-scale clinical-flavored (entirely fictional) notes whose
-mention spans and labels are known exactly, recorded in an emission ledger.
+mention spans and labels are known exactly: the corpus's own annotations.
 Every label value is signalled by a cue word unique to it, so competent
 models can approach perfect scores. At a positive `noise_rate` each
 displayed event and each cue is swapped for a random one at that rate, to
@@ -128,25 +128,12 @@ class GeneratorSpec:
             raise ConfigError("novel_form_rate must lie in [0, 1]")
         if not (1 <= self.min_sentences <= self.max_sentences):
             raise ConfigError("bad sentence count range")
-        lexicon = set(default_lexicon(self.lexicon_size))  # checks lexicon_size
-        if any(lexicon & set(table.values()) for table in CUES.values()):
-            raise ConfigError("drug lexicon overlaps cue phrases")
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    doc_id: str
-    split: str
-    span: CharSpan
-    surface: str
-    event: EventLabel
-    context: Optional[ContextAttributes]
+        default_lexicon(self.lexicon_size)  # checks lexicon_size
 
 
 @dataclass
 class SynthResult:
-    corpus: Corpus
-    ledger: list[LedgerEntry]
+    corpus: Corpus  # all there is: `perfbench/workloads.py` reads it from here
 
 
 def _quota_labels(targets: dict[str, float], total: int, rng: random.Random) -> list[str]:
@@ -210,13 +197,12 @@ def _render_sentence(
 
 
 def gen_corpus(spec: GeneratorSpec) -> SynthResult:
-    """Generate a corpus with an exact emission ledger; deterministic per seed.
-    `corpus_stats` of the corpus gives its per-split counts."""
+    """Generate a corpus annotated with exactly what it emits; deterministic
+    per seed. `corpus_stats` of the corpus gives its per-split counts."""
     rng = random.Random(spec.seed)
     lexicon = default_lexicon(spec.lexicon_size)
 
     corpus = Corpus()
-    ledger: list[LedgerEntry] = []
 
     for split, n_docs in zip(SPLIT_NAMES, (spec.n_train, spec.n_dev, spec.n_test)):
         # Structure first: which sentences carry a mention.
@@ -262,7 +248,6 @@ def gen_corpus(spec: GeneratorSpec) -> SynthResult:
                     mentions.append(
                         MedicationMention(span=span, surface=drug, event=event, context=context)
                     )
-                    ledger.append(LedgerEntry(doc_id, split, span, drug, event, context))
                 else:
                     sentence = rng.choice(FILLER_SENTENCES)
                 text += sentence
@@ -270,4 +255,4 @@ def gen_corpus(spec: GeneratorSpec) -> SynthResult:
             doc.validate()
             docs.append(doc)
 
-    return SynthResult(corpus=corpus, ledger=ledger)
+    return SynthResult(corpus=corpus)

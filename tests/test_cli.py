@@ -1,5 +1,6 @@
 """Command-line integration: exit codes, golden flows, artifact handling."""
 
+import hashlib
 import json
 import os
 import re
@@ -352,8 +353,11 @@ class TestConfigValues:
                     if m.event is EventLabel.DISPOSITION:
                         record["context"] = m.context.as_dict()
                     expected.append(record)
-        lines = (out / "ledger.jsonl").read_text(encoding="utf-8").splitlines()
-        assert expected and [json.loads(line) for line in lines] == expected
+        ledger = (out / "ledger.jsonl").read_bytes()
+        assert expected and [json.loads(line) for line in ledger.splitlines()] == expected
+        # the bytes too, which parsing would not show: key order, separators
+        assert hashlib.sha256(ledger).hexdigest() == (
+            "d55022758e4984f77e5047cc47de79e8f47111cb79e8c90913ac12bbad3c74e3")
 
     def test_synth_difficulty_is_usage_error(self, tmp_path):
         out = tmp_path / "c"

@@ -2,6 +2,8 @@
 
 import collections
 import copy
+import gc
+import inspect
 import math
 import re
 from dataclasses import replace
@@ -291,6 +293,26 @@ class TestPackBatch:
             assert not packed.loss_mask[i, n:].any()
             assert np.all(packed.tags[i, n:] == int(BioTag.O))
 
+    @pytest.mark.parametrize("field", ["ids", "loss_mask", "tags"])
+    def test_memory_error_in_fromiter_leaves_no_suspended_generator(self, field, monkeypatch):
+        """Closing a suspended generator while memory is short can fail too,
+        which Python reports as `Exception ignored in: ...` on stderr."""
+        batch = self._mixed()
+        batch[0].tags = None  # its tags come from a fill of O
+        packed = None if field == "ids" else pack_batch(batch)
+        suspended = []
+
+        def fromiter(rows, dtype):
+            next(rows)
+            suspended.extend(r for r in gc.get_referents(rows) if inspect.isgenerator(r)
+                             and inspect.getgeneratorstate(r) == inspect.GEN_SUSPENDED)
+            raise MemoryError
+
+        monkeypatch.setattr(encoder.np, "fromiter", fromiter)
+        with pytest.raises(MemoryError):
+            pack_batch(batch) if packed is None else getattr(packed, field)
+        assert suspended == []
+
     def test_real_positions_match_packing_alone(self):
         model = init_model(TOY, VOCAB)
         batch = self._mixed()
@@ -507,6 +529,19 @@ class TestStack:
         assert hidden.shape == (len(models), *alone[0].shape)
         for got, want in zip(hidden, alone):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("stacked,tasks", [
+        (True, ("B", "A", "C", "D", "E")), (True, ("A",)),
+        (True, ("A", "B", "C", "D", "E", "F")), (True, ()), (False, ("A",)),
+    ])
+    def test_tasks_other_than_the_stack_heads_are_config_error(self, stacked, tasks):
+        """The tuple names the stack's heads in their order, all of them:
+        another order would run each head on another model's hidden states."""
+        models = _distinct_models(TOY)
+        model = stack_models(models) if stacked else models["A"]
+        seqs = toy_examples("sequence", VOCAB, n=3, length=12, seed=2)
+        with pytest.raises(ConfigError, match="the stack's heads"):
+            predict_batch(model, seqs, tasks)
 
     def test_predictions_match_each_model_alone(self):
         models = _distinct_models(TOY)
