@@ -78,36 +78,35 @@ def _parse_dataclass(cls, entries: dict[str, str], prefix: str):
         raise CorruptionError(f"manifest config is invalid: {exc}") from None
 
 
+def _wire_dtype(cfg: EncoderConfig) -> np.dtype:
+    """The little-endian dtype of a model's tensors in `params.bin`."""
+    return cfg.dtype.newbyteorder("<")
+
+
 def _component_dir(path: Path, name: str) -> Path:
     """The directory of a pipeline artifact's component `name`: "ner" or a task."""
     return path / ("ner" if name == "ner" else f"task_{name}")
 
 
-def _write_model_dir(
-    path: Path,
-    kind: str,
-    model: EncoderModel,
-    vocab: Vocabulary,
-    train_cfg: TrainConfig,
-    history: list[float],
-    task: Optional[str] = None,
-) -> None:
+def _write_model_dir(path: Path, kind: str, trained: NerModelBundle | TaskModel,
+                     vocab: Vocabulary, task: Optional[str] = None) -> None:
+    """Save `trained`'s model, train config and history with `vocab`."""
+    model = trained.model
     path.mkdir(parents=True, exist_ok=True)
     lines = [f"format_version={FORMAT_VERSION}", f"kind={kind}"]
     if task is not None:
         lines.append(f"task={task}")
     lines.extend(_config_lines("config", model.config))
-    lines.extend(_config_lines("train", train_cfg))
-    lines.append("history=" + " ".join(repr(h) for h in history))
+    lines.extend(_config_lines("train", trained.train_config))
+    lines.append("history=" + " ".join(repr(h) for h in trained.history))
     lines.append(f"vocab_size={len(vocab)}")
     for i, piece in enumerate(vocab.pieces):
         if i >= NUM_SPECIALS:
             lines.append(f"piece_{i}={json.dumps(piece)}")
 
-    wire_dtype = np.dtype("<f4" if model.config.precision == 32 else "<f8")
     for idx, (name, shape) in enumerate(model.params.layout):
         lines.append(f"tensor_{idx}={name} {'x'.join(str(d) for d in shape)}")
-    blob = model.params.flat.astype(wire_dtype, copy=False).tobytes()
+    blob = model.params.flat.astype(_wire_dtype(model.config), copy=False).tobytes()
     lines.append(f"checksum={hashlib.sha256(blob).hexdigest()}")
 
     (path / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -138,8 +137,8 @@ def _read_manifest(path: Path) -> tuple[dict[str, str], list[tuple[str, str]]]:
 
 def _read_model_dir(
     path: Path, entries: dict[str, str], ordered: list[tuple[str, str]]
-) -> tuple[EncoderModel, Vocabulary, TrainConfig, list[float]]:
-    """The model in `path`, given its parsed manifest."""
+) -> tuple[TaskModel, Vocabulary]:
+    """The model record and vocabulary in `path`, given its parsed manifest."""
     cfg = _parse_dataclass(EncoderConfig, entries, "config")
     train_cfg = _parse_dataclass(TrainConfig, entries, "train")
     with _manifest_value("history"):
@@ -191,16 +190,15 @@ def _read_model_dir(
     if entries.get("checksum") != hashlib.sha256(blob).hexdigest():
         raise CorruptionError("parameter blob failed its checksum")
 
-    dtype = np.dtype("<f4" if cfg.precision == 32 else "<f8")
+    dtype = _wire_dtype(cfg)
     nbytes = sum(math.prod(shape) for _, shape in tensors) * dtype.itemsize
     if len(blob) < nbytes:
         raise CorruptionError("parameter blob shorter than manifest declares")
     if len(blob) > nbytes:
         raise CorruptionError("parameter blob longer than manifest declares")
     flat = np.frombuffer(blob, dtype=dtype).astype(cfg.dtype)
-    params = FlatParams(flat, tensors)
-
-    return EncoderModel(config=cfg, params=params), vocab, train_cfg, history
+    model = EncoderModel(config=cfg, params=FlatParams(flat, tensors))
+    return TaskModel(model=model, train_config=train_cfg, history=history), vocab
 
 
 def save_artifact(bundle: AnyBundle, path: str | Path) -> None:
@@ -208,15 +206,10 @@ def save_artifact(bundle: AnyBundle, path: str | Path) -> None:
     model directory, a pipeline as a directory of those."""
     path = Path(path)
     if isinstance(bundle, NerModelBundle):
-        _write_model_dir(
-            path, "ner", bundle.model, bundle.vocab, bundle.train_config, bundle.history
-        )
+        _write_model_dir(path, "ner", bundle, bundle.vocab)
     elif isinstance(bundle, ClassifierBundle) and len(bundle.tasks) == 1:
         name, tm = next(iter(bundle.tasks.items()))
-        _write_model_dir(
-            path, "classifier", tm.model, bundle.vocab, tm.train_config,
-            tm.history, task=name,
-        )
+        _write_model_dir(path, "classifier", tm, bundle.vocab, task=name)
     elif isinstance(bundle, PipelineBundle):
         path.mkdir(parents=True, exist_ok=True)
         names = sorted(bundle.classifiers.tasks)
@@ -241,18 +234,14 @@ def load_artifact(path: str | Path) -> AnyBundle:
     kind = entries.get("kind")
 
     if kind == "ner":
-        model, vocab, train_cfg, history = _read_model_dir(path, entries, ordered)
-        return NerModelBundle(model=model, vocab=vocab, train_config=train_cfg,
-                              history=history)
+        tm, vocab = _read_model_dir(path, entries, ordered)
+        return NerModelBundle(tm.model, vocab, tm.train_config, tm.history)
     if kind == "classifier":
         task = entries.get("task")
         if not task:
             raise CorruptionError("classifier artifact lacks a task name")
-        model, vocab, train_cfg, history = _read_model_dir(path, entries, ordered)
-        return ClassifierBundle(
-            tasks={task: TaskModel(model=model, train_config=train_cfg, history=history)},
-            vocab=vocab,
-        )
+        tm, vocab = _read_model_dir(path, entries, ordered)
+        return ClassifierBundle(tasks={task: tm}, vocab=vocab)
     if kind == "pipeline":
         names = entries.get("components", "").split()
         if "ner" not in names:

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,11 @@ CONFIG_KEYS = {**_ENC_FIELDS, **_TRAIN_FIELDS, "vocab_target_size": int}  # key 
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write `records` to `path` as JSON lines, one object each."""
+    Path(path).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -167,15 +172,11 @@ def cmd_synth(args) -> int:
     )
     corpus = synth.gen_corpus(spec).corpus
     write_corpus_dir(corpus, out)
-    with (out / LEDGER).open("w", encoding="utf-8") as fh:
-        for split, docs in corpus.splits():
-            for doc in docs:
-                for m in doc.mentions:
-                    record = {"doc_id": doc.doc_id, "split": split, "start": m.span.start,
-                              "end": m.span.end, "surface": m.surface, "event": m.event.value}
-                    if m.context is not None:
-                        record["context"] = m.context.as_dict()
-                    fh.write(json.dumps(record) + "\n")
+    _write_jsonl(out / LEDGER, (
+        {"doc_id": doc.doc_id, "split": split, "start": m.span.start, "end": m.span.end,
+         "surface": m.surface, "event": m.event.value,
+         **({} if m.context is None else {"context": m.context.as_dict()})}
+        for split, docs in corpus.splits() for doc in docs for m in doc.mentions))
     for split, st in corpus_stats(corpus).items():
         _log(f"{split}: {st.documents} docs, {st.medications} mentions")
     return 0
@@ -244,14 +245,8 @@ def cmd_predict(args) -> int:
         )
     text, doc_id = _read_note(args)
     spans = ner.predict_ner(bundle, text)
-    lines = [
-        json.dumps(
-            {"doc_id": doc_id, "start": s.start, "end": s.end,
-             "surface": text[s.start : s.end]}
-        )
-        for s in spans
-    ]
-    Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    _write_jsonl(args.out, ({"doc_id": doc_id, "start": s.start, "end": s.end,
+                             "surface": text[s.start : s.end]} for s in spans))
     _log(f"{len(spans)} spans -> {args.out}")
     return 0
 
@@ -266,11 +261,8 @@ def cmd_evaluate(args) -> int:
     bundle = artifacts.load_artifact(args.model)
 
     if args.task == "ner":
-        if isinstance(bundle, pipeline.PipelineBundle):
-            nb = bundle.ner
-        elif isinstance(bundle, ner.NerModelBundle):
-            nb = bundle
-        else:
+        nb = bundle.ner if isinstance(bundle, pipeline.PipelineBundle) else bundle
+        if not isinstance(nb, ner.NerModelBundle):
             raise UsageError("ner evaluation needs an extraction or pipeline artifact")
         spans = ner.predict_ner_batch(nb.model, nb.vocab, [split_text(d.text) for d in docs])
         preds = dict(zip([d.doc_id for d in docs], spans))
@@ -295,9 +287,7 @@ def cmd_evaluate(args) -> int:
 
     _log(render_report(report, args.task))
     if args.out:
-        with Path(args.out).open("w", encoding="utf-8") as fh:
-            for record in report_records(report, args.task):
-                fh.write(json.dumps(record) + "\n")
+        _write_jsonl(args.out, report_records(report, args.task))
     return 0
 
 
@@ -350,7 +340,7 @@ def run_command(argv: Sequence[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (RxtractError, OSError, KeyError) as exc:
+    except (RxtractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -28,7 +28,9 @@ from .encoder import (
     EncoderModel,
     TrainConfig,
     check_agreement,
+    check_vocab_rows,
     fit,
+    head_names,
     init_model,
     predict_batch,
     stack_models,
@@ -150,10 +152,7 @@ class ClassifierBundle:
         models = {name: tm.model for name, tm in self.tasks.items()}
         check_agreement(models)
         name, first = next(iter(models.items()))
-        rows = first.params["tok_emb"].shape[0]
-        if rows != len(self.vocab):
-            raise ConfigError(f"classifier {name} has {rows} vocabulary rows, "
-                              f"the bundle's vocabulary {len(self.vocab)} pieces")
+        check_vocab_rows(f"classifier {name}", first, len(self.vocab))
         self.max_len = first.config.max_len
         if all(task.name in models for task in CONTEXT_STACK.tasks):
             self.contexts = stack_models({task.name: models[task.name]
@@ -293,8 +292,7 @@ def train_task(
             f"task {task.name}: fewer than two classes observed in training "
             "data; producing a constant classifier"
         )
-        head_w = model.params[f"seq_head.{task.name}.w"]
-        head_b = model.params[f"seq_head.{task.name}.b"]
+        head_w, head_b = (model.params[name] for name in head_names(task.name))
         head_w[:] = 0.0
         head_b[:] = 0.0
         if observed:

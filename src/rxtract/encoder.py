@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, repeat, takewhile
+from itertools import chain, islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -173,18 +173,41 @@ class FlatParams(Mapping[str, np.ndarray]):
 
 @dataclass
 class EncoderModel:
-    """Parameters plus configuration. The vocabulary size is the row count
-    of `params["tok_emb"]`, and a sequence head's class count the column
-    count of its `seq_head.<task>.w`."""
+    """Parameters plus configuration. `vocab_size` is the row count of
+    `params["tok_emb"]`, and a sequence head's class count the column count
+    of its weight, named by `head_names`."""
 
     config: EncoderConfig
     params: FlatParams  # over a (M, W) buffer, plus each model's head, for a stack
 
+    @property
+    def vocab_size(self) -> int:
+        return self.params["tok_emb"].shape[-2]
+
+
+def check_vocab_rows(name: str, model: EncoderModel, pieces: int) -> None:
+    """Raise ConfigError unless `model` has one embedding row per vocabulary piece."""
+    if model.vocab_size != pieces:
+        raise ConfigError(f"{name} has {model.vocab_size} vocabulary rows, "
+                          f"the bundle's vocabulary {pieces} pieces")
+
+
+def head_names(task: Optional[str]) -> tuple[str, str]:
+    """The weight and bias names of `task`'s sequence head, or the token head's."""
+    prefix = "token_head" if task is None else f"seq_head.{task}"
+    return f"{prefix}.w", f"{prefix}.b"
+
+
+def _head_task(name: str) -> Optional[str]:
+    """The task whose sequence head's weight `name` is, else None."""
+    if name.startswith("seq_head.") and name.endswith(".w"):
+        return name[len("seq_head."):-len(".w")]
+    return None
+
 
 def head_widths(shapes: Iterable[tuple[str, tuple[int, ...]]]) -> dict[str, int]:
     """The class count of each sequence head among (name, shape) pairs."""
-    return {name[len("seq_head."):-len(".w")]: shape[-1] for name, shape in shapes
-            if name.startswith("seq_head.") and name.endswith(".w")}
+    return {task: shape[-1] for name, shape in shapes if (task := _head_task(name))}
 
 
 @dataclass(frozen=True)
@@ -227,13 +250,13 @@ def _param_layout(cfg: EncoderConfig, vocab_size: int, n_classes: Mapping[str, i
         ("ln2.gain", (h,), "ones"),
         ("ln2.bias", (h,), "zeros"),
     ]
-    heads = [("token_head.w", (h, N_BIO), "uniform"), ("token_head.b", (N_BIO,), "zeros")]
-    for task in sorted(n_classes):
-        n = n_classes[task]
+    heads = []
+    for task in (None, *sorted(n_classes)):  # the token head reads one row, a task's three
+        rows, n = (h, N_BIO) if task is None else (3 * h, n_classes[task])
         if n < 1:
             raise ConfigError(f"task {task!r} needs at least one class")
-        heads += [(f"seq_head.{task}.w", (3 * h, n), "uniform"),
-                  (f"seq_head.{task}.b", (n,), "zeros")]
+        w, b = head_names(task)
+        heads += [(w, (rows, n), "uniform"), (b, (n,), "zeros")]
     size = sum(math.prod(shape) for _, shape, _ in (*embed, *heads))
     size += cfg.layers * sum(math.prod(shape) for _, shape, _ in layer)
     layers = ((f"layer{i}.{name}", shape, fill)
@@ -749,10 +772,6 @@ def forward_batch(
     return hidden, packed
 
 
-def _head_name(task):
-    return "token_head" if task is None else f"seq_head.{task}"
-
-
 def _head(model, hidden, task):
     """Logits of the head `task` picks, and the features they read.
 
@@ -761,9 +780,9 @@ def _head(model, hidden, task):
     `Packed.head_pos`, (B, 3, H), and that task's sequence head reads
     their concatenation, concat(hidden[CLS], hidden[S], hidden[E]).
     """
-    name = _head_name(task)
+    w_name, b_name = head_names(task)
     try:
-        w, b = model.params[f"{name}.w"], model.params[f"{name}.b"]
+        w, b = model.params[w_name], model.params[b_name]
     except KeyError:
         raise ConfigError(f"model has no head for task {task!r}") from None
     feat = hidden if task is None else hidden.reshape(*hidden.shape[:-2], -1)
@@ -780,8 +799,7 @@ def check_agreement(models: Mapping[str, EncoderModel]) -> None:
     size and `FORWARD_FIELDS` values, so that they can run as one stack."""
 
     def shape(m):
-        return {"vocab_size": m.params["tok_emb"].shape[0],
-                **{f: getattr(m.config, f) for f in FORWARD_FIELDS}}
+        return {"vocab_size": m.vocab_size, **{f: getattr(m.config, f) for f in FORWARD_FIELDS}}
 
     (first, ref), *rest = models.items()
     want = shape(ref)
@@ -811,9 +829,8 @@ def stack_models(models: Mapping[str, EncoderModel]) -> EncoderModel:
         row[:size] = m.params.flat
         m.params = FlatParams(row[:size], m.params.layout)  # drops the old buffer
     # the seq heads come last; the rest of the layout is every model's
-    shared = takewhile(lambda entry: not entry[0].startswith("seq_head."), first.params.layout)
-    heads = ((f"{_head_name(task)}.{part}", m.params[f"{_head_name(task)}.{part}"])
-             for task, m in models.items() for part in ("w", "b"))
+    shared = takewhile(lambda entry: _head_task(entry[0]) is None, first.params.layout)
+    heads = ((name, m.params[name]) for task, m in models.items() for name in head_names(task))
     return EncoderModel(first.config, FlatParams(buf, shared, heads))
 
 
@@ -821,8 +838,8 @@ def _stack_tasks(model: EncoderModel) -> tuple[str, ...]:
     """A `stack_models` stack's tasks in its model order; () for one model."""
     if model.params.flat.ndim == 1:
         return ()
-    return tuple(name[len("seq_head."):-len(".w")] for name in model.params
-                 if name.startswith("seq_head.") and name.endswith(".w"))
+    heads = islice(model.params, len(model.params.layout), None)  # a stack's heads follow
+    return tuple(task for name in heads if (task := _head_task(name)))
 
 
 def predict_batch(
@@ -918,11 +935,11 @@ def _loss_grads_packed(model, packed, task, rng, want_grads):
         dlogits *= m[..., None].astype(dlogits.dtype) / dlogits.dtype.type(n)
     else:
         dlogits /= n
-    name = _head_name(task)
-    w = model.params[f"{name}.w"]
+    w_name, b_name = head_names(task)
+    w = model.params[w_name]
     grads = model.params.zeros_like()
-    grads[f"{name}.w"] += feat.reshape(-1, w.shape[0]).T @ dlogits.reshape(-1, w.shape[1])
-    grads[f"{name}.b"] += dlogits.sum(axis=tuple(range(dlogits.ndim - 1)))
+    grads[w_name] += feat.reshape(-1, w.shape[0]).T @ dlogits.reshape(-1, w.shape[1])
+    grads[b_name] += dlogits.sum(axis=tuple(range(dlogits.ndim - 1)))
     _backward_batch(model, cache, (dlogits @ w.T).reshape(hidden.shape), grads)
     return loss, grads
 

@@ -12,6 +12,7 @@ from .encoder import (
     EncoderConfig,
     EncoderModel,
     TrainConfig,
+    check_vocab_rows,
     fit,
     init_model,
     predict_batch,
@@ -37,6 +38,9 @@ class NerModelBundle:
     vocab: Vocabulary
     train_config: TrainConfig
     history: list[float]  # per-epoch dev micro-F1
+
+    def __post_init__(self) -> None:
+        check_vocab_rows("the extraction model", self.model, len(self.vocab))
 
 
 def build_ner_examples(

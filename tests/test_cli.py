@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import rxtract
+from rxtract import cli
 from rxtract.cli import run_command
 from rxtract.corpus import SPLIT_NAMES, EventLabel, corpus_stats, load_corpus
 
@@ -59,6 +60,15 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run_command(["transmogrify"]) == 2
+
+    def test_program_bug_keeps_its_traceback(self, monkeypatch):
+        # only usage errors, RxtractError, OSError and MemoryError are one line
+        def broken(args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "cmd_stats", broken)
+        with pytest.raises(KeyError, match="x"):
+            run_command(["stats", "--data", "anywhere"])
 
     def test_missing_data_directory_is_data_error(self, tmp_path):
         assert run_command(["stats", "--data", str(tmp_path / "nope")]) == 1

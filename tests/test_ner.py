@@ -8,8 +8,9 @@ import pytest
 from rxtract import ner
 from rxtract.corpus import AnnotatedDocument, CharSpan, EventLabel, MedicationMention
 from rxtract.encoder import EncoderConfig, TrainConfig, fit, init_model
-from rxtract.errors import DataError
+from rxtract.errors import ConfigError, DataError
 from rxtract.ner import NerModelBundle, build_ner_examples, predict_ner, train_ner
+from rxtract.pipeline import PipelineBundle
 from rxtract.preproc import (
     NO_WORD,
     BioTag,
@@ -96,6 +97,23 @@ class TestPredict:
                 assert 0 <= s.start < s.end <= len(text)
                 assert (s.start, "s") in boundaries
                 assert (s.end, "e") in boundaries
+
+
+class TestVocabularyRows:
+    """A bundle's model has one embedding row per vocabulary piece."""
+
+    # with fewer rows than pieces, prediction indexes past the embedding;
+    # with more, the model was built for another vocabulary
+    @pytest.mark.parametrize("rows", [-1, 1])
+    def test_model_of_another_vocabulary_size_is_config_error(self, tiny, rows):
+        p = tiny[1]
+        model = init_model(p.ner.model.config, len(p.ner.vocab) + rows)
+        message = (f"extraction model has {len(p.ner.vocab) + rows} vocabulary rows, "
+                   f"the bundle's vocabulary {len(p.ner.vocab)} pieces")
+        with pytest.raises(ConfigError, match=message):
+            NerModelBundle(model, p.ner.vocab, TrainConfig(), [])
+        with pytest.raises(ConfigError, match=message):
+            PipelineBundle(NerModelBundle(model, p.ner.vocab, TrainConfig(), []), p.classifiers)
 
 
 class TestTraining:
