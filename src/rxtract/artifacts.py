@@ -4,14 +4,15 @@ An artifact is a directory holding `manifest.txt` (key=value lines: format
 version, configs, vocabulary, tensor name/shape index, checksum) and
 `params.bin` (the tensors' IEEE-754 bytes concatenated in manifest order,
 which is the model's one parameter buffer in wire dtype); its `kind` is `ner`
-or `classifier` (one task). A `pipeline` artifact is a directory of those,
-one per component, plus a manifest naming them.
+or `classifier` (one `task`). A `pipeline` artifact is a manifest naming its
+components plus one such directory each, whose `kind` and `task` match it.
 
 The vocabulary size is recorded once, as `vocab_size`, and each sequence
 head's class count only in its `seq_head.<task>.w` tensor shape; the other
 shapes are checked against them. Keys the reader does not use are ignored,
 so a manifest that still carries a `config.vocab_size`, `task_classes`,
-`train.beta1` or `train.beta2` line loads unchanged.
+`train.beta1` or `train.beta2` line loads unchanged. A config no model could
+have, or a classifier head of another task than its own, is corruption.
 """
 
 from __future__ import annotations
@@ -72,10 +73,7 @@ def _parse_dataclass(cls, entries: dict[str, str], prefix: str):
         key = f"{prefix}.{f.name}"
         with _manifest_value(key):
             kwargs[f.name] = type(getattr(probe, f.name))(entries[key])
-    try:
-        return cls(**kwargs)
-    except ConfigError as exc:
-        raise CorruptionError(f"manifest config is invalid: {exc}") from None
+    return cls(**kwargs)
 
 
 def _wire_dtype(cfg: EncoderConfig) -> np.dtype:
@@ -88,14 +86,14 @@ def _component_dir(path: Path, name: str) -> Path:
     return path / ("ner" if name == "ner" else f"task_{name}")
 
 
-def _write_model_dir(path: Path, kind: str, trained: NerModelBundle | TaskModel,
-                     vocab: Vocabulary, task: Optional[str] = None) -> None:
-    """Save `trained`'s model, train config and history with `vocab`."""
+def _write_model_dir(path: Path, trained: NerModelBundle | TaskModel, vocab: Vocabulary,
+                     task: Optional[str] = None) -> None:
+    """Save `trained`'s model, train config and history with `vocab`, as the
+    extraction model or, given a task, that task's classifier."""
     model = trained.model
     path.mkdir(parents=True, exist_ok=True)
-    lines = [f"format_version={FORMAT_VERSION}", f"kind={kind}"]
-    if task is not None:
-        lines.append(f"task={task}")
+    lines = [f"format_version={FORMAT_VERSION}"]
+    lines += ["kind=ner"] if task is None else ["kind=classifier", f"task={task}"]
     lines.extend(_config_lines("config", model.config))
     lines.extend(_config_lines("train", trained.train_config))
     lines.append("history=" + " ".join(repr(h) for h in trained.history))
@@ -169,10 +167,7 @@ def _read_model_dir(
     if cfg.layers > len(tensors):  # every layer declares tensors: bound the layout first
         raise CorruptionError(f"config.layers {cfg.layers} exceeds the "
                               f"{len(tensors)} tensors the manifest declares")
-    try:
-        expected = param_shapes(cfg, len(vocab), head_widths(tensors))
-    except ConfigError as exc:
-        raise CorruptionError(f"manifest config is invalid: {exc}") from None
+    expected = param_shapes(cfg, len(vocab), head_widths(tensors))
     declared = dict(tensors)
     for name in sorted(expected.keys() | declared.keys()):
         want, got = expected.get(name, "no tensor"), declared.get(name, "no tensor")
@@ -206,10 +201,10 @@ def save_artifact(bundle: AnyBundle, path: str | Path) -> None:
     model directory, a pipeline as a directory of those."""
     path = Path(path)
     if isinstance(bundle, NerModelBundle):
-        _write_model_dir(path, "ner", bundle, bundle.vocab)
+        _write_model_dir(path, bundle, bundle.vocab)
     elif isinstance(bundle, ClassifierBundle) and len(bundle.tasks) == 1:
         name, tm = next(iter(bundle.tasks.items()))
-        _write_model_dir(path, "classifier", tm, bundle.vocab, task=name)
+        _write_model_dir(path, tm, bundle.vocab, name)
     elif isinstance(bundle, PipelineBundle):
         path.mkdir(parents=True, exist_ok=True)
         names = sorted(bundle.classifiers.tasks)
@@ -219,49 +214,50 @@ def save_artifact(bundle: AnyBundle, path: str | Path) -> None:
             "components=ner " + " ".join(names),
         ]
         (path / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        save_artifact(bundle.ner, _component_dir(path, "ner"))
+        _write_model_dir(_component_dir(path, "ner"), bundle.ner, bundle.ner.vocab)
         for name in names:
-            one = ClassifierBundle({name: bundle.classifiers.tasks[name]}, bundle.classifiers.vocab)
-            save_artifact(one, _component_dir(path, name))
+            _write_model_dir(_component_dir(path, name), bundle.classifiers.tasks[name],
+                             bundle.classifiers.vocab, name)
     else:
         raise TypeError(f"cannot save bundle of type {type(bundle).__name__}")
 
 
 def load_artifact(path: str | Path) -> AnyBundle:
-    """Load any artifact; the manifest's kind field selects the bundle type."""
+    """Load any artifact; the manifest's kind field selects the bundle type.
+    A manifest whose values no bundle could be built from is corruption."""
     path = Path(path)
     entries, ordered = _read_manifest(path)
     kind = entries.get("kind")
-
-    if kind == "ner":
-        tm, vocab = _read_model_dir(path, entries, ordered)
-        return NerModelBundle(tm.model, vocab, tm.train_config, tm.history)
-    if kind == "classifier":
-        task = entries.get("task")
-        if not task:
-            raise CorruptionError("classifier artifact lacks a task name")
-        tm, vocab = _read_model_dir(path, entries, ordered)
-        return ClassifierBundle(tasks={task: tm}, vocab=vocab)
-    if kind == "pipeline":
-        names = entries.get("components", "").split()
-        if "ner" not in names:
-            raise CorruptionError("pipeline artifact missing components: ner")
-        components: dict[str, AnyBundle] = {}
-        for name in names:
-            sub = load_artifact(_component_dir(path, name))
-            right_kind = isinstance(sub, NerModelBundle) if name == "ner" else (
-                isinstance(sub, ClassifierBundle) and name in sub.tasks)
-            if not right_kind:
-                raise CorruptionError(f"pipeline component {name} has wrong kind")
-            components[name] = sub
-        ner_bundle = components.pop("ner")
-        for name, sub in components.items():
-            if sub.vocab.pieces != ner_bundle.vocab.pieces:
-                raise CorruptionError(
-                    f"pipeline component {name} disagrees with ner on vocabulary")
-        tasks = {name: sub.tasks[name] for name, sub in components.items()}
-        try:
-            return PipelineBundle(ner_bundle, ClassifierBundle(tasks, ner_bundle.vocab))
-        except ConfigError as exc:
-            raise CorruptionError(f"pipeline artifact is invalid: {exc}") from None
+    try:
+        if kind == "ner":
+            tm, vocab = _read_model_dir(path, entries, ordered)
+            return NerModelBundle(tm.model, vocab, tm.train_config, tm.history)
+        if kind == "classifier":
+            task = entries.get("task")
+            if not task:
+                raise CorruptionError("classifier artifact lacks a task name")
+            tm, vocab = _read_model_dir(path, entries, ordered)
+            return ClassifierBundle(tasks={task: tm}, vocab=vocab)
+        if kind == "pipeline":
+            names = entries.get("components", "").split()
+            if "ner" not in names:
+                raise CorruptionError("pipeline artifact missing components: ner")
+            components = {}
+            for name in names:
+                sub = _component_dir(path, name)
+                sub_entries, sub_ordered = _read_manifest(sub)
+                want = ("ner", None) if name == "ner" else ("classifier", name)
+                if (sub_entries.get("kind"), sub_entries.get("task")) != want:
+                    raise CorruptionError(f"pipeline component {name} has wrong kind")
+                components[name] = _read_model_dir(sub, sub_entries, sub_ordered)
+            ner_tm, vocab = components.pop("ner")
+            for name, (_, sub_vocab) in components.items():
+                if sub_vocab.pieces != vocab.pieces:
+                    raise CorruptionError(
+                        f"pipeline component {name} disagrees with ner on vocabulary")
+            ner_bundle = NerModelBundle(ner_tm.model, vocab, ner_tm.train_config, ner_tm.history)
+            tasks = {name: tm for name, (tm, _) in components.items()}
+            return PipelineBundle(ner_bundle, ClassifierBundle(tasks, vocab))
+    except ConfigError as exc:
+        raise CorruptionError(f"{kind} artifact is invalid: {exc}") from None
     raise CorruptionError(f"unknown artifact kind {kind!r}")

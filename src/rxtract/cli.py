@@ -100,14 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
+    # each flag is stored as the GeneratorSpec field it sets; an unset one keeps its default
+    p = sub.add_parser("synth", help="generate a synthetic corpus",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--train", type=int, default=200)
-    p.add_argument("--dev", type=int, default=40)
-    p.add_argument("--test", type=int, default=40)
-    p.add_argument("--lexicon-size", type=int, default=40)
-    p.add_argument("--noise-rate", type=float, default=0.0,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--train", type=int, dest="n_train")
+    p.add_argument("--dev", type=int, dest="n_dev")
+    p.add_argument("--test", type=int, dest="n_test")
+    p.add_argument("--lexicon-size", type=int)
+    p.add_argument("--noise-rate", type=float,
                    help="rate at which cues and events are swapped; 0 is separable")
     p.set_defaults(func=cmd_synth)
 
@@ -162,14 +164,8 @@ def cmd_synth(args) -> int:
     if held:
         raise UsageError(f"--out {out} already holds {', '.join(held)}; "
                          "choose a new or empty directory")
-    spec = synth.GeneratorSpec(
-        seed=args.seed,
-        n_train=args.train,
-        n_dev=args.dev,
-        n_test=args.test,
-        lexicon_size=args.lexicon_size,
-        noise_rate=args.noise_rate,
-    )
+    fields = {f.name for f in dataclasses.fields(synth.GeneratorSpec)}
+    spec = synth.GeneratorSpec(**{k: v for k, v in vars(args).items() if k in fields})
     corpus = synth.gen_corpus(spec).corpus
     write_corpus_dir(corpus, out)
     _write_jsonl(out / LEDGER, (

@@ -130,14 +130,14 @@ class TaskModel:
 class ClassifierBundle:
     """One independently trained model per classification task.
 
-    Construction checks once that the classifiers share the bundle's
-    vocabulary and agree on every config field that shapes the forward
-    pass (`encoder.FORWARD_FIELDS`), and raises ConfigError if not. With
-    all five dimension classifiers present, it also stacks their models in
+    Construction checks once that each classifier holds the head of the
+    task it is keyed by, shares the bundle's vocabulary and agrees with the
+    others on every config field that shapes the forward pass
+    (`encoder.FORWARD_FIELDS`), and raises ConfigError if not. With all
+    five dimension classifiers present, it also stacks their models in
     `CONTEXT_STACK` order into `contexts` (`encoder.stack_models`), which
     `predict_contexts` runs as one forward pass; the weights stay each
-    model's own. A model moves into the stack of the last bundle built
-    over it.
+    model's own. A model moves into the stack of the last bundle built over it.
     """
 
     tasks: dict[str, TaskModel]
@@ -150,6 +150,9 @@ class ClassifierBundle:
         if not self.tasks:
             raise ConfigError("a classifier bundle needs at least one classifier")
         models = {name: tm.model for name, tm in self.tasks.items()}
+        for name, model in models.items():
+            if not all(head in model.params for head in head_names(name)):
+                raise ConfigError(f"classifier {name} has no head for task {name!r}")
         check_agreement(models)
         name, first = next(iter(models.items()))
         check_vocab_rows(f"classifier {name}", first, len(self.vocab))

@@ -99,6 +99,8 @@ class EncoderConfig:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if self.precision not in (32, 64):
             raise ConfigError("precision must be 32 or 64")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
 
     @property
     def dtype(self) -> np.dtype:
@@ -228,6 +230,8 @@ class TrainConfig:
             raise ConfigError("patience must be at least 1")
         if self.clip_norm <= 0:
             raise ConfigError("clip_norm must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
 
 
 def _param_layout(cfg: EncoderConfig, vocab_size: int, n_classes: Mapping[str, int]):

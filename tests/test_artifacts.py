@@ -57,11 +57,16 @@ class TestNerArtifact:
         assert loaded.history == ner_bundle.history
         assert loaded.train_config == ner_bundle.train_config
 
-    def test_save_twice_byte_identical(self, tmp_path, ner_bundle):
-        save_artifact(ner_bundle, tmp_path / "a")
-        save_artifact(ner_bundle, tmp_path / "b")
-        assert (tmp_path / "a" / MANIFEST).read_bytes() == (tmp_path / "b" / MANIFEST).read_bytes()
-        assert (tmp_path / "a" / BLOB).read_bytes() == (tmp_path / "b" / BLOB).read_bytes()
+    def test_save_twice_byte_identical(self, tmp_path, ner_bundle, tiny):
+        """An extraction model and a pipeline each save the same files
+        twice, and saving what was loaded from them writes them again."""
+        # a pipeline's manifest, and a manifest and a blob for each of its seven models
+        for kind, bundle, files in (("ner", ner_bundle, 2), ("pipeline", tiny[1], 15)):
+            save_artifact(bundle, tmp_path / kind / "a")
+            save_artifact(bundle, tmp_path / kind / "b")
+            save_artifact(load_artifact(tmp_path / kind / "a"), tmp_path / kind / "c")
+            a, b, c = (_tree_bytes(tmp_path / kind / copy) for copy in "abc")
+            assert len(a) == files and a == b == c, kind
 
     def test_truncated_blob_is_corruption(self, tmp_path, ner_bundle):
         save_artifact(ner_bundle, tmp_path / "m")
@@ -154,6 +159,19 @@ def event_bundle(tiny_setup):
     return ClassifierBundle(tasks={"Event": tm}, vocab=vocab)
 
 
+def _tree_bytes(path):
+    """Every file under `path`, by relative path, with its bytes."""
+    return {f.relative_to(path).as_posix(): f.read_bytes()
+            for f in sorted(path.rglob("*")) if f.is_file()}
+
+
+def _head_renamed(task, other):
+    """The `_edit_manifest` pattern and replacement that give `task`'s head
+    tensors `other`'s name; the checksum covers only the blob."""
+    return (rf"^(tensor_\d+=seq_head\.){task}(\.w .*\ntensor_\d+=seq_head\.){task}\.b ",
+            rf"\1{other}\2{other}.b ")
+
+
 def _edit_manifest(path, pattern, replacement):
     manifest = path / MANIFEST
     text = manifest.read_text(encoding="utf-8")
@@ -163,8 +181,9 @@ def _edit_manifest(path, pattern, replacement):
 
 
 class TestMalformedManifest:
-    """Every parse failure in a saved classifier's manifest, and every config
-    or vocabulary size that disagrees with its tensors, is corruption."""
+    """Every parse failure in a saved classifier's manifest, every config
+    or vocabulary size that disagrees with its tensors, a config no model
+    could have and a head of another task than the classifier's are corruption."""
 
     @pytest.mark.parametrize(
         "pattern, replacement",
@@ -179,10 +198,13 @@ class TestMalformedManifest:
             (r"^vocab_size=.*$", "vocab_size=7"),
             (r"^tensor_0=(.*)\ntensor_1=(.*)$", r"tensor_0=\2\ntensor_1=\1"),
             (r"^(tensor_\d+=seq_head\.Event\.b) 3$", r"\1 4"),
+            (r"^config\.seed=.*$", "config.seed=-1"),
+            _head_renamed("Event", "Actor"),
         ],
         ids=["tensor_shape", "config_value", "vocab_size", "missing_config_key",
              "heads_not_dividing_hidden", "hidden_dim_vs_tensors", "max_len_below_floor",
-             "config_vocab_size_vs_vocab", "tensors_reordered", "head_bias_vs_weight"],
+             "config_vocab_size_vs_vocab", "tensors_reordered", "head_bias_vs_weight",
+             "negative_seed", "head_of_another_task"],
     )
     def test_parse_failure_is_corruption(self, tmp_path, event_bundle, pattern, replacement):
         save_artifact(event_bundle, tmp_path / "ev")
@@ -237,6 +259,12 @@ class TestMalformedPipeline:
         shutil.rmtree(tmp_path / "p" / "task_Event")
         shutil.copytree(tmp_path / "p" / "ner", tmp_path / "p" / "task_Event")
         with pytest.raises(CorruptionError, match="Event has wrong kind"):
+            load_artifact(tmp_path / "p")
+
+    def test_classifier_head_of_another_task(self, tmp_path, tiny):
+        save_artifact(tiny[1], tmp_path / "p")
+        _edit_manifest(tmp_path / "p" / "task_Actor", *_head_renamed("Actor", "Event"))
+        with pytest.raises(CorruptionError, match="classifier Actor has no head for task"):
             load_artifact(tmp_path / "p")
 
     @pytest.mark.parametrize("component", ["ner", "task_Actor"])

@@ -1,5 +1,6 @@
 """Command-line integration: exit codes, golden flows, artifact handling."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rxtract
-from rxtract import cli
+from rxtract import cli, synth
 from rxtract.cli import run_command
 from rxtract.corpus import SPLIT_NAMES, EventLabel, corpus_stats, load_corpus
 
@@ -321,6 +322,28 @@ class TestConfigValues:
         assert re.fullmatch(r"error: non-finite loss .*document 'train\d+'.*\n", err)
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_negative_seed_is_one_error_line(self, tmp_path, data_dir, capsys, command):
+        argv = (["train", "--task", "ner", "--data", str(data_dir), "--out", str(tmp_path / "m")]
+                if command == "train" else ["gradcheck"])
+        code, err = _run(capsys, [*argv, "--seed", "-1"])
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer\n"
+        assert not (tmp_path / "m").exists()
+
+    def test_synth_defaults_are_the_generator_spec(self, tmp_path, monkeypatch):
+        """`synth` with only --out generates from `GeneratorSpec()`; a smaller
+        corpus is written in its place."""
+        specs, gen_corpus = [], synth.gen_corpus
+
+        def record(spec):
+            specs.append(spec)
+            return gen_corpus(dataclasses.replace(spec, n_train=2, n_dev=1, n_test=1))
+
+        monkeypatch.setattr(synth, "gen_corpus", record)
+        assert run_command(["synth", "--out", str(tmp_path / "c")]) == 0
+        assert specs == [synth.GeneratorSpec()]
+
     def test_synth_lexicon_size_outside_name_pool_is_clean_error(self, tmp_path, capsys):
         out = tmp_path / "c"
         code, err = _run(capsys, ["synth", "--out", str(out), "--lexicon-size", "0"])
@@ -556,4 +579,22 @@ class TestPipelineFlow:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "classifier Actor has hidden_dim 32" in err
+        assert not (tmp_path / "preds.jsonl").exists()
+
+    def test_classifier_head_of_another_task_is_one_error_line(self, tmp_path, pipeline_dir,
+                                                               capsys):
+        pipe = tmp_path / "pipe"
+        shutil.copytree(pipeline_dir, pipe)
+        manifest = pipe / "task_Actor" / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        assert text.count("=seq_head.Actor.") == 2
+        manifest.write_text(text.replace("=seq_head.Actor.", "=seq_head.Event."),
+                            encoding="utf-8")
+        note = tmp_path / "note.txt"
+        note.write_text("clinician duly started kelinib 10mg today.", encoding="utf-8")
+        code, err = _run(capsys, ["pipeline", "--model", str(pipe), "--in", str(note),
+                                  "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert err == ("error: pipeline artifact is invalid: "
+                       "classifier Actor has no head for task 'Actor'\n")
         assert not (tmp_path / "preds.jsonl").exists()

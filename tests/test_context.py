@@ -390,6 +390,11 @@ class TestStackedContexts:
         with pytest.raises(ConfigError, match="lacks context classifiers"):
             predict_contexts(events, self._examples(tiny[0], bundle)[:1])
 
+    def test_head_of_another_task_is_config_error(self, tiny):
+        bundle = tiny[1].classifiers
+        with pytest.raises(ConfigError, match="classifier Actor has no head for task 'Actor'"):
+            ClassifierBundle({"Actor": bundle.tasks["Event"]}, bundle.vocab)
+
     def test_vocabulary_of_another_size_is_config_error(self, tiny):
         bundle = tiny[1].classifiers
         other = build_vocab(["a few other words"], 64)

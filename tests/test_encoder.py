@@ -794,6 +794,8 @@ class TestConfigsCheckedWhenBuilt:
         (TrainConfig, {"batch_size": 0}),
         (TrainConfig, {"patience": 0}),
         (TrainConfig, {"clip_norm": -1.0}),
+        (EncoderConfig, {"seed": -1}),
+        (TrainConfig, {"seed": -1}),
     ])
     def test_invalid_value_raises_when_built(self, cls, fields):
         with pytest.raises(ConfigError):
