@@ -64,33 +64,26 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_configs(args) -> tuple[EncoderConfig, TrainConfig, int]:
-    values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = str(flag)
+    values = {key: flag for key in CONFIG_KEYS if (flag := getattr(args, key)) is not None}
+    for key, raw in (load_config_file(args.config) if args.config else {}).items():
+        if key not in values:  # flags win, so an overridden string is never parsed
+            typ = CONFIG_KEYS[key]
+            try:
+                values[key] = typ(raw)
+            except ValueError:
+                raise UsageError(f"config key {key!r}: expected {typ.__name__}, "
+                                 f"got {raw!r}") from None
 
-    parsed = {}
-    for key, raw in values.items():
-        typ = CONFIG_KEYS[key]
-        try:
-            parsed[key] = typ(raw)
-        except ValueError:
-            raise UsageError(f"config key {key!r}: expected {typ.__name__}, got {raw!r}") from None
-
-    enc = EncoderConfig(**{k: v for k, v in parsed.items() if k in _ENC_FIELDS})
-    train = TrainConfig(**{k: v for k, v in parsed.items() if k in _TRAIN_FIELDS})
-    return enc, train, parsed.get("vocab_target_size", DEFAULT_VOCAB_SIZE)
+    enc = EncoderConfig(**{k: v for k, v in values.items() if k in _ENC_FIELDS})
+    train = TrainConfig(**{k: v for k, v in values.items() if k in _TRAIN_FIELDS})
+    return enc, train, values.get("vocab_target_size", DEFAULT_VOCAB_SIZE)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags win")
-    p.add_argument("--seed", type=int, help="seed for init, shuffling, dropout")
     for name, typ in CONFIG_KEYS.items():
-        if name != "seed":
-            p.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name)
+        p.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name,
+                       help="seed for init, shuffling, dropout" if name == "seed" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,19 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="run one model over a raw note")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--doc-id", default=None)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("pipeline", help="run the full pipeline over a raw note")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--doc-id", default=None)
-    p.set_defaults(func=cmd_pipeline)
+    for name, help_ in (("predict", "run one model over a raw note"),
+                        ("pipeline", "run the full pipeline over a raw note")):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--model", required=True)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--doc-id", default=None)
+        p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a model against gold annotations")
     p.add_argument("--task", required=True, choices=["ner", "event", "context", "end2end"])
@@ -217,38 +205,29 @@ def _classifier_with(bundle, names: Sequence[str]) -> context.ClassifierBundle:
     return bundle
 
 
-def _read_note(args) -> tuple[str, str]:
-    """The note named by --in, newline-normalized, and its document id."""
-    text = normalize_newlines(read_utf8(Path(args.infile)))
-    return text, args.doc_id or Path(args.infile).stem
-
-
-def _pipeline_note(bundle: pipeline.PipelineBundle, args) -> int:
-    doc = pipeline.run_pipeline(bundle, *_read_note(args))
-    Path(args.out).write_text(pipeline.mentions_to_jsonl(doc), encoding="utf-8")
-    _log(f"{len(doc.mentions)} mentions -> {args.out}")
-    return 0
-
-
 def cmd_predict(args) -> int:
+    """`predict` and `pipeline`: a pipeline artifact writes mention records,
+    an extraction model (under `predict` only) span records."""
     bundle = artifacts.load_artifact(args.model)
-    if isinstance(bundle, pipeline.PipelineBundle):
-        return _pipeline_note(bundle, args)
-    if not isinstance(bundle, ner.NerModelBundle):
+    if args.command == "pipeline":
+        _as_pipeline(bundle)
+    elif not isinstance(bundle, (pipeline.PipelineBundle, ner.NerModelBundle)):
         raise UsageError(
             "predict accepts extraction or pipeline artifacts; evaluate classifier "
             "artifacts with `evaluate --gold-spans on`"
         )
-    text, doc_id = _read_note(args)
+    text = normalize_newlines(read_utf8(Path(args.infile)))
+    doc_id = args.doc_id or Path(args.infile).stem
+    if isinstance(bundle, pipeline.PipelineBundle):
+        doc = pipeline.run_pipeline(bundle, text, doc_id)
+        Path(args.out).write_text(pipeline.mentions_to_jsonl(doc), encoding="utf-8")
+        _log(f"{len(doc.mentions)} mentions -> {args.out}")
+        return 0
     spans = ner.predict_ner(bundle, text)
     _write_jsonl(args.out, ({"doc_id": doc_id, "start": s.start, "end": s.end,
                              "surface": text[s.start : s.end]} for s in spans))
     _log(f"{len(spans)} spans -> {args.out}")
     return 0
-
-
-def cmd_pipeline(args) -> int:
-    return _pipeline_note(_as_pipeline(artifacts.load_artifact(args.model)), args)
 
 
 def cmd_evaluate(args) -> int:

@@ -130,14 +130,15 @@ class TaskModel:
 class ClassifierBundle:
     """One independently trained model per classification task.
 
-    Construction checks once that each classifier holds the head of the
-    task it is keyed by, shares the bundle's vocabulary and agrees with the
-    others on every config field that shapes the forward pass
-    (`encoder.FORWARD_FIELDS`), and raises ConfigError if not. With all
-    five dimension classifiers present, it also stacks their models in
-    `CONTEXT_STACK` order into `contexts` (`encoder.stack_models`), which
-    `predict_contexts` runs as one forward pass; the weights stay each
-    model's own. A model moves into the stack of the last bundle built over it.
+    Construction checks once that each classifier is keyed by one of
+    `TASKS`, holds that task's head with one column per class, shares the
+    bundle's vocabulary and agrees with the others on every config field
+    that shapes the forward pass (`encoder.FORWARD_FIELDS`), and raises
+    ConfigError if not. With all five dimension classifiers present, it
+    also stacks their models in `CONTEXT_STACK` order into `contexts`
+    (`encoder.stack_models`), which `predict_contexts` runs as one forward
+    pass; the weights stay each model's own. A model moves into the stack
+    of the last bundle built over it.
     """
 
     tasks: dict[str, TaskModel]
@@ -151,8 +152,15 @@ class ClassifierBundle:
             raise ConfigError("a classifier bundle needs at least one classifier")
         models = {name: tm.model for name, tm in self.tasks.items()}
         for name, model in models.items():
+            if name not in TASKS:
+                raise ConfigError(f"classifier {name!r} is not one of the tasks "
+                                  f"{', '.join(TASKS)}")
             if not all(head in model.params for head in head_names(name)):
                 raise ConfigError(f"classifier {name} has no head for task {name!r}")
+            w, b = (model.params[head].shape[-1] for head in head_names(name))
+            if w != len(TASKS[name].classes) or b != w:
+                raise ConfigError(f"classifier {name}'s head weight and bias are {w} and {b} "
+                                  f"wide, task {name} has {len(TASKS[name].classes)} classes")
         check_agreement(models)
         name, first = next(iter(models.items()))
         check_vocab_rows(f"classifier {name}", first, len(self.vocab))

@@ -437,26 +437,15 @@ def corpus_stats(corpus: Corpus) -> dict[str, SplitStats]:
 
 def format_stats(stats: dict[str, SplitStats]) -> str:
     """Render the stats table as aligned plain text."""
-    lines = []
+    cols = stats.values()
+    rows = [
+        ("Documents", [st.documents for st in cols]),
+        ("Medication mentions", [st.medications for st in cols]),
+        *((f"Event {ev.value}", [st.events[ev.value] for st in cols]) for ev in EventLabel),
+        *((f"{dim} {v.value}", [st.dimensions[dim][v.value] for st in cols])
+          for dim, (enum_cls, _) in CONTEXT_DIMENSIONS.items() for v in enum_cls),
+    ]
     header = f"{'category':<28}" + "".join(f"{s:>10}" for s in stats)
-    lines.append(header)
-    lines.append("-" * len(header))
-    lines.append(
-        f"{'Documents':<28}" + "".join(f"{stats[s].documents:>10}" for s in stats)
-    )
-    lines.append(
-        f"{'Medication mentions':<28}"
-        + "".join(f"{stats[s].medications:>10}" for s in stats)
-    )
-    for ev in EventLabel:
-        lines.append(
-            f"{'Event ' + ev.value:<28}"
-            + "".join(f"{stats[s].events[ev.value]:>10}" for s in stats)
-        )
-    for dim, (enum_cls, _) in CONTEXT_DIMENSIONS.items():
-        for v in enum_cls:
-            lines.append(
-                f"{dim + ' ' + v.value:<28}"
-                + "".join(f"{stats[s].dimensions[dim][v.value]:>10}" for s in stats)
-            )
-    return "\n".join(lines)
+    return "\n".join([header, "-" * len(header),
+                      *(f"{label:<28}" + "".join(f"{n:>10}" for n in counts)
+                        for label, counts in rows)])

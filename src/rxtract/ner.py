@@ -50,7 +50,9 @@ def build_ner_examples(
 ) -> list[LabeledSequence]:
     """One tagged sequence per sentence; sentences without mentions are kept
     as all-O examples. Unlike inference, training reads no window past a
-    sentence's first: `align_to_subtokens` drops the words that overflow."""
+    sentence's first: `align_to_subtokens` drops the words that overflow. A
+    sentence whose every word is longer than `max_len - 2` pieces aligns to
+    `[CLS] [SEP]` alone and gives no example, having nothing to score."""
     examples: list[LabeledSequence] = []
     pieces = PieceTable(vocab)
     for doc in docs:
@@ -67,9 +69,9 @@ def build_ner_examples(
                     )
                 spans.append(m.span)
             tags = spans_to_bio(sent, spans)
-            examples.append(
-                align_to_subtokens(sent, tags, pieces, max_len, doc_id=doc.doc_id)
-            )
+            example = align_to_subtokens(sent, tags, pieces, max_len, doc_id=doc.doc_id)
+            if len(example) > 2:
+                examples.append(example)
     return examples
 
 

@@ -213,6 +213,15 @@ class TestMalformedManifest:
             load_artifact(tmp_path / "ev")
 
 
+def test_classifier_of_no_task_is_corruption(tmp_path, event_bundle):
+    save_artifact(event_bundle, tmp_path / "ev")
+    _edit_manifest(tmp_path / "ev", r"^task=Event$", "task=Dosage")
+    _edit_manifest(tmp_path / "ev", *_head_renamed("Event", "Dosage"))
+    with pytest.raises(CorruptionError, match="classifier artifact is invalid: "
+                                              "classifier 'Dosage' is not one of the tasks"):
+        load_artifact(tmp_path / "ev")
+
+
 def test_huge_layer_count_is_corruption(tmp_path, event_bundle):
     """Refused before a layout of that many layers is built."""
     save_artifact(event_bundle, tmp_path / "ev")

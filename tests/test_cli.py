@@ -598,3 +598,61 @@ class TestPipelineFlow:
         assert err == ("error: pipeline artifact is invalid: "
                        "classifier Actor has no head for task 'Actor'\n")
         assert not (tmp_path / "preds.jsonl").exists()
+
+    def test_classifier_head_of_another_width_is_one_error_line(self, tmp_path, pipeline_dir,
+                                                                capsys):
+        # the Temporality classifier, saved as Event's: a head of 4 classes where Event has 3
+        pipe = tmp_path / "pipe"
+        shutil.copytree(pipeline_dir, pipe)
+        shutil.rmtree(pipe / "task_Event")
+        shutil.copytree(pipe / "task_Temporality", pipe / "task_Event")
+        manifest = pipe / "task_Event" / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("task=Temporality", "task=Event")
+                                .replace("=seq_head.Temporality.", "=seq_head.Event."),
+                            encoding="utf-8")
+        note = tmp_path / "note.txt"
+        note.write_text("clinician duly started kelinib 10mg today.", encoding="utf-8")
+        code, err = _run(capsys, ["pipeline", "--model", str(pipe), "--in", str(note),
+                                  "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert err == ("error: pipeline artifact is invalid: classifier Event's head weight "
+                       "and bias are 4 and 4 wide, task Event has 3 classes\n")
+        assert not (tmp_path / "preds.jsonl").exists()
+
+
+class TestNoteCommands:
+    """`predict` and `pipeline` share one handler; each refuses the
+    artifacts it cannot run before reading the note."""
+
+    def test_predict_on_pipeline_writes_what_pipeline_writes(self, tmp_path, data_dir,
+                                                             pipeline_dir):
+        note = data_dir / "test" / "test0000.txt"
+        for command in ("predict", "pipeline"):
+            assert run_command([command, "--model", str(pipeline_dir), "--in", str(note),
+                                "--out", str(tmp_path / f"{command}.jsonl")]) == 0
+        written = (tmp_path / "pipeline.jsonl").read_bytes()
+        assert b'"event"' in written
+        assert (tmp_path / "predict.jsonl").read_bytes() == written
+
+    @pytest.mark.parametrize("command, component, message", [
+        (["predict"], "task_Event", "predict accepts extraction or pipeline artifacts"),
+        (["pipeline"], "ner", "needs a pipeline artifact"),
+        (["evaluate", "--task", "ner"], "task_Event",
+         "ner evaluation needs an extraction or pipeline artifact"),
+        (["evaluate", "--task", "end2end"], "ner", "needs a pipeline artifact"),
+    ], ids=["predict_classifier", "pipeline_extraction", "evaluate_ner_classifier",
+            "evaluate_end2end_extraction"])
+    def test_artifact_of_another_kind_is_usage_error(self, tmp_path, data_dir, pipeline_dir,
+                                                     capsys, command, component, message):
+        out = tmp_path / "out.jsonl"
+        if command[0] == "evaluate":
+            where = ["--data", str(data_dir)]
+        else:
+            where = ["--in", str(tmp_path / "no_note.txt")]  # refused before it is read
+        code, err = _run(capsys, [*command, "--model", str(pipeline_dir / component),
+                                  *where, "--out", str(out)])
+        assert code == 2
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()

@@ -395,6 +395,22 @@ class TestStackedContexts:
         with pytest.raises(ConfigError, match="classifier Actor has no head for task 'Actor'"):
             ClassifierBundle({"Actor": bundle.tasks["Event"]}, bundle.vocab)
 
+    def test_head_of_another_width_is_config_error(self, tiny):
+        # a head wider than its task's classes would predict a class id no label has
+        bundle = tiny[1].classifiers
+        event = bundle.tasks["Event"]
+        wide = init_model(event.model.config, len(bundle.vocab),
+                          {"Event": len(TASKS["Event"].classes) + 1})
+        with pytest.raises(ConfigError, match="head weight and bias are 4 and 4 wide, "
+                                              "task Event has 3 classes"):
+            ClassifierBundle({"Event": TaskModel(wide, event.train_config, [])}, bundle.vocab)
+
+    def test_classifier_of_no_task_is_config_error(self, tiny):
+        bundle = tiny[1].classifiers
+        dosage = init_model(bundle.tasks["Event"].model.config, len(bundle.vocab), {"Dosage": 3})
+        with pytest.raises(ConfigError, match="classifier 'Dosage' is not one of the tasks"):
+            ClassifierBundle({"Dosage": TaskModel(dosage, TrainConfig(), [])}, bundle.vocab)
+
     def test_vocabulary_of_another_size_is_config_error(self, tiny):
         bundle = tiny[1].classifiers
         other = build_vocab(["a few other words"], 64)

@@ -1,5 +1,7 @@
 """Extraction example building, training behavior, and span prediction."""
 
+import random
+import string
 from collections import Counter
 
 import numpy as np
@@ -41,6 +43,18 @@ def _two_sentence_doc():
     )
 
 
+def _over_long_word_doc():
+    """Two sentences; the second is one word of more than 62 pieces."""
+    rng = random.Random(0)
+    text = "Start plavix today. " + "".join(rng.choices(string.ascii_lowercase + string.digits,
+                                                        k=200))
+    return AnnotatedDocument(
+        "d",
+        text,
+        [MedicationMention(CharSpan(6, 12), "plavix", EventLabel.NO_DISPOSITION)],
+    )
+
+
 class TestBuildExamples:
     def test_one_sequence_per_sentence(self):
         doc = _two_sentence_doc()
@@ -49,6 +63,12 @@ class TestBuildExamples:
         assert len(seqs) == 2
         with_b = [s for s in seqs if BioTag.B in s.tags]
         assert len(with_b) == 1
+
+    def test_sentence_of_over_long_words_gives_no_example(self):
+        doc = _over_long_word_doc()
+        seqs = build_ner_examples([doc], build_vocab([doc.text], 128), max_len=32)
+        assert len(seqs) == 1
+        assert BioTag.B in seqs[0].tags
 
     def test_empty_corpus(self):
         vocab = build_vocab(["x"], 64)
@@ -122,6 +142,15 @@ class TestTraining:
 
         with pytest.raises(DataError):
             train_ner(Corpus(), SMALL_ENC, TrainConfig(max_epochs=1), build_vocab(["a"]))
+
+    def test_sentence_of_over_long_words_is_not_trained_on(self):
+        # a batch of it alone would have no position to score
+        from rxtract.corpus import Corpus
+
+        doc = _over_long_word_doc()
+        bundle = train_ner(Corpus(train=[doc], dev=[doc]), SMALL_ENC,
+                           TrainConfig(batch_size=1, max_epochs=1), build_vocab([doc.text], 128))
+        assert len(bundle.history) == 1
 
     def test_identical_seeds_identical_parameters(self):
         result = gen_corpus(GeneratorSpec(seed=5, n_train=8, n_dev=2, n_test=2))
