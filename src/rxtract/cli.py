@@ -231,33 +231,35 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    corpus = load_corpus(args.data)
-    docs = corpus.split(args.split)
+    if args.task == "context" and args.gold_spans != "on":
+        raise UsageError("context evaluation is defined on gold spans only")
+    # the part of the artifact the task runs, checked before the corpus is read
     bundle = artifacts.load_artifact(args.model)
+    if args.task == "ner":
+        model = bundle.ner if isinstance(bundle, pipeline.PipelineBundle) else bundle
+        if not isinstance(model, ner.NerModelBundle):
+            raise UsageError("ner evaluation needs an extraction or pipeline artifact")
+    elif args.task == "end2end" or args.gold_spans == "off":
+        model = _as_pipeline(bundle)
+    else:
+        model = _classifier_with(bundle, ["Event"] if args.task == "event"
+                                 else [t.name for t in context.DIMENSION_TASKS])
+    docs = load_corpus(args.data).split(args.split)
 
     if args.task == "ner":
-        nb = bundle.ner if isinstance(bundle, pipeline.PipelineBundle) else bundle
-        if not isinstance(nb, ner.NerModelBundle):
-            raise UsageError("ner evaluation needs an extraction or pipeline artifact")
-        spans = ner.predict_ner_batch(nb.model, nb.vocab, [split_text(d.text) for d in docs])
+        spans = ner.predict_ner_batch(model.model, model.vocab, [split_text(d.text) for d in docs])
         preds = dict(zip([d.doc_id for d in docs], spans))
         report = evaluation.ner_metrics(docs, preds, args.mode)
     elif args.task == "event":
-        if args.gold_spans == "on":
-            cb = _classifier_with(bundle, ["Event"])
-            preds = pipeline.classify_gold_events(cb, docs)
-        else:
-            preds = pipeline.run_pipeline_over(_as_pipeline(bundle), docs)
-        report = evaluation.event_metrics(docs, preds, args.mode)
+        run = (pipeline.classify_gold_events if args.gold_spans == "on"
+               else pipeline.run_pipeline_over)
+        report = evaluation.event_metrics(docs, run(model, docs), args.mode)
     elif args.task == "context":
-        if args.gold_spans != "on":
-            raise UsageError("context evaluation is defined on gold spans only")
-        cb = _classifier_with(bundle, [t.name for t in context.DIMENSION_TASKS])
         gold = evaluation.gold_context_table(docs)
-        pred = pipeline.classify_gold_context(cb, docs)
+        pred = pipeline.classify_gold_context(model, docs)
         report = evaluation.context_metrics(gold, pred)
     else:  # end2end
-        preds = pipeline.run_pipeline_over(_as_pipeline(bundle), docs)
+        preds = pipeline.run_pipeline_over(model, docs)
         report = MetricsReport(combined_accuracy=evaluation.combined_accuracy(docs, preds))
 
     _log(render_report(report, args.task))

@@ -9,9 +9,12 @@ forward/backward pair (`_attention_fwd`/`_attention_bwd`,
 `_ffn_fwd`/`_ffn_bwd`): the forward returns its output and, if asked to
 keep it, a cache that only its backward reads (else None, so that
 inference holds no activations); the backward adds its weights' gradients
-into gradient views and returns its input's gradient. A sequence head reads
-three rows per sequence, so for one the last layer runs at those rows alone
-from its Q projection on, in training as at inference.
+into gradient views and returns its input's gradient. Every weight
+product, Q, K, V, the output projection, both FFN maps and the heads, is
+the pair `_affine`/`_affine_bwd`, and `_layernorm_bwd` likewise adds its
+gain's and bias's gradients into the views it is given. A sequence head
+reads three rows per sequence, so for one the last layer runs at those rows
+alone from its Q projection on, in training as at inference.
 
 A model's parameters are one contiguous buffer (`FlatParams.flat`) with
 every tensor a named view into it, in `_param_layout` order; gradients and
@@ -310,6 +313,15 @@ def _affine(x, w, b):
     return y
 
 
+def _affine_bwd(x, dy, w, g, w_name, b_name):
+    """The backward of `_affine(x, w[w_name], w[b_name])` over (N, n) rows:
+    adds the weight's and the bias's gradients into `g`, and returns the
+    input's gradient."""
+    g[w_name] += x.T @ dy
+    g[b_name] += dy.sum(axis=0)
+    return dy @ w[w_name].T
+
+
 def _mean_last(x):
     """`x.mean(axis=-1, keepdims=True)`, bit for bit, without numpy's
     Python-level wrapper."""
@@ -379,19 +391,21 @@ def _layernorm_fwd(x, gain, bias, keep=False):
     return out, ((x, inv) if keep else None)
 
 
-def _layernorm_bwd(dy, cache, gain):
+def _layernorm_bwd(dy, cache, gain, dgain, dbias):
+    """`_layernorm_fwd`'s backward over (N, n) rows: adds the gain's and
+    the bias's gradients into `dgain` and `dbias`, and returns the input's
+    gradient."""
     xhat, inv = cache
-    axes = tuple(range(dy.ndim - 1))
     tmp = dy * xhat
-    dgain = tmp.sum(axis=axes)
-    dbias = dy.sum(axis=axes)
+    dgain += tmp.sum(axis=0)
+    dbias += dy.sum(axis=0)
     dx = dy * gain  # dxhat, then dx in place
     m1 = _mean_last(dx)
     m2 = _mean_last(np.multiply(dx, xhat, out=tmp))
     dx -= m1
     dx -= np.multiply(xhat, m2, out=tmp)
     dx *= inv
-    return dx, dgain, dbias
+    return dx
 
 
 def _softmax(x):
@@ -623,19 +637,13 @@ def _attention_bwd(w, dout, c, g):
     position, and the input's gradient comes back at all B*L rows."""
     b, nh, r, dk = c["q"].shape
 
-    def proj_bwd(wname, bname, x, dmat):  # the gradient of `x @ w + b`, given (B, nh, N, dk)
-        dm = dmat.transpose(0, 2, 1, 3).reshape(-1, nh * dk)
-        g[wname] += x.T @ dm
-        g[bname] += dm.sum(axis=0)
-        return dm @ w[wname].T
+    def merge(m):  # (B, nh, N, dk) -> (B*N, H), undoing the forward's split
+        return m.transpose(0, 2, 1, 3).reshape(-1, nh * dk)
 
     # `dres` is also the residual's gradient: Q, K and V add into it last
-    dres, dgain, dbias = _layernorm_bwd(dout, c["ln"], w["ln1.gain"])
-    g["ln1.gain"] += dgain
-    g["ln1.bias"] += dbias
-    g["attn.wo"] += c["ctx"].T @ dres
-    g["attn.bo"] += dres.sum(axis=0)
-    dctx = (dres @ w["attn.wo"].T).reshape(b, r, nh, dk).transpose(0, 2, 1, 3)
+    dres = _layernorm_bwd(dout, c["ln"], w["ln1.gain"], g["ln1.gain"], g["ln1.bias"])
+    dctx = _affine_bwd(c["ctx"], dres, w, g, "attn.wo", "attn.bo")
+    dctx = dctx.reshape(b, r, nh, dk).transpose(0, 2, 1, 3)
 
     probs = c["probs"]
     dprobs = _undrop(dctx @ c["v"].transpose(0, 1, 3, 2), c["drop"])
@@ -649,13 +657,13 @@ def _attention_bwd(w, dout, c, g):
     dk_ *= c["scale"]
 
     x, pick = c["x"], c["pick"]
-    dres += proj_bwd("attn.wq", "attn.bq", x if pick is None else x[pick], dq)
+    dres += _affine_bwd(x if pick is None else x[pick], merge(dq), w, g, "attn.wq", "attn.bq")
     if pick is not None:  # a row without markers reads position 0 three times
         dx = np.zeros_like(x)
         _add_rows(dx, pick, dres)
         dres = dx
-    dres += proj_bwd("attn.wk", "attn.bk", x, dk_)
-    dres += proj_bwd("attn.wv", "attn.bv", x, dv)
+    dres += _affine_bwd(x, merge(dk_), w, g, "attn.wk", "attn.bk")
+    dres += _affine_bwd(x, merge(dv), w, g, "attn.wv", "attn.bv")
     return dres
 
 
@@ -675,16 +683,10 @@ def _ffn_fwd(w, cfg, y, rng, keep=False):
 def _ffn_bwd(w, dout, c, g):
     """`_ffn_fwd`'s backward, for one model."""
     # `dres` is also the residual's gradient: the FFN's adds into it last
-    dres, dgain, dbias = _layernorm_bwd(dout, c["ln"], w["ln2.gain"])
-    g["ln2.gain"] += dgain
-    g["ln2.bias"] += dbias
-    g["ffn.w2"] += c["g_used"].T @ dres
-    g["ffn.b2"] += dres.sum(axis=0)
-    da = _undrop(dres @ w["ffn.w2"].T, c["drop"])
+    dres = _layernorm_bwd(dout, c["ln"], w["ln2.gain"], g["ln2.gain"], g["ln2.bias"])
+    da = _undrop(_affine_bwd(c["g_used"], dres, w, g, "ffn.w2", "ffn.b2"), c["drop"])
     da *= _gelu_grad(c["a"], c["gelu_tanh"])
-    g["ffn.w1"] += c["y"].T @ da
-    g["ffn.b1"] += da.sum(axis=0)
-    dres += da @ w["ffn.w1"].T
+    dres += _affine_bwd(c["y"], da, w, g, "ffn.w1", "ffn.b1")
     return dres
 
 
@@ -939,12 +941,10 @@ def _loss_grads_packed(model, packed, task, rng, want_grads):
         dlogits *= m[..., None].astype(dlogits.dtype) / dlogits.dtype.type(n)
     else:
         dlogits /= n
-    w_name, b_name = head_names(task)
-    w = model.params[w_name]
     grads = model.params.zeros_like()
-    grads[w_name] += feat.reshape(-1, w.shape[0]).T @ dlogits.reshape(-1, w.shape[1])
-    grads[b_name] += dlogits.sum(axis=tuple(range(dlogits.ndim - 1)))
-    _backward_batch(model, cache, (dlogits @ w.T).reshape(hidden.shape), grads)
+    dx = _affine_bwd(feat.reshape(-1, feat.shape[-1]), dlogits.reshape(-1, dlogits.shape[-1]),
+                     model.params, grads, *head_names(task))
+    _backward_batch(model, cache, dx.reshape(hidden.shape), grads)
     return loss, grads
 
 

@@ -122,6 +122,14 @@ class TestExitCodes:
                             "--model", str(ner_model_dir), "--gold-spans", "off"])
         assert code == 2
 
+    def test_context_eval_on_predicted_spans_is_refused_from_the_arguments(self, tmp_path,
+                                                                           capsys):
+        code, err = _run(capsys, ["evaluate", "--task", "context", "--gold-spans", "off",
+                                  "--data", str(tmp_path / "no_data"),
+                                  "--model", str(tmp_path / "no_model")])
+        assert code == 2
+        assert err == "usage error: context evaluation is defined on gold spans only\n"
+
     def test_malformed_artifact_is_clean_error(self, tmp_path, ner_model_dir, capsys):
         code, err = _predict_with_edited_manifest(
             tmp_path, ner_model_dir, capsys, r"^(tensor_0=\S+) \S+$", r"\1 zzx16")
@@ -635,21 +643,25 @@ class TestNoteCommands:
         assert b'"event"' in written
         assert (tmp_path / "predict.jsonl").read_bytes() == written
 
-    @pytest.mark.parametrize("command, component, message", [
-        (["predict"], "task_Event", "predict accepts extraction or pipeline artifacts"),
-        (["pipeline"], "ner", "needs a pipeline artifact"),
-        (["evaluate", "--task", "ner"], "task_Event",
+    @pytest.mark.parametrize("command, component, data, message", [
+        (["predict"], "task_Event", None, "predict accepts extraction or pipeline artifacts"),
+        (["pipeline"], "ner", None, "needs a pipeline artifact"),
+        (["evaluate", "--task", "ner"], "task_Event", "corpus",
          "ner evaluation needs an extraction or pipeline artifact"),
-        (["evaluate", "--task", "end2end"], "ner", "needs a pipeline artifact"),
+        (["evaluate", "--task", "ner"], "task_Event", "absent",
+         "ner evaluation needs an extraction or pipeline artifact"),
+        (["evaluate", "--task", "end2end"], "ner", "corpus", "needs a pipeline artifact"),
+        (["evaluate", "--task", "end2end"], "ner", "absent", "needs a pipeline artifact"),
     ], ids=["predict_classifier", "pipeline_extraction", "evaluate_ner_classifier",
-            "evaluate_end2end_extraction"])
+            "evaluate_ner_classifier_no_data", "evaluate_end2end_extraction",
+            "evaluate_end2end_extraction_no_data"])
     def test_artifact_of_another_kind_is_usage_error(self, tmp_path, data_dir, pipeline_dir,
-                                                     capsys, command, component, message):
+                                                     capsys, command, component, data, message):
         out = tmp_path / "out.jsonl"
-        if command[0] == "evaluate":
-            where = ["--data", str(data_dir)]
-        else:
+        if data is None:
             where = ["--in", str(tmp_path / "no_note.txt")]  # refused before it is read
+        else:  # likewise refused before the corpus is read
+            where = ["--data", str(data_dir if data == "corpus" else tmp_path / "no_data")]
         code, err = _run(capsys, [*command, "--model", str(pipeline_dir / component),
                                   *where, "--out", str(out)])
         assert code == 2

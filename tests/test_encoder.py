@@ -451,7 +451,8 @@ class TestLayerNorm:
         dxhat = dy * gain
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return xhat * gain + bias, xhat, inv, (dxhat - m1 - xhat * m2) * inv
+        return (xhat * gain + bias, xhat, inv, (dxhat - m1 - xhat * m2) * inv,
+                (dy * xhat).sum(axis=0), dy.sum(axis=0))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_mean_and_var(self, dtype):
@@ -461,8 +462,10 @@ class TestLayerNorm:
                 x, dy = (rng.standard_normal((2, rows, width)) * 3 + 0.5).astype(dtype)
                 gain, bias = rng.standard_normal((2, width)).astype(dtype)
                 out, (xhat, inv) = _layernorm_fwd(x.copy(), gain, bias, keep=True)
-                dx, _, _ = _layernorm_bwd(dy, (xhat, inv), gain)
-                for got, want in zip((out, xhat, inv, dx), self._reference(x, gain, bias, dy)):
+                dgain, dbias = np.zeros_like(gain), np.zeros_like(bias)
+                dx = _layernorm_bwd(dy, (xhat, inv), gain, dgain, dbias)
+                for got, want in zip((out, xhat, inv, dx, dgain, dbias),
+                                     self._reference(x, gain, bias, dy)):
                     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -1147,6 +1150,28 @@ class TestUfuncCount:
         stack = stack_models(_distinct_models(WIDE))
         assert self._counted(stack, tuple(STACK_TASKS)) == {"all": 105, "matmul": 13,
                                                             "reduce": 12}
+
+
+class TestStepUfuncCount:
+    """The numpy calls one training step's `loss_and_grads` makes, counted
+    as `TestUfuncCount` counts a forward's, with dropout on: forward, head,
+    loss and backward, for one fixed padded batch of four sequences."""
+
+    @pytest.mark.parametrize("task, want", [
+        (None, {"all": 312, "matmul": 47, "reduce": 49}),
+        ("A", {"all": 313, "matmul": 48, "reduce": 48}),
+    ], ids=["token_head", "sequence_head"])
+    def test_loss_and_grads(self, task, want):
+        cfg = replace(WIDE, dropout_rate=0.1)
+        p = init_model(cfg, VOCAB, {} if task is None else {"A": 3}).params
+        counting = encoder.EncoderModel(cfg, FlatParams(p.flat.view(_Counting), p.layout))
+        batch = toy_examples("token" if task is None else "sequence", VOCAB, n=4, length=12,
+                             seed=5)
+        assert len({len(s) for s in batch}) > 1  # padded, so the key mask runs
+        _Counting.calls.clear()
+        _, grads = loss_and_grads(counting, batch, task, np.random.default_rng(0))
+        assert isinstance(grads.flat, _Counting)
+        assert {key: _Counting.calls[key] for key in ("all", "matmul", "reduce")} == want
 
 
 class TestGroupedProjections:
